@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidIlluminantError, ParameterError
+from .errors import FormatError, InvalidIlluminantError, ParameterError
 from .image import (
     Illuminant,
     LinearImage,
@@ -92,21 +92,45 @@ def save_manifest(manifest: DatasetManifest, path):
         fh.write("\n")
 
 
+def _manifest_entry(raw) -> ManifestEntry:
+    """One manifest entry; KeyError, TypeError or ValueError if malformed."""
+    entry = ManifestEntry(
+        image_path=raw["image_path"],
+        ground_truth_illuminant=tuple(float(v) for v in raw["ground_truth_illuminant"]),
+        fold=int(raw["fold"]),
+        exclusion_rects=tuple(tuple(int(v) for v in r) for r in raw.get("exclusion_rects", [])),
+        gt_map_path=raw.get("gt_map_path"),
+    )
+    if not isinstance(entry.image_path, str) or not isinstance(entry.gt_map_path, (str, type(None))):
+        raise TypeError("image_path and gt_map_path must be strings")
+    if len(entry.ground_truth_illuminant) != 3:
+        raise ValueError("ground_truth_illuminant needs 3 components")
+    if any(len(r) != 4 for r in entry.exclusion_rects):
+        raise ValueError("exclusion rectangles are (x, y, w, h)")
+    return entry
+
+
 def load_manifest(path) -> DatasetManifest:
+    """Read a manifest; any malformed content raises a `PipelineError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != MANIFEST_VERSION:
-        raise ParameterError(f"unsupported manifest version {doc.get('version')!r}")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"manifest {path} is not valid UTF-8 JSON: {exc}") from exc
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != MANIFEST_VERSION:
+        raise ParameterError(f"unsupported manifest version {version!r}")
+    if not isinstance(doc.get("entries"), list):
+        raise ParameterError("manifest has no list of entries")
     base_dir = os.path.dirname(os.path.abspath(path))
     entries = []
-    for raw in doc["entries"]:
-        entry = ManifestEntry(
-            image_path=raw["image_path"],
-            ground_truth_illuminant=tuple(float(v) for v in raw["ground_truth_illuminant"]),
-            fold=int(raw["fold"]),
-            exclusion_rects=tuple(tuple(int(v) for v in r) for r in raw.get("exclusion_rects", [])),
-            gt_map_path=raw.get("gt_map_path"),
-        )
+    for i, raw in enumerate(doc["entries"]):
+        try:
+            entry = _manifest_entry(raw)
+        except KeyError as exc:
+            raise ParameterError(f"manifest entry {i} has no {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"manifest entry {i} is malformed: {exc}") from exc
         full = os.path.join(base_dir, entry.image_path)
         if not os.path.exists(full):
             raise ParameterError(f"manifest references missing image {full}")

@@ -14,7 +14,8 @@ class ImageTooSmallError(PipelineError, ValueError):
 
 
 class FormatError(PipelineError, ValueError):
-    """Malformed image file. Carries the byte offset of the problem."""
+    """Malformed file (image, weights or manifest). Carries the byte offset of
+    the problem when one is known."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:

@@ -8,6 +8,14 @@ exact analytic gradients, checked against central finite differences.
 Layer inputs may carry a leading batch axis; channels are always the last
 axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
+
+Networks with 1x1 kernels run the convolution and the max pooling as one
+fused layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`): it computes
+the responses block by block, so the argmax runs over a contiguous axis, and
+its backward pass touches only the argmax pixel of each pool window. Ties go
+to the first occurrence in row-major block order, as in `maxpool_forward`.
+Wider kernels (k x k, for the width sweep) use the reference layers
+`conv_forward`, `maxpool_forward`, `maxpool_backward` and `conv_backward`.
 """
 
 from __future__ import annotations
@@ -219,22 +227,6 @@ def conv_backward(grad_out: np.ndarray, cache):
     return grad_x, grad_w, grad_b
 
 
-def conv1x1_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """1x1 convolution: out(y, x, k) = sum_c w[k, c] * in(y, x, c) + b[k].
-
-    w is (K, 3); this is the default first layer of the network.
-    """
-    w = _as_float(w)
-    if w.ndim != 2:
-        raise ShapeMismatchError(f"conv1x1 weights must be (K, 3), got {w.shape}")
-    return conv_forward(x, w[:, None, None, :], b)
-
-
-def conv1x1_backward(grad_out: np.ndarray, cache):
-    grad_x, grad_w, grad_b = conv_backward(grad_out, cache)
-    return grad_x, grad_w[:, 0, 0, :], grad_b
-
-
 def maxpool_forward(x: np.ndarray, pool: int, need_cache: bool = True):
     """Block max over pool x pool windows per channel, stride = pool.
 
@@ -272,6 +264,64 @@ def maxpool_backward(grad_out: np.ndarray, cache):
     grad_blocks = grad_blocks.reshape(*lead, g, g, k, pool, pool)
     axes = tuple(range(nl)) + (nl, nl + 2, nl + 4, nl + 1, nl + 3)
     return grad_blocks.transpose(np.argsort(axes)).reshape(x_shape)
+
+
+def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
+                         need_cache: bool = True):
+    """1x1 convolution and pool x pool max pooling in one layer.
+
+    x: (..., S, S, 3), w: (K, 1, 1, 3), b: (K,) -> (..., S/pool, S/pool, K),
+    the values and argmax of `maxpool_forward(conv_forward(x, w, b)[0], pool)`.
+    The input is copied once into block layout xb (..., G, G, pool*pool, 3)
+    and the responses W @ xb^T come out as (..., G, G, K, pool*pool), with
+    each pool window on the contiguous last axis. Passing xb^T as a view of
+    the pixel-major copy sends numpy to the same kind of BLAS call as
+    `conv_forward` (gemv when K = 1, gemm otherwise); the kernel OpenBLAS
+    then runs can still depend on the matrix size, so inexact sums may
+    differ from the reference in the last bit. Pass need_cache=False for
+    inference: the response array is then the only full-size allocation.
+    """
+    x = _as_float(x)
+    w = _as_float(w)
+    b = _as_float(b)
+    if x.shape[-1] != 3 or w.shape[1:] != (1, 1, 3) or b.shape != (w.shape[0],):
+        raise ShapeMismatchError(f"conv1x1 shapes inconsistent: x{x.shape} w{w.shape} b{b.shape}")
+    s1, s2 = x.shape[-3], x.shape[-2]
+    if s1 != s2 or s1 % pool != 0:
+        raise ShapeMismatchError(f"spatial size {s1}x{s2} not divisible by pool {pool}")
+    lead = x.shape[:-3]
+    nl = len(lead)
+    g = s1 // pool
+    axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
+    xb = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(*lead, g, g, pool * pool, 3)
+    resp = w[:, 0, 0, :] @ xb.swapaxes(-1, -2)
+    # conv_forward adds the bias in the wider of the two dtypes
+    resp = resp.astype(np.result_type(resp, b), copy=False)
+    resp += b[:, None]
+    if not need_cache:
+        return resp.max(axis=-1), None
+    idx = resp.argmax(axis=-1)
+    out = np.take_along_axis(resp, idx[..., None], axis=-1)[..., 0]
+    return out, (xb, idx)
+
+
+def conv1x1_pool_backward(grad_out: np.ndarray, cache):
+    """Weight and bias gradients of `conv1x1_pool_forward`.
+
+    Only the argmax pixel of each pool window gets a gradient, so this
+    gathers those pixels' RGB, (..., G, G, K, 3), and builds no
+    full-resolution map. Returns (grad_w (K, 1, 1, 3), grad_b (K,)); the
+    network needs no gradient with respect to its input.
+    """
+    xb, idx = cache
+    k = idx.shape[-1]
+    flat_idx = idx.reshape(-1, k)
+    # fancy indexing gathers ~2x faster here than take_along_axis
+    rows = np.arange(flat_idx.shape[0])[:, None]
+    x_sel = xb.reshape(-1, xb.shape[-2], 3)[rows, flat_idx]
+    flat_g = _as_float(grad_out).reshape(-1, k)
+    grad_w = np.einsum("nk,nkc->kc", flat_g, x_sel)
+    return grad_w[:, None, None, :], flat_g.sum(axis=0)
 
 
 def fc_relu_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -326,8 +376,13 @@ def _forward_impl(params: NetworkParams, x: np.ndarray, need_cache: bool = True)
             f"patch side {side} incompatible with pooled side {g} implied by the weights"
         )
     pool = side // g
-    conv_out, conv_cache = conv_forward(x, params.conv_w, params.conv_b)
-    pool_out, pool_cache = maxpool_forward(conv_out, pool, need_cache=need_cache)
+    if params.kernel_width == 1:
+        pool_out, conv_cache = conv1x1_pool_forward(
+            x, params.conv_w, params.conv_b, pool, need_cache=need_cache)
+        pool_cache = None
+    else:
+        conv_out, conv_cache = conv_forward(x, params.conv_w, params.conv_b)
+        pool_out, pool_cache = maxpool_forward(conv_out, pool, need_cache=need_cache)
     flat = pool_out.reshape(pool_out.shape[0], -1)
     fc_out, fc_cache = fc_relu_forward(flat, params.fc_w, params.fc_b)
     est, out_cache = linear_forward(fc_out, params.out_w, params.out_b)
@@ -375,8 +430,11 @@ def backward(params: NetworkParams, cache, grad_est: np.ndarray) -> NetworkGrads
     grad_fc_out, grad_out_w, grad_out_b = linear_backward(grad_est, cache["out"])
     grad_flat, grad_fc_w, grad_fc_b = fc_relu_backward(grad_fc_out, cache["fc"])
     grad_pool = grad_flat.reshape(cache["pool_shape"])
-    grad_conv = maxpool_backward(grad_pool, cache["pool"])
-    _, grad_conv_w, grad_conv_b = conv_backward(grad_conv, cache["conv"])
+    if params.kernel_width == 1:
+        grad_conv_w, grad_conv_b = conv1x1_pool_backward(grad_pool, cache["conv"])
+    else:
+        grad_conv = maxpool_backward(grad_pool, cache["pool"])
+        _, grad_conv_w, grad_conv_b = conv_backward(grad_conv, cache["conv"])
     return NetworkGrads(
         conv_w=grad_conv_w, conv_b=grad_conv_b,
         fc_w=grad_fc_w, fc_b=grad_fc_b,
@@ -585,4 +643,6 @@ def load_params(path) -> NetworkParams:
             )
         arrays[name] = np.frombuffer(buf, dtype="<f4", count=n, offset=pos).reshape(dims)
         pos += nbytes
+    if pos != len(buf):
+        raise FormatError(f"{len(buf) - pos} trailing bytes after {PARAM_LAYERS[-1]}", offset=pos)
     return NetworkParams(**{k: v.astype(np.float64) for k, v in arrays.items()})

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -185,6 +186,53 @@ class TestEvaluateCommand:
                     "--patch-size", "16"]) == 1
         err = capsys.readouterr().err
         assert "fold" in err
+
+
+    def test_results_independent_of_threads(self, dataset_dir, model_dir, tmp_path):
+        models = tmp_path / "models"
+        models.mkdir()
+        for k in range(3):
+            shutil.copy(model_dir / "fold0.ccnn", models / f"fold{k}.ccnn")
+        outputs = {}
+        for threads in ("1", "2"):
+            prefix = str(tmp_path / f"threads{threads}")
+            assert run(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
+                        "--algos", "DN,GW,GE1,cnn-patch,cnn-average,cnn-median",
+                        "--model-dir", str(models), "--patch-size", "16",
+                        "--threads", threads, "--out-prefix", prefix]) == 0
+            outputs[threads] = [open(prefix + suffix, "rb").read()
+                                for suffix in (".txt", ".csv", "_per_image.csv")]
+        assert outputs["1"] == outputs["2"]
+
+
+MALFORMED_MANIFESTS = {
+    "invalid_json": '{"version": 1, "entries": [',
+    "not_an_object": "[1, 2]",
+    "no_image_path": {"ground_truth_illuminant": [1, 1, 1], "fold": 0},
+    "no_ground_truth": {"image_path": "a.ppm", "fold": 0},
+    "no_fold": {"image_path": "a.ppm", "ground_truth_illuminant": [1, 1, 1]},
+    "non_numeric_value": {"image_path": "a.ppm", "ground_truth_illuminant": ["red", 1, 1],
+                          "fold": 0},
+    "null_value": {"image_path": "a.ppm", "ground_truth_illuminant": [1, 1, 1], "fold": None},
+    "short_illuminant": {"image_path": "a.ppm", "ground_truth_illuminant": [1, 1], "fold": 0},
+    "entry_not_an_object": "a.ppm",
+}
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("case", list(MALFORMED_MANIFESTS))
+    def test_evaluate_exits_one_with_one_line(self, case, tmp_path, capsys):
+        save_ppm16(LinearImage(np.full((8, 8, 3), 0.5)), tmp_path / "a.ppm")
+        content = MALFORMED_MANIFESTS[case]
+        if not (isinstance(content, str) and content.startswith(("{", "["))):
+            content = json.dumps({"version": 1, "entries": [content]})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(content)
+        assert run(["evaluate", "--manifest", str(manifest), "--algos", "DN"]) == 1
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "Traceback" not in err
 
 
 class TestConfigFile:

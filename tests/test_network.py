@@ -18,8 +18,8 @@ from patchcc.network import (
     analytic_param_grads,
     angular_loss,
     backward,
-    conv1x1_backward,
-    conv1x1_forward,
+    conv1x1_pool_backward,
+    conv1x1_pool_forward,
     conv_backward,
     conv_forward,
     euclidean_loss,
@@ -65,34 +65,34 @@ def layer_fd(fwd, inputs, grad_out, analytic, step=1e-6):
 class TestConv1x1:
     def test_identity_kernels(self):
         x = np.random.default_rng(0).uniform(0, 1, (6, 6, 3))
-        out, _ = conv1x1_forward(x, np.eye(3), np.zeros(3))
+        out, _ = conv_forward(x, np.eye(3)[:, None, None, :], np.zeros(3))
         assert np.allclose(out, x, atol=1e-15)
 
     def test_bias_only(self):
         x = np.zeros((4, 4, 3))
         b = np.array([0.1, -0.2, 0.3, 0.4])
-        out, _ = conv1x1_forward(x, np.zeros((4, 3)), b)
+        out, _ = conv_forward(x, np.zeros((4, 1, 1, 3)), b)
         assert np.allclose(out, b[None, None, :])
 
     def test_finite_differences(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 5, 3))
-        w = rng.standard_normal((4, 3))
+        w = rng.standard_normal((4, 1, 1, 3))
         b = rng.standard_normal(4)
         grad_out = rng.standard_normal((5, 5, 4))
-        _, cache = conv1x1_forward(x, w, b)
-        gx, gw, gb = conv1x1_backward(grad_out, cache)
-        err = layer_fd(lambda: conv1x1_forward(x, w, b), [x, w, b], grad_out, [gx, gw, gb])
+        _, cache = conv_forward(x, w, b)
+        gx, gw, gb = conv_backward(grad_out, cache)
+        err = layer_fd(lambda: conv_forward(x, w, b), [x, w, b], grad_out, [gx, gw, gb])
         assert err < 1e-4
 
     def test_positional_locality(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(0, 1, (8, 8, 3))
-        w = rng.standard_normal((6, 3))
-        base, _ = conv1x1_forward(x, w, np.zeros(6))
+        w = rng.standard_normal((6, 1, 1, 3))
+        base, _ = conv_forward(x, w, np.zeros(6))
         bumped = x.copy()
         bumped[3, 5] += 0.25
-        out, _ = conv1x1_forward(bumped, w, np.zeros(6))
+        out, _ = conv_forward(bumped, w, np.zeros(6))
         diff = np.abs(out - base).sum(axis=-1)
         assert diff[3, 5] > 0
         diff[3, 5] = 0
@@ -151,6 +151,125 @@ class TestMaxPool:
         lean, cache = maxpool_forward(x, 2, need_cache=False)
         assert cache is None
         assert np.array_equal(full, lean)
+
+
+FUSED_SHAPES = (((), 8, 4), ((3,), 8, 2), ((2,), 32, 8), ((2,), 4, 1))
+
+
+def fused_cases(k, dtype, seed, exact):
+    """(x, w, b, pool) inputs of the fused layer over single patches and
+    batches. `exact` draws dyadic values whose products and sums are exact in
+    float32, so every summation order gives the same bits; it includes
+    constant and quantised blocks that force exact ties. Otherwise the values
+    are continuous."""
+    rng = np.random.default_rng(seed)
+    for lead, side, pool in FUSED_SHAPES:
+        shape = lead + (side, side, 3)
+        if exact:
+            xs = (rng.integers(0, 257, shape) / 256, np.full(shape, 0.25),
+                  rng.integers(0, 3, shape) / 2)
+            w = rng.integers(-64, 65, (k, 1, 1, 3)) / 32
+            b = rng.integers(-64, 65, k) / 64
+        else:
+            xs = (rng.uniform(0, 1, shape),)
+            w = rng.standard_normal((k, 1, 1, 3))
+            b = rng.standard_normal(k)
+        for x in xs:
+            yield x.astype(dtype), w.astype(dtype), b.astype(dtype), pool
+
+
+def reference_conv_pool(x, w, b, pool):
+    conv_out, conv_cache = conv_forward(x, w, b)
+    pooled, pool_cache = maxpool_forward(conv_out, pool)
+    return pooled, conv_cache, pool_cache
+
+
+FUSED_PARAMS = [(k, dtype) for k in (1, 4, 32) for dtype in (np.float32, np.float64)]
+
+
+class TestConv1x1Pool:
+    @pytest.mark.parametrize("k,dtype", FUSED_PARAMS)
+    def test_forward_equals_reference_layers(self, k, dtype):
+        for x, w, b, pool in fused_cases(k, dtype, seed=30 + k, exact=True):
+            want, _, (_, _, want_idx) = reference_conv_pool(x, w, b, pool)
+            got, (_, got_idx) = conv1x1_pool_forward(x, w, b, pool)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_idx, want_idx)
+            lean, cache = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+            assert cache is None
+            assert np.array_equal(lean, want)
+
+    @pytest.mark.parametrize("k,dtype", FUSED_PARAMS)
+    def test_forward_rounds_like_reference_layers(self, k, dtype):
+        # numpy may pick another BLAS kernel for the block shape than for the
+        # reference's image rows, so inexact sums may differ in the last bit
+        eps = np.finfo(dtype).eps
+        for x, w, b, pool in fused_cases(k, dtype, seed=35 + k, exact=False):
+            want, _, (_, _, want_idx) = reference_conv_pool(x, w, b, pool)
+            got, (_, got_idx) = conv1x1_pool_forward(x, w, b, pool)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got_idx, want_idx)
+            assert np.allclose(got, want, rtol=4 * eps, atol=16 * eps)
+            lean, _ = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+            assert np.array_equal(lean, got)
+
+    @pytest.mark.parametrize("k,dtype", FUSED_PARAMS)
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_backward_equals_reference_layers(self, k, dtype, exact):
+        rng = np.random.default_rng(40 + k)
+        eps = np.finfo(dtype).eps
+        for x, w, b, pool in fused_cases(k, dtype, seed=50 + k, exact=exact):
+            want, conv_cache, pool_cache = reference_conv_pool(x, w, b, pool)
+            grad = rng.standard_normal(want.shape).astype(dtype)
+            _, want_w, want_b = conv_backward(maxpool_backward(grad, pool_cache), conv_cache)
+            _, cache = conv1x1_pool_forward(x, w, b, pool)
+            got_w, got_b = conv1x1_pool_backward(grad, cache)
+            assert got_w.shape == w.shape and got_b.shape == b.shape
+            # the same terms summed in another order; |x| <= 1
+            tol = 64 * eps * float(np.abs(grad).sum())
+            assert np.allclose(got_w, want_w, rtol=0, atol=tol)
+            assert np.allclose(got_b, want_b, rtol=0, atol=tol)
+
+    def test_mixed_dtypes_match_reference(self):
+        rng = np.random.default_rng(60)
+        x = rng.integers(0, 257, (2, 8, 8, 3)) / 256
+        w = rng.integers(-64, 65, (5, 1, 1, 3)) / 32
+        b = rng.uniform(-1, 1, 5)  # the bias add is the one rounding step, alike in both
+        for xd, wd, bd in ((np.float32, np.float32, np.float64),
+                           (np.float64, np.float32, np.float32),
+                           (np.float32, np.float64, np.float32)):
+            args = (x.astype(xd), w.astype(wd), b.astype(bd))
+            want, _, _ = reference_conv_pool(*args, 4)
+            got, _ = conv1x1_pool_forward(*args, 4)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(61)
+        x = rng.uniform(0, 1, (2, 8, 8, 3))
+        w = rng.standard_normal((4, 1, 1, 3))
+        b = rng.standard_normal(4)
+        out, cache = conv1x1_pool_forward(x, w, b, 4)
+        grad_out = rng.standard_normal(out.shape)
+        gw, gb = conv1x1_pool_backward(grad_out, cache)
+        err = layer_fd(lambda: conv1x1_pool_forward(x, w, b, 4), [w, b], grad_out, [gw, gb])
+        assert err < 1e-4
+
+    def test_tie_routes_to_first_position(self):
+        # constant blocks: every pixel of a window ties, the first one wins
+        x = np.full((4, 4, 3), 0.5)
+        x[2:, 2:] = 0.75
+        w = np.ones((1, 1, 1, 3))
+        out, cache = conv1x1_pool_forward(x, w, np.zeros(1), 2)
+        assert np.array_equal(out[..., 0], [[1.5, 1.5], [1.5, 2.25]])
+        assert np.all(cache[1] == 0)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            conv1x1_pool_forward(np.zeros((9, 9, 3)), np.zeros((2, 1, 1, 3)), np.zeros(2), 4)
+        with pytest.raises(ShapeMismatchError):
+            conv1x1_pool_forward(np.zeros((8, 8, 3)), np.zeros((2, 3, 3, 3)), np.zeros(2), 4)
 
 
 class TestFcRelu:
@@ -482,6 +601,15 @@ class TestWeightsFile:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError, match="truncated"):
             load_params(path)
+
+    def test_trailing_bytes_rejected_at_their_offset(self, tmp_path):
+        path = tmp_path / "x.ccnn"
+        save_params(toy_params(15), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing") as info:
+            load_params(path)
+        assert info.value.offset == size
 
     def test_roundtrip_inference_identical(self, tmp_path):
         hyper = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5,
