@@ -39,7 +39,7 @@ from .minkowski import (
 )
 from .patches import (
     ExclusionMask,
-    Patch,
+    PatchBatch,
     extract_grid_patches,
     histogram_stretch,
     resize_max_side,
@@ -61,7 +61,6 @@ from .evaluation import ErrorStats, angular_error, summarize
 from .estimator import (
     PooledEstimate,
     estimate_image,
-    estimate_patch,
     fine_tune,
     pool_average,
     pool_median,

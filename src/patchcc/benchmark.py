@@ -7,12 +7,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .estimator import estimate_image
+from .estimator import estimate_image, pool_average
 from .evaluation import ErrorStats, angular_error, summarize
-from .minkowski import PRESETS, do_nothing, minkowski_estimate, preset
+from .minkowski import ESTIMATORS
 
-STAT_ALGOS = ("DN",) + tuple(PRESETS)
-CNN_ALGOS = ("cnn-patch", "cnn-average", "cnn-median", "cnn-finetuned")
+STAT_ALGOS = tuple(ESTIMATORS)
+SHARED_FORWARD_ALGOS = ("cnn-patch", "cnn-average", "cnn-median")
+CNN_ALGOS = SHARED_FORWARD_ALGOS + ("cnn-finetuned",)
 ALL_ALGOS = STAT_ALGOS + CNN_ALGOS
 
 
@@ -53,13 +54,6 @@ def _model_for(sample, fold_models, algo):
     return fold_models[sample.fold]
 
 
-def _map_images(fn, samples, threads: int):
-    if threads <= 1:
-        return [fn(s) for s in samples]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, samples))
-
-
 def benchmark(
     samples,
     algos=ALL_ALGOS,
@@ -71,55 +65,47 @@ def benchmark(
     """Evaluate estimators over a labeled dataset.
 
     Statistical rows run on every image; network rows evaluate each image
-    with the model of its own fold. The cnn-patch row pools the errors of
-    every patch of every image into one sample.
+    with the model of its own fold. The cnn-patch, cnn-average and
+    cnn-median rows share one forward pass per image. The cnn-patch row
+    pools the errors of every patch of every image into one sample.
     """
     samples = list(samples)
     if not samples:
         raise ParameterError("benchmark needs at least one image")
-    rows: dict[str, ErrorStats] = {}
-    per_image: dict[str, list] = {}
     for algo in algos:
-        if algo == "DN":
-            fn = lambda s: [(s.image_id, angular_error(do_nothing(), s.illuminant))]
-        elif algo in PRESETS:
-            p = preset(algo)
-            fn = lambda s, p=p: [
-                (s.image_id, angular_error(minkowski_estimate(s.image, p), s.illuminant))
-            ]
-        elif algo in ("cnn-average", "cnn-median"):
-            pooling = algo.split("-")[1]
-            fn = lambda s, pooling=pooling: [(
-                s.image_id,
-                angular_error(
-                    estimate_image(
-                        _model_for(s, fold_models, algo), s.image, pooling, patch_size
-                    ).illuminant,
-                    s.illuminant,
-                ),
-            )]
-        elif algo == "cnn-finetuned":
-            fn = lambda s: [(
-                s.image_id,
-                angular_error(
-                    estimate_image(
-                        _model_for(s, finetuned_models, algo), s.image, "median", patch_size
-                    ).illuminant,
-                    s.illuminant,
-                ),
-            )]
-        elif algo == "cnn-patch":
-            fn = lambda s: [
-                (s.image_id, angular_error(unit, s.illuminant))
-                for _, _, unit in estimate_image(
-                    _model_for(s, fold_models, algo), s.image, "median", patch_size
-                ).per_patch
-            ]
-        else:
+        if algo not in ALL_ALGOS:
             raise ParameterError(f"unknown estimator {algo!r}; valid: {', '.join(ALL_ALGOS)}")
-        collected = []
-        for chunk in _map_images(fn, samples, threads):
-            collected.extend(chunk)
-        per_image[algo] = collected
-        rows[algo] = summarize([err for _, err in collected])
+    shared = [a for a in algos if a in SHARED_FORWARD_ALGOS]
+    pooling = "median" if "cnn-median" in algos else "average"
+
+    def image_errors(s) -> dict[str, list[float]]:
+        if shared:
+            model = _model_for(s, fold_models, shared[0])
+            pooled = estimate_image(model, s.image, pooling, patch_size)
+        errors = {}
+        for algo in algos:
+            if algo in ESTIMATORS:
+                estimates = [ESTIMATORS[algo](s.image)]
+            elif algo == "cnn-patch":
+                estimates = pooled.units
+            elif algo == "cnn-average":
+                estimates = [pool_average(pooled.units)]
+            elif algo == "cnn-median":
+                estimates = [pooled.illuminant]
+            else:
+                model = _model_for(s, finetuned_models, algo)
+                estimates = [estimate_image(model, s.image, "median", patch_size).illuminant]
+            errors[algo] = [angular_error(e, s.illuminant) for e in estimates]
+        return errors
+
+    if threads <= 1:
+        results = [image_errors(s) for s in samples]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(image_errors, samples))
+    per_image = {
+        algo: [(s.image_id, err) for s, errors in zip(samples, results) for err in errors[algo]]
+        for algo in algos
+    }
+    rows = {algo: summarize([e for _, e in pairs]) for algo, pairs in per_image.items()}
     return BenchmarkReport(rows=rows, per_image=per_image)

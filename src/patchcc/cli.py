@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataset as dataset_mod
 from .benchmark import STAT_ALGOS, benchmark as run_benchmark
-from .errors import ParameterError, PipelineError
+from .errors import FormatError, ParameterError, PipelineError
 from .estimator import estimate_image, fine_tune, train
 from .evaluation import angular_error, summarize
 from .image import correct_von_kries, load_illuminant_map_ppm, load_ppm16, normalize, save_ppm16
@@ -31,7 +31,7 @@ from .localmap import (
     save_map_csv,
     save_map_ppm,
 )
-from .minkowski import PRESETS, do_nothing, minkowski_estimate, preset
+from .minkowski import ESTIMATORS
 from .network import (
     HyperParams,
     gradient_check,
@@ -67,25 +67,28 @@ class SweepConfig:
                 raise ParameterError(f"sweep value {v} invalid: {exc}") from exc
 
 
-def _parse_vec3(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ParameterError(f"expected R,G,B, got {text!r}")
-    return tuple(parts)
+def _parse_numbers(text, sep: str, kind, what: str, count: int | None = None) -> tuple:
+    """Split `text` at `sep` into `kind` values, `count` of them if given."""
+    try:
+        parts = tuple(kind(p) for p in str(text).lower().split(sep))
+    except ValueError:
+        raise ParameterError(f"expected {what}, got {text!r}") from None
+    if count is not None and len(parts) != count:
+        raise ParameterError(f"expected {what}, got {text!r}")
+    return parts
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    parts = [float(p) for p in text.split(":")]
-    if len(parts) != 2:
-        raise ParameterError(f"expected lo:hi, got {text!r}")
-    return tuple(parts)
+# JSON types a config value may take, by the type of the option's default
+CONFIG_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), type(None): (str,)}
 
 
-def _parse_size(text: str) -> tuple[int, int]:
-    parts = [int(p) for p in text.lower().split("x")]
-    if len(parts) != 2:
-        raise ParameterError(f"expected WxH, got {text!r}")
-    return tuple(parts)
+def _config_value(key: str, value, default):
+    """A config-file value must have the JSON type of its option: that of
+    the default, or a string where the default is None."""
+    kinds = CONFIG_TYPES[type(default)]
+    if type(value) not in kinds:
+        raise ParameterError(f"config {key!r} must be a {kinds[-1].__name__}, got {value!r}")
+    return value
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> SimpleNamespace:
@@ -93,13 +96,18 @@ def _merged(args: argparse.Namespace, defaults: dict) -> SimpleNamespace:
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise FormatError(f"config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ParameterError(f"config {args.config} must hold a JSON object")
     out = {}
     for key, default in defaults.items():
         value = getattr(args, key, None)
-        if value is None:
-            value = cfg.get(key, default)
-        out[key] = value
+        if value is None and cfg.get(key) is not None:
+            value = _config_value(key, cfg[key], default)
+        out[key] = default if value is None else value
     return SimpleNamespace(**out)
 
 
@@ -171,14 +179,14 @@ def cmd_synth(args) -> int:
     })
     if not opts.out:
         raise ParameterError("synth needs --out")
-    w, h = _parse_size(opts.size)
+    w, h = _parse_numbers(opts.size, "x", int, "WxH", 2)
     config = dataset_mod.SynthConfig(
         count=opts.count, width=w, height=h, seed=opts.seed,
         two_illuminant=bool(opts.two_illuminant),
         gray_balance=bool(opts.gray_balance),
         white_patch=bool(opts.white_patch),
-        ill_red_range=_parse_range(opts.ill_red),
-        ill_blue_range=_parse_range(opts.ill_blue),
+        ill_red_range=_parse_numbers(opts.ill_red, ":", float, "lo:hi", 2),
+        ill_blue_range=_parse_numbers(opts.ill_blue, ":", float, "lo:hi", 2),
         saturation=opts.saturation, noise_sigma=opts.noise_sigma,
     )
     manifest_path = dataset_mod.generate_dataset(opts.out, config)
@@ -192,7 +200,7 @@ def cmd_train(args) -> int:
     if not opts.manifest or not opts.out_dir:
         raise ParameterError("train needs --manifest and --out-dir")
     hyper = _hyper_from(opts)
-    folds = [int(f) for f in str(opts.folds).split(",")]
+    folds = _parse_numbers(opts.folds, ",", int, "comma-separated integer folds")
     samples = dataset_mod.load_samples(dataset_mod.load_manifest(opts.manifest))
     result = train(samples, folds, hyper)
     os.makedirs(opts.out_dir, exist_ok=True)
@@ -224,19 +232,18 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _estimate_one(opts, img) -> np.ndarray:
-    if opts.algo == "DN":
-        return do_nothing().rgb
-    if opts.algo in PRESETS:
-        return minkowski_estimate(img, preset(opts.algo)).rgb
+def _estimator(opts):
+    """The image -> illuminant function that --algo names."""
     if opts.algo == "cnn":
         if not opts.model:
             raise ParameterError("--algo cnn needs --model")
         params = load_params(opts.model)
-        return estimate_image(params, img, opts.pooling, opts.patch_size).illuminant.rgb
-    raise ParameterError(
-        f"unknown algorithm {opts.algo!r}; valid: DN, {', '.join(PRESETS)}, cnn"
-    )
+        return lambda img: estimate_image(params, img, opts.pooling, opts.patch_size).illuminant
+    if opts.algo not in ESTIMATORS:
+        raise ParameterError(
+            f"unknown algorithm {opts.algo!r}; valid: {', '.join(ESTIMATORS)}, cnn"
+        )
+    return ESTIMATORS[opts.algo]
 
 
 def cmd_estimate(args) -> int:
@@ -244,7 +251,8 @@ def cmd_estimate(args) -> int:
                           "pooling": "median", "patch_size": 32})
     if not opts.image:
         raise ParameterError("estimate needs --image")
-    est = _estimate_one(opts, load_ppm16(opts.image))
+    img = load_ppm16(opts.image)
+    est = _estimator(opts)(img).rgb
     print(f"{est[0]:.6f} {est[1]:.6f} {est[2]:.6f}")
     return 0
 
@@ -257,9 +265,9 @@ def cmd_correct(args) -> int:
         raise ParameterError("correct needs --image and --out")
     img = load_ppm16(opts.image)
     if opts.ill:
-        ill = normalize(_parse_vec3(opts.ill))
+        ill = normalize(_parse_numbers(opts.ill, ",", float, "R,G,B", 3))
     elif opts.algo:
-        ill = normalize(_estimate_one(opts, img))
+        ill = normalize(_estimator(opts)(img))
     else:
         raise ParameterError("correct needs --ill R,G,B or --algo")
     corrected = correct_von_kries(img, ill)
@@ -327,7 +335,7 @@ def cmd_sweep(args) -> int:
     if not opts.manifest or not opts.parameter or not opts.values or not opts.out:
         raise ParameterError("sweep needs --manifest, --parameter, --values and --out")
     base = _hyper_from(opts)
-    values = tuple(int(v) for v in str(opts.values).split(","))
+    values = _parse_numbers(opts.values, ",", int, "comma-separated integer values")
     config = SweepConfig(parameter=opts.parameter, values=values, base=base)
     samples = dataset_mod.load_samples(dataset_mod.load_manifest(opts.manifest))
     k = int(opts.fold)

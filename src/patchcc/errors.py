@@ -14,8 +14,8 @@ class ImageTooSmallError(PipelineError, ValueError):
 
 
 class FormatError(PipelineError, ValueError):
-    """Malformed file (image, weights or manifest). Carries the byte offset of
-    the problem when one is known."""
+    """Malformed file (image, weights, manifest or config). Carries the byte
+    offset of the problem when one is known."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:

@@ -7,6 +7,10 @@ error, backpropagating through the pooling step (median pooling routes each
 channel's gradient to the estimate(s) realizing the median, average pooling
 spreads it 1/N).
 
+Image estimation, fine-tuning and `localmap.estimate_local_map` all take
+their patches from `prepared_patches` (tile, then stretch); training takes
+them from `training_patch_arrays` (sample, then stretch).
+
 Cross-validation convention for test fold k: train on fold (k+1) % 3,
 validate on fold (k+2) % 3.
 """
@@ -38,23 +42,26 @@ from .network import (
     sgd_step,
     zero_momentum,
 )
-from .patches import Patch, extract_grid_patches, histogram_stretch, resize_max_side, sample_random_patches
+from .patches import PatchBatch, extract_grid_patches, histogram_stretch, resize_max_side, sample_random_patches
 
 RESIZE_TARGET = 1200
 POOLINGS = ("average", "median")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PooledEstimate:
     """An image-level estimate with its per-patch provenance.
 
-    per_patch holds (origin, raw network output, normalized estimate) for
-    every non-degenerate patch; `degenerate_skipped` counts the flat patches
-    that were left out.
+    Row i of `origins` (M, 2), `raw` (M, 3) and `units` (M, 3) holds a
+    patch's origin (x, y), raw network output and normalized estimate, for
+    every patch that was neither flat nor direction-free;
+    `degenerate_skipped` counts the patches that were left out.
     """
 
     illuminant: Illuminant
-    per_patch: tuple
+    origins: np.ndarray
+    raw: np.ndarray
+    units: np.ndarray
     pooling: str
     degenerate_skipped: int = 0
 
@@ -73,15 +80,11 @@ def rectified_unit(raw: np.ndarray) -> np.ndarray:
 
 
 def _usable_output_rows(raw: np.ndarray) -> np.ndarray:
-    """Rows whose rectified output still has a direction."""
-    return np.linalg.norm(np.maximum(raw, 0.0), axis=1) >= 1e-9
-
-
-def estimate_patch(params: NetworkParams, patch: Patch) -> Illuminant:
-    """Normalized illuminant estimate for one contrast-normalized patch."""
-    if patch.degenerate:
-        raise DegenerateEstimateError("cannot estimate from a degenerate patch")
-    return Illuminant(rectified_unit(forward(params, patch.data)), normalized=True)
+    """Rows whose rectified output still has a direction; raises when none has."""
+    keep = np.linalg.norm(np.maximum(raw, 0.0), axis=1) >= 1e-9
+    if not np.any(keep):
+        raise EstimationImpossibleError("every patch estimate is direction-free")
+    return keep
 
 
 def pool_average(estimates) -> Illuminant:
@@ -109,22 +112,20 @@ def _estimate_rows(estimates) -> np.ndarray:
     return np.stack(rows)
 
 
-def _pool(rows: np.ndarray, pooling: str) -> Illuminant:
-    if pooling == "average":
-        return pool_average(rows)
-    if pooling == "median":
-        return pool_median(rows)
-    raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
-
-
 def prepared_patches(
-    img: LinearImage, patch_size: int, resize_target: int = RESIZE_TARGET
-) -> tuple[list[Patch], int]:
-    """Resize, tile, and contrast-normalize; returns (usable patches, skipped)."""
-    resized = resize_max_side(img, resize_target)
-    stretched = [histogram_stretch(p) for p in extract_grid_patches(resized, patch_size)]
-    usable = [p for p in stretched if not p.degenerate]
-    return usable, len(stretched) - len(usable)
+    img: LinearImage, patch_size: int, resize_target: int | None = RESIZE_TARGET
+) -> PatchBatch:
+    """Resize (unless `resize_target` is None), tile, and contrast-normalize.
+
+    The batch holds the usable patches; its `degenerate` counts the flat
+    ones that were dropped. Raises when no patch is usable.
+    """
+    if resize_target is not None:
+        img = resize_max_side(img, resize_target)
+    batch = histogram_stretch(extract_grid_patches(img, patch_size))
+    if not len(batch):
+        raise EstimationImpossibleError("no usable patches in image")
+    return batch
 
 
 def estimate_image(
@@ -137,26 +138,19 @@ def estimate_image(
     """Grid-patch the image and pool the per-patch network estimates."""
     if pooling not in POOLINGS:
         raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
-    usable, skipped = prepared_patches(img, patch_size, resize_target)
-    if not usable:
-        raise EstimationImpossibleError("no usable patches in image")
-    batch = np.stack([p.data for p in usable])
-    raw = forward(params, batch)
+    batch = prepared_patches(img, patch_size, resize_target)
+    raw = forward(params, batch.data)
     keep = _usable_output_rows(raw)
-    if not np.any(keep):
-        raise EstimationImpossibleError("every patch estimate is direction-free")
-    units_list, per_patch = [], []
-    for i, p in enumerate(usable):
-        if not keep[i]:
-            continue
-        unit = rectified_unit(raw[i])
-        units_list.append(unit)
-        per_patch.append((p.origin, raw[i].copy(), Illuminant(unit, normalized=True)))
+    raw = raw[keep]
+    # row by row: a vectorized norm differs from rectified_unit's in the last bit
+    units = np.stack([rectified_unit(row) for row in raw])
     return PooledEstimate(
-        illuminant=_pool(np.stack(units_list), pooling),
-        per_patch=tuple(per_patch),
+        illuminant=(pool_median if pooling == "median" else pool_average)(units),
+        origins=batch.origins[keep],
+        raw=raw,
+        units=units,
         pooling=pooling,
-        degenerate_skipped=skipped + int(len(usable) - keep.sum()),
+        degenerate_skipped=batch.degenerate + int(len(keep) - keep.sum()),
     )
 
 
@@ -180,19 +174,15 @@ def training_patch_arrays(
     xs, ys = [], []
     for idx, sample in enumerate(samples):
         img = resize_max_side(sample.image, resize_target)
-        pats = sample_random_patches(
+        batch = histogram_stretch(sample_random_patches(
             img, hyper.patch_size, hyper.patches_per_image,
             mask=sample.mask, seed=[hyper.seed, idx],
-        )
-        for p in pats:
-            sp = histogram_stretch(p)
-            if sp.degenerate:
-                continue
-            xs.append(sp.data)
-            ys.append(sample.illuminant.rgb)
-    if not xs:
+        ))
+        xs.append(batch.data)
+        ys.append(np.broadcast_to(sample.illuminant.rgb, (len(batch), 3)))
+    if not any(len(x) for x in xs):
         raise EstimationImpossibleError("no usable training patches")
-    return np.stack(xs), np.stack(ys)
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 @dataclass
@@ -298,14 +288,9 @@ def image_level_loss(
 ) -> tuple[float, NetworkGrads]:
     """Angular loss (radians) of the pooled estimate, with exact parameter
     gradients through pooling, per-patch normalization, and the network."""
-    usable, _ = prepared_patches(img, patch_size, resize_target)
-    if not usable:
-        raise EstimationImpossibleError("no usable patches in image")
-    batch = np.stack([p.data for p in usable])
-    raw, cache = forward_cache(params, batch)
+    batch = prepared_patches(img, patch_size, resize_target)
+    raw, cache = forward_cache(params, batch.data)
     keep = _usable_output_rows(raw)
-    if not np.any(keep):
-        raise EstimationImpossibleError("every patch estimate is direction-free")
     clamped = np.maximum(raw[keep], 0.0)
     norms = np.linalg.norm(clamped, axis=1, keepdims=True)
     units = clamped / norms

@@ -8,12 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationImpossibleError, ShapeMismatchError
-from .estimator import rectified_unit
+from .errors import ShapeMismatchError
+from .estimator import prepared_patches, rectified_unit
 from .evaluation import angular_error_many
 from .image import LinearImage, save_ppm16, ILLUMINANT_MAP_SCALE
 from .network import NetworkParams, forward
-from .patches import extract_grid_patches, histogram_stretch
+from .patches import grid_tiles
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,31 +54,21 @@ def estimate_local_map(params: NetworkParams, img: LinearImage, patch_size: int)
     cell (Euclidean grid distance; ties prefer the leftmost, then the
     uppermost candidate).
     """
-    grid = extract_grid_patches(img, patch_size)
-    if not grid:
-        raise EstimationImpossibleError("image smaller than one patch")
-    gw = img.width // patch_size
-    gh = img.height // patch_size
-    stretched = [histogram_stretch(p) for p in grid]
-    usable_idx = [i for i, p in enumerate(stretched) if not p.degenerate]
-    if not usable_idx:
-        raise EstimationImpossibleError("all patches are degenerate")
-    batch = np.stack([stretched[i].data for i in usable_idx])
-    raw = forward(params, batch)
-    cells = np.zeros((gh, gw, 3))
-    filled = np.zeros((gh, gw), dtype=bool)
-    for row, i in zip(raw, usable_idx):
-        gy, gx = divmod(i, gw)
-        cells[gy, gx] = rectified_unit(row)
-        filled[gy, gx] = True
+    # the cells must stay aligned with the source pixels, so no resize
+    batch = prepared_patches(img, patch_size, resize_target=None)
+    raw = forward(params, batch.data)
+    cells = np.zeros((img.height // patch_size, img.width // patch_size, 3))
+    filled = np.zeros(cells.shape[:2], dtype=bool)
+    gx, gy = (batch.origins // patch_size).T
+    cells[gy, gx] = np.stack([rectified_unit(row) for row in raw])
+    filled[gy, gx] = True
     if not filled.all():
-        good = [(gx, gy) for gy in range(gh) for gx in range(gw) if filled[gy, gx]]
-        for gy in range(gh):
-            for gx in range(gw):
-                if filled[gy, gx]:
-                    continue
-                best = min(good, key=lambda c: ((c[0] - gx) ** 2 + (c[1] - gy) ** 2, c[0], c[1]))
-                cells[gy, gx] = cells[best[1], best[0]]
+        # candidates sorted by (x, y), so argmin's first hit breaks distance ties
+        good_y, good_x = np.nonzero(filled.T)[::-1]
+        empty_y, empty_x = np.nonzero(~filled)
+        dist = (good_x - empty_x[:, None]) ** 2 + (good_y - empty_y[:, None]) ** 2
+        nearest = dist.argmin(axis=1)
+        cells[empty_y, empty_x] = cells[good_y[nearest], good_x[nearest]]
     return IlluminantMap(estimates=cells, patch_size=patch_size)
 
 
@@ -140,21 +130,16 @@ def grid_ground_truth(gt_pixels: np.ndarray, patch_size: int) -> IlluminantMap:
     gw = gt_pixels.shape[1] // patch_size
     if gh < 1 or gw < 1:
         raise ShapeMismatchError("ground-truth map smaller than one patch")
-    cells = np.zeros((gh, gw, 3))
-    for gy in range(gh):
-        for gx in range(gw):
-            block = gt_pixels[
-                gy * patch_size : (gy + 1) * patch_size,
-                gx * patch_size : (gx + 1) * patch_size,
-            ].reshape(-1, 3)
-            values, first_idx, counts = np.unique(
-                block, axis=0, return_index=True, return_counts=True
-            )
-            top = counts.max()
-            candidates = np.flatnonzero(counts == top)
-            winner = candidates[np.argmin(first_idx[candidates])]
-            cells[gy, gx] = values[winner]
-    return IlluminantMap(_renormalize(cells), patch_size)
+    blocks = grid_tiles(gt_pixels, patch_size).reshape(gh * gw, patch_size * patch_size, 3)
+    cells = blocks[:, 0].copy()
+    mixed = np.flatnonzero(~(blocks == blocks[:, :1]).all(axis=(1, 2)))
+    for i in mixed:
+        values, first_idx, counts = np.unique(
+            blocks[i], axis=0, return_index=True, return_counts=True
+        )
+        candidates = np.flatnonzero(counts == counts.max())
+        cells[i] = values[candidates[np.argmin(first_idx[candidates])]]
+    return IlluminantMap(_renormalize(cells.reshape(gh, gw, 3)), patch_size)
 
 
 def save_map_ppm(ill_map: IlluminantMap, path):

@@ -144,3 +144,12 @@ def minkowski_estimate(img: LinearImage, params: EdgeFrameworkParams) -> Illumin
 def do_nothing() -> Illuminant:
     """Baseline that always answers the achromatic illuminant."""
     return neutral_illuminant()
+
+
+# name -> estimator of one image's illuminant: Do Nothing and the six presets.
+# The lambdas look `minkowski_estimate` up at call time, so a wrapper installed
+# on this module (perfbench's tracer) sees every call.
+ESTIMATORS = {
+    "DN": lambda img: do_nothing(),
+    **{name: (lambda img, name=name: minkowski_estimate(img, preset(name))) for name in PRESETS},
+}

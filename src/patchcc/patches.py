@@ -1,8 +1,13 @@
-"""Resizing, patch extraction, exclusion masks, and contrast normalization."""
+"""Resizing, patch extraction, exclusion masks, and contrast normalization.
+
+Patches travel as one `PatchBatch` per image: an (N, S, S, 3) data array
+with the (N, 2) origins, so tiling, sampling and stretching are array
+operations rather than per-patch Python loops.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,30 +16,25 @@ from .image import LinearImage
 
 DEGENERATE_RANGE = 1e-12
 MAX_REJECTIONS_PER_PATCH = 10_000
+MAX_COORDINATE = 2**31  # keeps rectangle edge sums exact in int64
 
 
 @dataclass(frozen=True, eq=False)
-class Patch:
-    """A square window of image data with its source origin (x, y).
+class PatchBatch:
+    """N square windows of one image: `data` is (N, S, S, 3) and `origins`
+    (N, 2) holds each window's source origin (x, y).
 
-    After histogram stretching the joint min over all channels is 0 and the
-    joint max is 1, unless the patch had no contrast at all; such patches are
-    flagged `degenerate` and zero-filled.
+    After histogram stretching every patch's joint min over all channels is
+    0 and its joint max is 1; `degenerate` counts the patches without
+    contrast that the stretch dropped.
     """
 
     data: np.ndarray
-    origin: tuple[int, int]
-    degenerate: bool = False
+    origins: np.ndarray
+    degenerate: int = 0
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 3 or data.shape[0] != data.shape[1] or data.shape[2] != 3:
-            raise ParameterError(f"patch data must be (S, S, 3), got {data.shape}")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def size(self) -> int:
-        return self.data.shape[0]
+    def __len__(self) -> int:
+        return len(self.data)
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,20 @@ class ExclusionMask:
 
     rects: tuple[tuple[int, int, int, int], ...] = ()
 
+    def __post_init__(self):
+        if any(abs(v) > MAX_COORDINATE for r in self.rects for v in r):
+            raise ParameterError(f"exclusion rectangle values must lie within +-{MAX_COORDINATE}")
+
     @staticmethod
     def from_rects(rects) -> "ExclusionMask":
         return ExclusionMask(tuple(tuple(int(v) for v in r) for r in rects))
 
-    def intersects(self, x: int, y: int, size: int) -> bool:
-        for rx, ry, rw, rh in self.rects:
-            if x < rx + rw and rx < x + size and y < ry + rh and ry < y + size:
-                return True
-        return False
+    def intersects(self, origins: np.ndarray, size: int) -> np.ndarray:
+        """Per origin (x, y) of an (N, 2) array: does its size x size
+        footprint touch any rectangle?"""
+        x, y = origins[:, :1], origins[:, 1:]
+        rx, ry, rw, rh = np.asarray(self.rects, dtype=np.int64).reshape(-1, 4).T
+        return ((x < rx + rw) & (rx < x + size) & (y < ry + rh) & (ry < y + size)).any(axis=1)
 
 
 def resize_max_side(img: LinearImage, target: int) -> LinearImage:
@@ -86,22 +91,30 @@ def _bilinear(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fy) + bottom * fy
 
 
-def extract_grid_patches(img: LinearImage, size: int) -> list[Patch]:
+def extract_grid_patches(img: LinearImage, size: int) -> PatchBatch:
     """Non-overlapping tiles from (0, 0) in row-major order.
 
     Partial border tiles are discarded, so the count is
-    floor(w/size) * floor(h/size); an image smaller than one patch yields [].
+    floor(w/size) * floor(h/size); an image smaller than one patch yields an
+    empty batch.
     """
     if size < 1:
         raise ParameterError(f"patch size must be >= 1, got {size}")
-    cols = img.width // size
-    rows = img.height // size
-    out = []
-    for gy in range(rows):
-        for gx in range(cols):
-            x, y = gx * size, gy * size
-            out.append(Patch(img.data[y : y + size, x : x + size, :], origin=(x, y)))
-    return out
+    data = grid_tiles(img.data, size)
+    gy, gx = np.divmod(np.arange(len(data)), img.width // size)
+    return PatchBatch(data, np.stack([gx, gy], axis=1) * size)
+
+
+def grid_tiles(data: np.ndarray, size: int) -> np.ndarray:
+    """The non-overlapping size x size tiles of an (H, W, C) array as
+    (N, size, size, C), row-major; partial border tiles are discarded."""
+    rows, cols, channels = data.shape[0] // size, data.shape[1] // size, data.shape[2]
+    return (
+        data[: rows * size, : cols * size]
+        .reshape(rows, size, cols, size, channels)
+        .swapaxes(1, 2)
+        .reshape(rows * cols, size, size, channels)
+    )
 
 
 def sample_random_patches(
@@ -110,12 +123,12 @@ def sample_random_patches(
     count: int,
     mask: ExclusionMask | None = None,
     seed=0,
-) -> list[Patch]:
+) -> PatchBatch:
     """Sample `count` patch origins uniformly at random, with replacement.
 
-    Origins whose size x size footprint touches the exclusion mask are
-    rejected and redrawn, up to 10,000 rejections per patch. Deterministic
-    for a given seed.
+    Origins are drawn as (x, y) pairs from one generator; those whose
+    size x size footprint touches the exclusion mask are rejected, and more
+    than 10,000 rejections in a row raise. Deterministic for a given seed.
     """
     if size < 1:
         raise ParameterError(f"patch size must be >= 1, got {size}")
@@ -127,34 +140,43 @@ def sample_random_patches(
         )
     mask = mask or ExclusionMask()
     rng = np.random.default_rng(seed)
-    max_x = img.width - size
-    max_y = img.height - size
-    out = []
-    for _ in range(count):
-        for attempt in range(MAX_REJECTIONS_PER_PATCH + 1):
-            x = int(rng.integers(0, max_x + 1))
-            y = int(rng.integers(0, max_y + 1))
-            if not mask.intersects(x, y, size):
-                break
-        else:
+    high = [img.width - size + 1, img.height - size + 1]
+    origins = np.empty((0, 2), dtype=np.int64)
+    streak = 0  # rejected draws since the last kept origin
+    while len(origins) < count:
+        # surplus draws are harmless: the generator is private to this call
+        draws = rng.integers(0, high, size=(max(count - len(origins), 1024), 2))
+        kept = np.flatnonzero(~mask.intersects(draws, size))[: count - len(origins)]
+        origins = np.concatenate([origins, draws[kept]])
+        # rejections before each kept draw, then after the last one
+        runs = np.diff(kept, prepend=-1, append=len(draws)) - 1
+        runs[0] += streak
+        streak = runs[-1]
+        if runs[:-1].max(initial=0) > MAX_REJECTIONS_PER_PATCH or (
+            len(origins) < count and streak > MAX_REJECTIONS_PER_PATCH
+        ):
             raise SamplingImpossibleError(
                 f"no mask-free {size}x{size} origin found after "
                 f"{MAX_REJECTIONS_PER_PATCH} rejections"
             )
-        out.append(Patch(img.data[y : y + size, x : x + size, :], origin=(x, y)))
-    return out
+    offsets = np.arange(size)
+    data = img.data[
+        origins[:, 1, None, None] + offsets[:, None], origins[:, 0, None, None] + offsets
+    ]
+    return PatchBatch(data, origins)
 
 
-def histogram_stretch(patch: Patch) -> Patch:
-    """Affinely rescale a patch to [0, 1] using the joint min/max of all
+def histogram_stretch(batch: PatchBatch) -> PatchBatch:
+    """Affinely rescale each patch to [0, 1] using the joint min/max of its
     three channels.
 
-    One global affine map keeps the relative contributions of the channels
-    intact; per-channel stretching would destroy the chromatic signal.
-    Patches with joint range below 1e-12 are flagged degenerate and zeroed.
+    One global affine map per patch keeps the relative contributions of the
+    channels intact; per-channel stretching would destroy the chromatic
+    signal. Patches with joint range below 1e-12 are dropped and counted in
+    `degenerate`.
     """
-    lo = float(patch.data.min())
-    hi = float(patch.data.max())
-    if hi - lo < DEGENERATE_RANGE:
-        return replace(patch, data=np.zeros_like(patch.data), degenerate=True)
-    return replace(patch, data=(patch.data - lo) / (hi - lo), degenerate=False)
+    lo = batch.data.min(axis=(1, 2, 3), keepdims=True)
+    span = batch.data.max(axis=(1, 2, 3), keepdims=True) - lo
+    keep = span.reshape(-1) >= DEGENERATE_RANGE
+    data = (batch.data[keep] - lo[keep]) / span[keep]
+    return PatchBatch(data, batch.origins[keep], degenerate=int(len(keep) - keep.sum()))

@@ -5,7 +5,7 @@ import numpy as np
 from patchcc.dataset import LabeledImage
 from patchcc.image import LinearImage, cast_illuminant, normalize
 from patchcc.network import HyperParams, NetworkParams, init_params
-from patchcc.patches import Patch
+from patchcc.patches import PatchBatch
 
 TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5)
 
@@ -41,9 +41,14 @@ def channel_max_net(patch_size=32, pool_size=8):
 
 
 def textured_patch(rng, color, size=8):
-    """A patch of one chromaticity with multiplicative texture."""
+    """A one-patch image of one chromaticity with multiplicative texture."""
     lum = rng.uniform(0.4, 1.0, size=(size, size, 1))
-    return Patch(lum * np.asarray(color)[None, None, :], origin=(0, 0))
+    return LinearImage(lum * np.asarray(color)[None, None, :])
+
+
+def batch_of(*patches):
+    """A PatchBatch of (S, S, 3) arrays, all with origin (0, 0)."""
+    return PatchBatch(np.stack(patches).astype(np.float64), np.zeros((len(patches), 2), dtype=int))
 
 
 def tiled_image(texture, color, tiles=(3, 3)):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from patchcc.errors import SamplingImpossibleError
 from patchcc.image import LinearImage
 from patchcc.minkowski import EdgeFrameworkParams
 
@@ -97,3 +98,64 @@ def sort_oracle_stats(values):
         percentile(90),
         data[-1],
     )
+
+
+def loop_sample_patches(data, size, count, rects=(), seed=0, max_rejections=10_000):
+    """One origin at a time from scalar draws (x, then y), each redrawn while
+    its footprint touches a rectangle; returns (origins, patches)."""
+    rng = np.random.default_rng(seed)
+    h, w = data.shape[:2]
+    origins, patches = [], []
+    for _ in range(count):
+        for _attempt in range(max_rejections + 1):
+            x = int(rng.integers(0, w - size + 1))
+            y = int(rng.integers(0, h - size + 1))
+            if not any(x < rx + rw and rx < x + size and y < ry + rh and ry < y + size
+                       for rx, ry, rw, rh in rects):
+                break
+        else:
+            raise SamplingImpossibleError(f"{max_rejections} rejections in a row")
+        origins.append((x, y))
+        patches.append(data[y : y + size, x : x + size])
+    return origins, patches
+
+
+def loop_histogram_stretch(patch):
+    """Stretch one patch to [0, 1] by its joint min/max; None when flat."""
+    lo = float(patch.min())
+    hi = float(patch.max())
+    if hi - lo < 1e-12:
+        return None
+    return (patch - lo) / (hi - lo)
+
+
+def loop_grid_ground_truth(gt_pixels, patch_size):
+    """Per-cell majority vote over every cell, unnormalized; ties go to the
+    value met first in row-major pixel order."""
+    gh, gw = gt_pixels.shape[0] // patch_size, gt_pixels.shape[1] // patch_size
+    cells = np.zeros((gh, gw, 3))
+    for gy in range(gh):
+        for gx in range(gw):
+            block = gt_pixels[gy * patch_size : (gy + 1) * patch_size,
+                              gx * patch_size : (gx + 1) * patch_size].reshape(-1, 3)
+            counts, first = {}, {}
+            for i, px in enumerate(map(tuple, block)):
+                counts[px] = counts.get(px, 0) + 1
+                first.setdefault(px, i)
+            top = max(counts.values())
+            cells[gy, gx] = min((px for px in counts if counts[px] == top), key=first.get)
+    return cells
+
+
+def loop_nearest_filled(filled):
+    """Each unfilled cell (gy, gx) -> the filled cell nearest to it; ties
+    prefer the smaller x, then the smaller y."""
+    gh, gw = filled.shape
+    good = [(gx, gy) for gy in range(gh) for gx in range(gw) if filled[gy, gx]]
+    out = {}
+    for gy in range(gh):
+        for gx in range(gw):
+            if not filled[gy, gx]:
+                bx, by = min(good, key=lambda c: ((c[0] - gx) ** 2 + (c[1] - gy) ** 2, c[0], c[1]))
+                out[gy, gx] = (by, bx)
+    return out

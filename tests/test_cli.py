@@ -75,6 +75,7 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "\n" not in err.strip()
+        assert "DN, GW, WP, SoG, gGW, GE1, GE2, cnn" in err
 
     def test_cnn_requires_model(self, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"
@@ -235,6 +236,41 @@ class TestMalformedManifest:
         assert "Traceback" not in err
 
 
+# argv (with {tmp} for the test's directory), config file text or None, and
+# the error type the one-line message must name
+MALFORMED_INPUTS = {
+    "config_invalid_json": (["estimate", "--image", "{tmp}/a.ppm"], '{"algo": ', "FormatError"),
+    "config_not_an_object": (["estimate", "--image", "{tmp}/a.ppm"], '["DN"]', "ParameterError"),
+    "config_wrong_type": (["synth", "--out", "{tmp}/set"], '{"count": "abc"}', "ParameterError"),
+    "config_bool_for_int": (["synth", "--out", "{tmp}/set"], '{"seed": true}', "ParameterError"),
+    "config_path_not_a_string": (["estimate"], '{"image": 987, "algo": "DN"}', "ParameterError"),
+    "size_not_integers": (["synth", "--out", "{tmp}/set", "--size", "64xq"], None,
+                          "ParameterError"),
+    "ill_not_numbers": (["correct", "--image", "{tmp}/a.ppm", "--out", "{tmp}/b.ppm",
+                         "--ill", "a,b,c"], None, "ParameterError"),
+    "folds_not_integers": (["train", "--manifest", "{tmp}/m.json", "--out-dir", "{tmp}/m",
+                            "--folds", "0,x"], None, "ParameterError"),
+    "sweep_values_not_integers": (["sweep", "--manifest", "{tmp}/m.json", "--parameter",
+                                   "fc_units", "--values", "2,x", "--out", "{tmp}/s.csv"],
+                                  None, "ParameterError"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+    def test_exits_one_with_one_line(self, case, tmp_path, capsys):
+        save_ppm16(LinearImage(np.full((8, 8, 3), 0.5)), tmp_path / "a.ppm")
+        argv, config, error = MALFORMED_INPUTS[case]
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         img_path = tmp_path / "img.ppm"
@@ -248,6 +284,10 @@ class TestConfigFile:
         assert run(["estimate", "--config", str(cfg), "--algo", "GW"]) == 0
         printed = [float(v) for v in capsys.readouterr().out.split()]
         assert np.allclose(printed, normalize((0.5, 0.25, 0.25)).rgb, atol=1e-3)
+        # null means unset: the built-in default (GW) applies
+        cfg.write_text(json.dumps({"algo": None, "image": str(img_path)}))
+        assert run(["estimate", "--config", str(cfg)]) == 0
+        assert [float(v) for v in capsys.readouterr().out.split()] == printed
 
 
 class TestSweep:

@@ -4,17 +4,17 @@ import pytest
 from patchcc.errors import DegenerateEstimateError, EstimationImpossibleError, ParameterError
 from patchcc.estimator import (
     estimate_image,
-    estimate_patch,
     fine_tune,
     image_level_loss,
     pool_average,
     pool_median,
+    prepared_patches,
+    rectified_unit,
     train,
 )
 from patchcc.evaluation import angular_error
 from patchcc.image import Illuminant, LinearImage, normalize
 from patchcc.network import HyperParams, forward, init_params
-from patchcc.patches import Patch, histogram_stretch
 
 from helpers import (
     SMALL,
@@ -28,43 +28,53 @@ from helpers import (
 
 
 class TestEstimatePatch:
+    """Per-patch estimates: the `units` rows of `estimate_image` on
+    one-patch images."""
+
     def test_bias_network_gives_neutral(self):
-        patch = histogram_stretch(textured_patch(np.random.default_rng(0), (0.5, 0.7, 0.3)))
-        est = estimate_patch(bias_net(), patch)
-        assert np.allclose(est.rgb, 1 / np.sqrt(3), atol=1e-12)
+        img = textured_patch(np.random.default_rng(0), (0.5, 0.7, 0.3))
+        est = estimate_image(bias_net(), img, patch_size=8)
+        assert est.units.shape == (1, 3)
+        assert np.allclose(est.units, 1 / np.sqrt(3), atol=1e-12)
 
     def test_scale_of_prestretch_patch_is_absorbed(self):
         rng = np.random.default_rng(1)
         params = init_params(TOY, 2)
         raw = textured_patch(rng, (0.6, 0.5, 0.8))
-        scaled = Patch(raw.data * 0.3, origin=raw.origin)
-        a = estimate_patch(params, histogram_stretch(raw))
-        b = estimate_patch(params, histogram_stretch(scaled))
-        assert np.allclose(a.rgb, b.rgb, atol=1e-12)
+        scaled = LinearImage(raw.data * 0.3)
+        a = estimate_image(params, raw, patch_size=8)
+        b = estimate_image(params, scaled, patch_size=8)
+        assert np.allclose(a.units, b.units, atol=1e-12)
 
     def test_equals_normalized_forward(self):
         rng = np.random.default_rng(3)
         params = bias_net((0.2, 0.4, 0.9))  # positive outputs, rectification inert
-        patch = histogram_stretch(textured_patch(rng, (0.5, 0.5, 0.5)))
-        est = estimate_patch(params, patch)
-        oracle = normalize(forward(params, patch.data))
-        assert np.array_equal(est.rgb, oracle.rgb)
+        img = textured_patch(rng, (0.5, 0.5, 0.5))
+        est = estimate_image(params, img, patch_size=8)
+        oracle = normalize(forward(params, prepared_patches(img, 8).data[0]))
+        assert np.array_equal(est.units[0], oracle.rgb)
+        assert np.array_equal(est.raw[0], [0.2, 0.4, 0.9])
 
     def test_degenerate_patch_rejected(self):
-        flat = histogram_stretch(Patch(np.full((8, 8, 3), 0.5), origin=(0, 0)))
-        with pytest.raises(DegenerateEstimateError):
-            estimate_patch(bias_net(), flat)
+        flat = LinearImage(np.full((8, 8, 3), 0.5))
+        with pytest.raises(EstimationImpossibleError):
+            prepared_patches(flat, 8)
+        with pytest.raises(EstimationImpossibleError):
+            estimate_image(bias_net(), flat, patch_size=8)
 
     def test_negative_output_rectified(self):
-        patch = histogram_stretch(textured_patch(np.random.default_rng(4), (0.5, 0.6, 0.7)))
-        est = estimate_patch(bias_net((-0.5, 0.8, 0.6)), patch)
-        assert est.rgb[0] == 0.0
-        assert np.linalg.norm(est.rgb) == pytest.approx(1.0, abs=1e-12)
+        img = textured_patch(np.random.default_rng(4), (0.5, 0.6, 0.7))
+        est = estimate_image(bias_net((-0.5, 0.8, 0.6)), img, patch_size=8)
+        assert est.units[0, 0] == 0.0
+        assert np.linalg.norm(est.units[0]) == pytest.approx(1.0, abs=1e-12)
+        assert est.raw[0, 0] == -0.5
 
     def test_all_negative_output_degenerate(self):
-        patch = histogram_stretch(textured_patch(np.random.default_rng(5), (0.5, 0.6, 0.7)))
+        img = textured_patch(np.random.default_rng(5), (0.5, 0.6, 0.7))
         with pytest.raises(DegenerateEstimateError):
-            estimate_patch(bias_net((-1.0, -1.0, -1.0)), patch)
+            rectified_unit(np.array([-1.0, -1.0, -1.0]))
+        with pytest.raises(EstimationImpossibleError):
+            estimate_image(bias_net((-1.0, -1.0, -1.0)), img, patch_size=8)
 
 
 class TestPooling:
@@ -126,17 +136,16 @@ class TestEstimateImage:
         img = tiled_image(texture, (0.7, 0.5, 0.9))
         params = channel_max_net()
         pooled = estimate_image(params, img, pooling="median", patch_size=32)
-        assert len(pooled.per_patch) == 9
-        first = pooled.per_patch[0][2]
-        for _, _, unit in pooled.per_patch:
-            assert np.allclose(unit.rgb, first.rgb, atol=1e-12)
-        assert np.allclose(pooled.illuminant.rgb, first.rgb, atol=1e-12)
+        assert len(pooled.units) == 9
+        assert np.allclose(pooled.units, pooled.units[0], atol=1e-12)
+        assert np.allclose(pooled.illuminant.rgb, pooled.units[0], atol=1e-12)
 
     def test_patch_count_1200x800(self):
         rng = np.random.default_rng(10)
         img = LinearImage(rng.uniform(0.1, 1.0, size=(800, 1200, 3)))
         pooled = estimate_image(bias_net((1, 1, 1), TOY), img, patch_size=32)
-        assert len(pooled.per_patch) == 37 * 25
+        assert pooled.units.shape == pooled.raw.shape == (37 * 25, 3)
+        assert pooled.origins.shape == (37 * 25, 2)
 
     def test_crafted_outlier_median_vs_average(self):
         rng = np.random.default_rng(11)
@@ -161,7 +170,8 @@ class TestEstimateImage:
         a = estimate_image(params, img, "median", 32)
         b = estimate_image(params, img, "median", 32)
         assert np.array_equal(a.illuminant.rgb, b.illuminant.rgb)
-        assert a.per_patch[3][0] == b.per_patch[3][0]
+        assert np.array_equal(a.origins, b.origins)
+        assert np.array_equal(a.units, b.units)
 
     def test_all_flat_image_impossible(self):
         img = LinearImage(np.full((64, 64, 3), 0.5))
@@ -174,7 +184,7 @@ class TestEstimateImage:
         data[:, 32:, :] = 0.5  # right patch is flat
         pooled = estimate_image(bias_net((1, 1, 1), TOY), LinearImage(data), patch_size=32)
         assert pooled.degenerate_skipped == 1
-        assert len(pooled.per_patch) == 1
+        assert pooled.origins.tolist() == [[0, 0]]
 
 
 class TestTrain:

@@ -17,6 +17,7 @@ from patchcc.localmap import (
 )
 from patchcc.image import load_ppm16
 
+import oracles
 from helpers import channel_max_net, tiled_image
 
 
@@ -74,6 +75,21 @@ class TestEstimateLocalMap:
         m = estimate_local_map(channel_max_net(), LinearImage(data), 32)
         # nearest non-degenerate neighbors are (0,0) and (2,0); tie prefers left
         assert np.array_equal(m.estimates[0, 1], m.estimates[0, 0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_cells_match_nearest_cell_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        gh, gw = 7, 9
+        data = rng.uniform(0.2, 0.9, size=(4 * gh + 3, 4 * gw + 2, 3))
+        flat = rng.uniform(size=(gh, gw)) < 0.6
+        flat[rng.integers(gh), rng.integers(gw)] = False
+        for gy, gx in zip(*np.nonzero(flat)):
+            data[4 * gy : 4 * gy + 4, 4 * gx : 4 * gx + 4] = 0.5
+        m = estimate_local_map(channel_max_net(4, 2), LinearImage(data), 4)
+        nearest = oracles.loop_nearest_filled(~flat)
+        assert len(nearest) == flat.sum()
+        for cell, source in nearest.items():
+            assert np.array_equal(m.estimates[cell], m.estimates[source])
 
     def test_all_degenerate_rejected(self):
         img = LinearImage(np.full((64, 64, 3), 0.3))
@@ -205,6 +221,24 @@ class TestGridGroundTruth:
         gt_pixels[:, 3:] = right.rgb
         grid = grid_ground_truth(gt_pixels, 4)
         assert np.allclose(grid.estimates[0, 0], left.rgb, atol=1e-12)
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_loop_on_mixed_maps(self, seed):
+        rng = np.random.default_rng(seed)
+        palette = rng.uniform(0.1, 1.0, size=(4, 3))
+        size, gh, gw = 4, 6, 8
+        labels = rng.integers(0, 4, size=(gh * size + 1, gw * size + 3))
+        labels[:size, :size] = 2  # a uniform cell
+        # exact ties: two lights 8 pixels each, at random positions
+        for gy, gx in [(1, 1), (2, 5), (5, 7)]:
+            cell = np.repeat([0, 3], 8)
+            rng.shuffle(cell)
+            labels[gy * size : (gy + 1) * size, gx * size : (gx + 1) * size] = cell.reshape(4, 4)
+        gt_pixels = palette[labels]
+        cells = oracles.loop_grid_ground_truth(gt_pixels, size)
+        expected = cells / np.linalg.norm(cells, axis=2, keepdims=True)
+        assert np.array_equal(grid_ground_truth(gt_pixels, size).estimates, expected)
 
 
 class TestExports:
