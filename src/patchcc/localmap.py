@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .estimator import prepared_patches, rectified_unit
+from .estimator import _usable_output_rows, prepared_patches, rectified_unit
 from .evaluation import angular_error_many
 from .image import LinearImage, save_ppm16, ILLUMINANT_MAP_SCALE
 from .network import NetworkParams, forward
@@ -50,17 +50,20 @@ class IlluminantMap:
 def estimate_local_map(params: NetworkParams, img: LinearImage, patch_size: int) -> IlluminantMap:
     """Per-cell normalized estimates on the non-overlapping patch grid.
 
-    Degenerate (flat) cells borrow the estimate of the nearest non-degenerate
-    cell (Euclidean grid distance; ties prefer the leftmost, then the
-    uppermost candidate).
+    Flat cells, and cells whose network output has no positive component
+    (direction-free), borrow the estimate of the nearest usable cell
+    (Euclidean grid distance; ties prefer the leftmost, then the uppermost
+    candidate). Raises `EstimationImpossibleError` when no cell is usable.
     """
     # the cells must stay aligned with the source pixels, so no resize
     batch = prepared_patches(img, patch_size, resize_target=None)
     raw = forward(params, batch.data)
+    keep = _usable_output_rows(raw)
     cells = np.zeros((img.height // patch_size, img.width // patch_size, 3))
     filled = np.zeros(cells.shape[:2], dtype=bool)
-    gx, gy = (batch.origins // patch_size).T
-    cells[gy, gx] = np.stack([rectified_unit(row) for row in raw])
+    gx, gy = (batch.origins[keep] // patch_size).T
+    # row by row: a vectorized norm differs from rectified_unit's in the last bit
+    cells[gy, gx] = np.stack([rectified_unit(row) for row in raw[keep]])
     filled[gy, gx] = True
     if not filled.all():
         # candidates sorted by (x, y), so argmin's first hit breaks distance ties

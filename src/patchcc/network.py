@@ -10,10 +10,14 @@ axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
 
 Networks with 1x1 kernels run the convolution and the max pooling as one
-fused layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`): it computes
-the responses block by block, so the argmax runs over a contiguous axis, and
-its backward pass touches only the argmax pixel of each pool window. Ties go
-to the first occurrence in row-major block order, as in `maxpool_forward`.
+fused layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`). For training
+it computes the responses block by block, so the argmax runs over a
+contiguous axis, and its backward pass touches only the argmax pixel of each
+pool window. Ties go to the first occurrence in row-major block order, as in
+`maxpool_forward`. For inference it reduces a few pool windows at a time, so
+their responses stay in cache and no full-size response array is built, and
+it adds the bias once to the pooled maxima: rounding is monotone, so
+max_p fl(a_p + b) = fl(max_p a_p + b) and the result is bit for bit the same.
 Wider kernels (k x k, for the width sweep) use the reference layers
 `conv_forward`, `maxpool_forward`, `maxpool_backward` and `conv_backward`.
 """
@@ -38,6 +42,10 @@ WEIGHTS_VERSION = 1
 PARAM_LAYERS = ("conv_w", "conv_b", "fc_w", "fc_b", "out_w", "out_b")
 
 ANGULAR_COS_CLAMP = 1.0 - 1e-7
+
+# bytes of responses per block of the fused layer's inference path (17 8x8
+# pool windows at K=240 float64): small enough to stay in a core's L2 cache
+FUSED_BLOCK_BYTES = 2 << 20
 
 
 def _as_float(a) -> np.ndarray:
@@ -272,14 +280,20 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
 
     x: (..., S, S, 3), w: (K, 1, 1, 3), b: (K,) -> (..., S/pool, S/pool, K),
     the values and argmax of `maxpool_forward(conv_forward(x, w, b)[0], pool)`.
-    The input is copied once into block layout xb (..., G, G, pool*pool, 3)
-    and the responses W @ xb^T come out as (..., G, G, K, pool*pool), with
-    each pool window on the contiguous last axis. Passing xb^T as a view of
-    the pixel-major copy sends numpy to the same kind of BLAS call as
-    `conv_forward` (gemv when K = 1, gemm otherwise); the kernel OpenBLAS
-    then runs can still depend on the matrix size, so inexact sums may
-    differ from the reference in the last bit. Pass need_cache=False for
-    inference: the response array is then the only full-size allocation.
+    The input is copied once into block layout xb (..., G, G, pool*pool, 3).
+    With the cache, the responses W @ xb^T come out as (..., G, G, K,
+    pool*pool), with each pool window on the contiguous last axis. Passing
+    xb^T as a view of the pixel-major copy sends numpy to the same kind of
+    BLAS call as `conv_forward` (gemv when K = 1, gemm otherwise); the kernel
+    OpenBLAS then runs can still depend on the matrix size, so inexact sums
+    may differ from the reference in the last bit.
+
+    Pass need_cache=False for inference. The windows are then taken
+    FUSED_BLOCK_BYTES of responses at a time, computed pixel-major as
+    xb_block @ W^T and reduced over the pixel axis into the pooled output,
+    so no full-size response array exists. The bias is added once, after
+    the max: rounding is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b),
+    and the values are the same bits as with the cache.
     """
     x = _as_float(x)
     w = _as_float(w)
@@ -292,14 +306,29 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     lead = x.shape[:-3]
     nl = len(lead)
     g = s1 // pool
+    k = w.shape[0]
     axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
     xb = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(*lead, g, g, pool * pool, 3)
+    if not need_cache:
+        dtype = np.result_type(x, w)
+        wt = w[:, 0, 0, :].astype(dtype).T
+        windows = xb.reshape(-1, pool * pool, 3)
+        if windows.dtype != dtype:
+            # cast through a (3, pool*pool) copy, as numpy casts the cached
+            # path's xb^T operand: a K = 1 gemv rounds by its memory layout
+            windows = windows.swapaxes(-1, -2).astype(dtype, order="C").swapaxes(-1, -2)
+        out = np.empty((windows.shape[0], k), dtype=dtype)
+        step = max(1, FUSED_BLOCK_BYTES // (pool * pool * k * out.itemsize))
+        for i in range(0, len(windows), step):
+            np.max(windows[i : i + step] @ wt, axis=-2, out=out[i : i + step])
+        # conv_forward adds the bias in the wider of the two dtypes
+        out = out.astype(np.result_type(out, b), copy=False)
+        out += b
+        return out.reshape(*lead, g, g, k), None
     resp = w[:, 0, 0, :] @ xb.swapaxes(-1, -2)
     # conv_forward adds the bias in the wider of the two dtypes
     resp = resp.astype(np.result_type(resp, b), copy=False)
     resp += b[:, None]
-    if not need_cache:
-        return resp.max(axis=-1), None
     idx = resp.argmax(axis=-1)
     out = np.take_along_axis(resp, idx[..., None], axis=-1)[..., 0]
     return out, (xb, idx)
@@ -404,8 +433,12 @@ def _forward_impl(params: NetworkParams, x: np.ndarray, need_cache: bool = True)
 def forward(params: NetworkParams, patch: np.ndarray, chunk: int = 512) -> np.ndarray:
     """Raw (unnormalized) illuminant estimate for one patch or a batch.
 
-    Large batches are processed `chunk` patches at a time to bound the
-    intermediate feature-map allocations.
+    Large batches are processed `chunk` patches at a time. For 1x1 kernels
+    the chunk bounds only the block-layout copy of the input and the FC
+    layer's input, since the fused layer reduces its responses a cache-sized
+    block at a time; for wider kernels it also bounds the full-resolution
+    convolution output. The chunk fixes the FC layer's matrix shapes, and so
+    the last bit of its sums.
     """
     patch = _as_float(patch)
     if patch.ndim == 4 and patch.shape[0] > chunk:

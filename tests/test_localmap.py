@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from patchcc.errors import EstimationImpossibleError, ShapeMismatchError
+from patchcc.estimator import estimate_image, prepared_patches, rectified_unit
 from patchcc.evaluation import angular_error, summarize
 from patchcc.image import LinearImage, compose_two_illuminants, normalize
 from patchcc.localmap import (
@@ -16,6 +17,7 @@ from patchcc.localmap import (
     save_map_ppm,
 )
 from patchcc.image import load_ppm16
+from patchcc.network import HyperParams, NetworkParams, forward, init_params
 
 import oracles
 from helpers import channel_max_net, tiled_image
@@ -95,6 +97,33 @@ class TestEstimateLocalMap:
         img = LinearImage(np.full((64, 64, 3), 0.3))
         with pytest.raises(EstimationImpossibleError):
             estimate_local_map(channel_max_net(), img, 32)
+
+    def test_direction_free_cells_borrow_nearest(self):
+        # an untrained net whose output has no positive component on most
+        # cells; estimate_image drops those rows, the map fills those cells
+        params = init_params(HyperParams(patch_size=16, pool_size=4, kernel_count=8, fc_units=4), 10)
+        img = LinearImage(np.random.default_rng(3).uniform(0.05, 1, (149, 215, 3)))
+        estimate_image(params, img, "average", 16)
+        m = estimate_local_map(params, img, 16)
+        batch = prepared_patches(img, 16, resize_target=None)
+        raw = forward(params, batch.data)
+        usable = np.zeros((m.grid_h, m.grid_w), dtype=bool)
+        gx, gy = (batch.origins // 16).T
+        usable[gy, gx] = np.linalg.norm(np.maximum(raw, 0.0), axis=1) >= 1e-9
+        assert len(batch) == usable.size and 0 < usable.sum() < usable.size
+        for row, x, y in zip(raw, gx, gy):
+            if usable[y, x]:
+                assert np.array_equal(m.estimates[y, x], rectified_unit(row))
+        for cell, source in oracles.loop_nearest_filled(usable).items():
+            assert np.array_equal(m.estimates[cell], m.estimates[source])
+
+    def test_all_direction_free_rejected(self):
+        net = channel_max_net()
+        net = NetworkParams(conv_w=net.conv_w, conv_b=net.conv_b, fc_w=net.fc_w, fc_b=net.fc_b,
+                            out_w=-net.out_w, out_b=net.out_b)
+        img = LinearImage(np.random.default_rng(4).uniform(0.1, 1.0, (64, 64, 3)))
+        with pytest.raises(EstimationImpossibleError):
+            estimate_local_map(net, img, 32)
 
 
 class TestFilters:

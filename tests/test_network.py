@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from patchcc.errors import (
 )
 from patchcc.image import normalize
 from patchcc.network import (
+    FUSED_BLOCK_BYTES,
     HyperParams,
     NetworkGrads,
     NetworkParams,
@@ -270,6 +272,83 @@ class TestConv1x1Pool:
             conv1x1_pool_forward(np.zeros((9, 9, 3)), np.zeros((2, 1, 1, 3)), np.zeros(2), 4)
         with pytest.raises(ShapeMismatchError):
             conv1x1_pool_forward(np.zeros((8, 8, 3)), np.zeros((2, 3, 3, 3)), np.zeros(2), 4)
+
+
+DTYPE_TRIPLES = ((np.float32,) * 3, (np.float64,) * 3, (np.float32, np.float32, np.float64),
+                 (np.float64, np.float32, np.float32), (np.float32, np.float64, np.float32))
+
+
+def block_window_counts(k, pool, dtype):
+    """Window counts below one inference block, exactly one and not a
+    multiple of one, for K kernels and pool x pool windows."""
+    step = max(1, FUSED_BLOCK_BYTES // (pool * pool * k * np.dtype(dtype).itemsize))
+    return (1, step - 1, step, 2 * step + 5)
+
+
+class TestConv1x1PoolBlocks:
+    """The inference path reduces a block of pool windows at a time and adds
+    the bias after the max; it must give the cached path's bits."""
+
+    @pytest.mark.parametrize("xd,wd,bd", DTYPE_TRIPLES)
+    def test_block_boundaries_with_a_rounding_bias(self, xd, wd, bd):
+        rng = np.random.default_rng(70)
+        k, pool = 240, 8
+        out_dtype = np.result_type(xd, wd, bd)
+        # dyadic x and w make every response exact, so the bias add is the one
+        # rounding step; at about 1/eps the distinct responses of a channel
+        # round to a few equal sums
+        w = (rng.integers(-64, 65, (k, 1, 1, 3)) / 32).astype(wd)
+        b = (rng.choice([-1, 1], k) * rng.uniform(0.5, 1, k) / np.finfo(out_dtype).eps).astype(bd)
+        for windows in block_window_counts(k, pool, np.result_type(xd, wd)):
+            for side in (8, 16):
+                n = -(-windows // (side // pool) ** 2)
+                x = (rng.integers(0, 257, (n, side, side, 3)) / 256).astype(xd)
+                want, _, _ = reference_conv_pool(x, w, b, pool)
+                cached, _ = conv1x1_pool_forward(x, w, b, pool)
+                lean, cache = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+                assert cache is None
+                assert lean.dtype == want.dtype == out_dtype
+                assert np.array_equal(lean, cached)
+                assert np.array_equal(lean, want)
+                if windows > 1:
+                    biased, _ = conv_forward(x, w, b)
+                    bare, _ = conv_forward(x, w, np.zeros_like(b))
+                    assert np.unique(biased[..., 0]).size < np.unique(bare[..., 0]).size
+
+    @pytest.mark.parametrize("k", [1, 240])
+    @pytest.mark.parametrize("xd,wd,bd", DTYPE_TRIPLES)
+    def test_block_boundaries_on_continuous_inputs(self, k, xd, wd, bd):
+        # K = 1 runs gemv, whose rounding depends on the operands' layout
+        rng = np.random.default_rng(71)
+        pool = 8
+        w = rng.standard_normal((k, 1, 1, 3)).astype(wd)
+        b = rng.standard_normal(k).astype(bd)
+        for windows in block_window_counts(k, pool, np.result_type(xd, wd)):
+            x = rng.uniform(0, 1, (windows, 8, 8, 3)).astype(xd)
+            cached, _ = conv1x1_pool_forward(x, w, b, pool)
+            lean, _ = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+            assert np.array_equal(lean, cached)
+
+    def test_forward_equals_forward_cache_at_paper_shape(self):
+        rng = np.random.default_rng(72)
+        params = init_params(HyperParams(), 7)
+        params = replace(params, conv_b=rng.standard_normal(params.kernel_count),
+                         fc_b=rng.standard_normal(params.fc_units) * 0.1)
+        x = rng.uniform(0, 1, (40, 32, 32, 3))
+        est, _ = forward_cache(params, x)
+        assert np.array_equal(forward(params, x), est)
+
+    def test_inference_forward_memory_is_bounded(self):
+        # the response array of a 512-patch chunk alone would be 480 MiB
+        params = init_params(HyperParams(), 8)
+        x = np.random.default_rng(73).uniform(0, 1, (512, 32, 32, 3))
+        tracemalloc.start()
+        try:
+            forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestFcRelu:
