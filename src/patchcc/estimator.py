@@ -62,7 +62,6 @@ class PooledEstimate:
     origins: np.ndarray
     raw: np.ndarray
     units: np.ndarray
-    pooling: str
     degenerate_skipped: int = 0
 
 
@@ -133,12 +132,11 @@ def estimate_image(
     img: LinearImage,
     pooling: str = "median",
     patch_size: int = 32,
-    resize_target: int = RESIZE_TARGET,
 ) -> PooledEstimate:
     """Grid-patch the image and pool the per-patch network estimates."""
     if pooling not in POOLINGS:
         raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
-    batch = prepared_patches(img, patch_size, resize_target)
+    batch = prepared_patches(img, patch_size)
     raw = forward(params, batch.data)
     keep = _usable_output_rows(raw)
     raw = raw[keep]
@@ -149,7 +147,6 @@ def estimate_image(
         origins=batch.origins[keep],
         raw=raw,
         units=units,
-        pooling=pooling,
         degenerate_skipped=batch.degenerate + int(len(keep) - keep.sum()),
     )
 
@@ -162,9 +159,7 @@ def _fold_samples(samples, fold: int) -> list[LabeledImage]:
     return [s for s in samples if s.fold == fold]
 
 
-def training_patch_arrays(
-    samples, hyper: HyperParams, resize_target: int = RESIZE_TARGET
-) -> tuple[np.ndarray, np.ndarray]:
+def training_patch_arrays(samples, hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
     """Random stretched patches and their per-image illuminant labels.
 
     Every patch of an image carries that image's ground truth. Each image
@@ -173,7 +168,7 @@ def training_patch_arrays(
     """
     xs, ys = [], []
     for idx, sample in enumerate(samples):
-        img = resize_max_side(sample.image, resize_target)
+        img = resize_max_side(sample.image, RESIZE_TARGET)
         batch = histogram_stretch(sample_random_patches(
             img, hyper.patch_size, hyper.patches_per_image,
             mask=sample.mask, seed=[hyper.seed, idx],
@@ -191,12 +186,7 @@ class TrainResult:
     log: list
 
 
-def train(
-    dataset,
-    folds,
-    hyper: HyperParams,
-    resize_target: int = RESIZE_TARGET,
-) -> TrainResult:
+def train(dataset, folds, hyper: HyperParams) -> TrainResult:
     """Three-fold cross-validated patch training with half-squared-error loss.
 
     For each requested test fold k the model trains on fold (k+1) % 3 and
@@ -213,8 +203,8 @@ def train(
             if f not in present:
                 raise ParameterError(f"dataset has no images in fold {f}")
         dtype = np.dtype(hyper.dtype)
-        x_tr, y_tr = training_patch_arrays(_fold_samples(samples, train_fold), hyper, resize_target)
-        x_val, y_val = training_patch_arrays(_fold_samples(samples, val_fold), hyper, resize_target)
+        x_tr, y_tr = training_patch_arrays(_fold_samples(samples, train_fold), hyper)
+        x_val, y_val = training_patch_arrays(_fold_samples(samples, val_fold), hyper)
         x_tr, y_tr = x_tr.astype(dtype), y_tr.astype(dtype)
         if len(x_val) > hyper.val_patch_cap:
             keep = np.random.default_rng([hyper.seed, k, 2]).choice(
@@ -284,11 +274,10 @@ def image_level_loss(
     gt: Illuminant,
     pooling: str = "median",
     patch_size: int = 32,
-    resize_target: int = RESIZE_TARGET,
 ) -> tuple[float, NetworkGrads]:
     """Angular loss (radians) of the pooled estimate, with exact parameter
     gradients through pooling, per-patch normalization, and the network."""
-    batch = prepared_patches(img, patch_size, resize_target)
+    batch = prepared_patches(img, patch_size)
     raw, cache = forward_cache(params, batch.data)
     keep = _usable_output_rows(raw)
     clamped = np.maximum(raw[keep], 0.0)
@@ -318,7 +307,6 @@ def fine_tune(
     pooling: str = "median",
     val_dataset=None,
     min_improvement: float = 0.1,
-    resize_target: int = RESIZE_TARGET,
     log: list | None = None,
 ) -> NetworkParams:
     """Continue training on the image-level angular loss, one image per step.
@@ -338,7 +326,7 @@ def fine_tune(
     def val_median(p: NetworkParams) -> float:
         errs = [
             angular_error(
-                estimate_image(p, s.image, pooling, hyper.patch_size, resize_target).illuminant,
+                estimate_image(p, s.image, pooling, hyper.patch_size).illuminant,
                 s.illuminant,
             )
             for s in val_dataset
@@ -350,9 +338,7 @@ def fine_tune(
         order = shuffle_rng.permutation(len(samples))
         for i in order:
             s = samples[i]
-            loss, grads = image_level_loss(
-                params, s.image, s.illuminant, pooling, hyper.patch_size, resize_target
-            )
+            loss, grads = image_level_loss(params, s.image, s.illuminant, pooling, hyper.patch_size)
             params, state = sgd_step(params, grads, hyper, state)
             if log is not None:
                 log.append({

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateEstimateError, ParameterError
 from .image import Illuminant, LinearImage, normalize, neutral_illuminant
@@ -78,6 +77,10 @@ def gaussian_smooth(img: LinearImage, sigma: float) -> LinearImage:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return img
+    # imported here, not at module load: scipy.ndimage is about half the
+    # import time of every patchcc command, and only smoothing needs it
+    from scipy import ndimage
+
     kernel = gaussian_kernel(sigma)
     radius = (len(kernel) - 1) // 2
     padded = np.pad(img.data, ((radius, radius), (radius, radius), (0, 0)), mode="reflect")

@@ -47,6 +47,10 @@ ANGULAR_COS_CLAMP = 1.0 - 1e-7
 # pool windows at K=240 float64): small enough to stay in a core's L2 cache
 FUSED_BLOCK_BYTES = 2 << 20
 
+# patches per `forward` pass over a large batch; it fixes the FC layer's
+# matrix shapes, and so the last bit of its sums
+FORWARD_CHUNK = 512
+
 
 def _as_float(a) -> np.ndarray:
     """Leave float32/float64 arrays alone; promote everything else to float64."""
@@ -430,21 +434,21 @@ def _forward_impl(params: NetworkParams, x: np.ndarray, need_cache: bool = True)
     return est[0] if single else est, cache
 
 
-def forward(params: NetworkParams, patch: np.ndarray, chunk: int = 512) -> np.ndarray:
+def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     """Raw (unnormalized) illuminant estimate for one patch or a batch.
 
-    Large batches are processed `chunk` patches at a time. For 1x1 kernels
-    the chunk bounds only the block-layout copy of the input and the FC
-    layer's input, since the fused layer reduces its responses a cache-sized
-    block at a time; for wider kernels it also bounds the full-resolution
-    convolution output. The chunk fixes the FC layer's matrix shapes, and so
-    the last bit of its sums.
+    Large batches are processed `FORWARD_CHUNK` patches at a time. For 1x1
+    kernels the chunk bounds only the block-layout copy of the input and the
+    FC layer's input, since the fused layer reduces its responses a
+    cache-sized block at a time; for wider kernels it also bounds the
+    full-resolution convolution output. The chunk size is a constant because
+    it fixes the FC layer's matrix shapes, and so the last bit of its sums.
     """
     patch = _as_float(patch)
-    if patch.ndim == 4 and patch.shape[0] > chunk:
+    if patch.ndim == 4 and patch.shape[0] > FORWARD_CHUNK:
         return np.concatenate(
-            [_forward_impl(params, patch[i : i + chunk], need_cache=False)[0]
-             for i in range(0, patch.shape[0], chunk)]
+            [_forward_impl(params, patch[i : i + FORWARD_CHUNK], need_cache=False)[0]
+             for i in range(0, patch.shape[0], FORWARD_CHUNK)]
         )
     est, _ = _forward_impl(params, patch, need_cache=False)
     return est

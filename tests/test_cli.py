@@ -2,12 +2,17 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from patchcc.cli import SweepConfig, main
-from patchcc.errors import ParameterError
+import patchcc
+from patchcc.cli import CONFIG_TYPES, main, parse_args
+from patchcc.errors import PipelineError
 from patchcc.image import LinearImage, load_ppm16, save_ppm16, normalize
 from patchcc.network import HyperParams
 
@@ -244,6 +249,13 @@ MALFORMED_INPUTS = {
     "config_wrong_type": (["synth", "--out", "{tmp}/set"], '{"count": "abc"}', "ParameterError"),
     "config_bool_for_int": (["synth", "--out", "{tmp}/set"], '{"seed": true}', "ParameterError"),
     "config_path_not_a_string": (["estimate"], '{"image": 987, "algo": "DN"}', "ParameterError"),
+    "config_unknown_key": (["estimate", "--image", "{tmp}/a.ppm"], '{"algoo": "DN"}',
+                           "ParameterError"),
+    "config_func_key": (["gradcheck"], '{"func": 1}', "ParameterError"),
+    "config_deeply_nested": (["gradcheck"], '{"loss": ' + "[" * 100000 + "]" * 100000 + "}",
+                             "FormatError"),
+    "config_integer_past_digit_limit": (["gradcheck"], '{"seed": ' + "7" * 5000 + "}",
+                                        "FormatError"),
     "size_not_integers": (["synth", "--out", "{tmp}/set", "--size", "64xq"], None,
                           "ParameterError"),
     "ill_not_numbers": (["correct", "--image", "{tmp}/a.ppm", "--out", "{tmp}/b.ppm",
@@ -290,12 +302,102 @@ class TestConfigFile:
         assert [float(v) for v in capsys.readouterr().out.split()] == printed
 
 
+COMMANDS = ("synth", "train", "finetune", "estimate", "correct", "local-map", "evaluate",
+            "sweep", "gradcheck")
+
+
+def built_in_options(command) -> dict:
+    """Each option of `command` and its value when no config file is given."""
+    options = vars(parse_args([command]))
+    for key in ("command", "func", "config"):
+        del options[key]
+    return options
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+JSON_OF_TYPE = {bool: st.booleans(), int: st.integers(), float: st.floats(allow_nan=False),
+                str: st.text()}
+
+
+@st.composite
+def config_documents(draw):
+    """A command and a config document: a JSON object whose keys are the
+    command's dests, `func`, `config` or any text, an object of values of
+    the options' JSON types, any JSON value, or any bytes."""
+    command = draw(st.sampled_from(COMMANDS))
+    built_in = built_in_options(command)
+    keys = st.sampled_from(sorted(built_in)) | st.sampled_from(["func", "config"]) | st.text()
+    typed = {key: st.sampled_from(CONFIG_TYPES[type(default)]).flatmap(JSON_OF_TYPE.get)
+             for key, default in built_in.items()}
+    doc = draw(st.dictionaries(keys, JSON_VALUES, max_size=3)
+               | st.fixed_dictionaries({}, optional=typed) | JSON_VALUES | st.binary())
+    return command, doc
+
+
+class TestConfigLoading:
+    @settings(max_examples=150, deadline=None)
+    @given(config_documents())
+    def test_typed_values_or_pipeline_error(self, case):
+        command, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "wb") as fh:
+                fh.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+            try:
+                options = vars(parse_args([command, "--config", path]))
+            except PipelineError:
+                return
+        built_in = built_in_options(command)
+        assert isinstance(doc, dict) and set(doc) <= set(built_in)
+        for key, default in built_in.items():
+            if doc.get(key) is None:
+                assert (type(options[key]), options[key]) == (type(default), default)
+            else:
+                assert options[key] == doc[key]
+                assert type(options[key]) in CONFIG_TYPES[type(default)]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_built_in_defaults_as_config_change_nothing(self, command, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(built_in_options(command)))
+        with_config = vars(parse_args([command, "--config", str(cfg)]))
+        plain = vars(parse_args([command]))
+        assert (with_config.pop("config"), plain.pop("config")) == (str(cfg), None)
+        assert ({k: (type(v), v) for k, v in with_config.items()}
+                == {k: (type(v), v) for k, v in plain.items()})
+
+
+class TestImport:
+    def test_import_leaves_scipy_ndimage_unloaded(self):
+        code = "import sys, patchcc.cli; print('scipy.ndimage' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(patchcc.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "False"
+
+
 class TestSweep:
-    def test_sweep_config_validates_values(self):
-        with pytest.raises(ParameterError):
-            SweepConfig(parameter="pool_size", values=(7,), base=HyperParams())
-        with pytest.raises(ParameterError):
-            SweepConfig(parameter="bogus", values=(1,), base=HyperParams())
+    def test_sweep_config_validates_values(self, tmp_path, capsys):
+        # both are rejected before the (missing) manifest is read
+        argv = ["sweep", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "s.csv")]
+        assert run(argv + ["--parameter", "pool_size", "--values", "7"]) == 1
+        assert "sweep value 7 invalid" in capsys.readouterr().err
+        # a config value bypasses argparse's choices
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parameter": "bogus", "values": "1"}))
+        assert run(argv + ["--config", str(cfg)]) == 1
+        assert "sweep parameter must be one of" in capsys.readouterr().err
+
+    def test_sweep_defaults_to_a_smaller_model(self):
+        sweep, train = vars(parse_args(["sweep"])), vars(parse_args(["train"]))
+        small = {"kernel_count": 16, "fc_units": 8, "epochs": 4, "patches_per_image": 30}
+        assert {k: sweep[k] for k in small} == small
+        assert {k: train[k] for k in small} == {k: getattr(HyperParams(), k) for k in small}
 
     def test_sweep_command(self, dataset_dir, tmp_path):
         out = tmp_path / "sweep.csv"
