@@ -115,7 +115,9 @@ def load_manifest(path) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        # ValueError covers JSONDecodeError and UnicodeDecodeError;
+        # RecursionError comes from deep nesting
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"manifest {path} is not valid UTF-8 JSON: {exc}") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != MANIFEST_VERSION:

@@ -654,6 +654,8 @@ def load_params(path) -> NetworkParams:
         buf = fh.read()
     if buf[:4] != WEIGHTS_MAGIC:
         raise FormatError(f"bad weights magic {buf[:4]!r}", offset=0)
+    if len(buf) < 8:
+        raise FormatError("truncated weights header: no version field", offset=4)
     (version,) = struct.unpack_from("<I", buf, 4)
     if version != WEIGHTS_VERSION:
         raise FormatError(f"unsupported weights version {version}", offset=4)

@@ -2,7 +2,10 @@
 
 Everything here is deliberately structured differently from the library:
 dense 2-D convolution instead of separable passes, per-pixel Python loops
-instead of vectorized reductions, and sorting-based statistics.
+instead of vectorized reductions, and sorting-based statistics. The
+exceptions are `padded_gaussian_smooth` and `wrapped_minkowski_response`:
+the forms the Minkowski stages had before they passed plain arrays, kept so
+the tests can check that the rewrite changed no bit.
 """
 
 import math
@@ -11,7 +14,7 @@ import numpy as np
 
 from patchcc.errors import SamplingImpossibleError
 from patchcc.image import LinearImage
-from patchcc.minkowski import EdgeFrameworkParams
+from patchcc.minkowski import EdgeFrameworkParams, gaussian_kernel
 
 
 def dense_gaussian_2d(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -76,6 +79,50 @@ def brute_force_response(img: LinearImage, params: EdgeFrameworkParams) -> np.nd
                     acc += abs(response[y, x, c]) ** params.p
             out[c] = (acc / n_pixels) ** (1.0 / params.p)
     return out
+
+
+def padded_gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable smoothing in its reflect-pad form: pad by the kernel radius,
+    correlate with zero fill outside the padding, crop back (sigma > 0)."""
+    from scipy import ndimage
+
+    kernel = gaussian_kernel(sigma)
+    radius = (len(kernel) - 1) // 2
+    padded = np.pad(data, ((radius, radius), (radius, radius), (0, 0)), mode="reflect")
+    out = ndimage.correlate1d(padded, kernel, axis=0, mode="constant")
+    out = ndimage.correlate1d(out, kernel, axis=1, mode="constant")
+    out = out[radius:-radius, radius:-radius, :]
+    # Gaussian taps are nonnegative, so any negative output is roundoff noise.
+    return np.maximum(out, 0.0)
+
+
+def wrapped_minkowski_response(img: LinearImage, params: EdgeFrameworkParams) -> np.ndarray:
+    """The full response with every stage's output wrapped in a `LinearImage`
+    (copied, checked finite and nonnegative), the derivative by out-of-place
+    expressions and n = 0 as np.abs."""
+    if params.sigma > 0:
+        img = LinearImage(padded_gaussian_smooth(img.data, params.sigma))
+    if params.n == 0:
+        img = LinearImage(np.abs(img.data))
+    else:
+        p = np.pad(img.data, ((1, 1), (1, 1), (0, 0)), mode="edge")
+        c = p[1:-1, 1:-1]
+        up, down = p[:-2, 1:-1], p[2:, 1:-1]
+        left, right = p[1:-1, :-2], p[1:-1, 2:]
+        if params.n == 1:
+            dx = 0.5 * (right - left)
+            dy = 0.5 * (down - up)
+            img = LinearImage(np.sqrt(dx * dx + dy * dy))
+        else:
+            dxx = right - 2.0 * c + left
+            dyy = down - 2.0 * c + up
+            dxy = 0.25 * (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2])
+            img = LinearImage(np.sqrt(dxx * dxx + dyy * dyy + 2.0 * dxy * dxy))
+    flat = img.data.reshape(-1, 3)
+    if math.isinf(params.p):
+        return flat.max(axis=0)
+    powered = flat if params.p == 1.0 else np.power(flat, params.p)
+    return np.power(powered.mean(axis=0), 1.0 / params.p)
 
 
 def sort_oracle_stats(values):

@@ -203,7 +203,7 @@ class TestEvaluateCommand:
         for threads in ("1", "2"):
             prefix = str(tmp_path / f"threads{threads}")
             assert run(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
-                        "--algos", "DN,GW,GE1,cnn-patch,cnn-average,cnn-median",
+                        "--algos", "DN,GW,WP,SoG,gGW,GE1,GE2,cnn-patch,cnn-average,cnn-median",
                         "--model-dir", str(models), "--patch-size", "16",
                         "--threads", threads, "--out-prefix", prefix]) == 0
             outputs[threads] = [open(prefix + suffix, "rb").read()
@@ -256,6 +256,10 @@ MALFORMED_INPUTS = {
                              "FormatError"),
     "config_integer_past_digit_limit": (["gradcheck"], '{"seed": ' + "7" * 5000 + "}",
                                         "FormatError"),
+    "weights_header_truncated": (["estimate", "--image", "{tmp}/a.ppm", "--algo", "cnn",
+                                  "--model", "{tmp}/w.ccnn"], None, "FormatError"),
+    "manifest_deeply_nested": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
+                               "FormatError"),
     "size_not_integers": (["synth", "--out", "{tmp}/set", "--size", "64xq"], None,
                           "ParameterError"),
     "ill_not_numbers": (["correct", "--image", "{tmp}/a.ppm", "--out", "{tmp}/b.ppm",
@@ -267,12 +271,21 @@ MALFORMED_INPUTS = {
                                   None, "ParameterError"),
 }
 
+# case -> the files, by name in the test's directory, that its argv reads
+MALFORMED_FILES = {
+    "weights_header_truncated": {"w.ccnn": b"CCNN\x01"},
+    "manifest_deeply_nested": {
+        "m.json": b'{"version": 1, "entries": ' + b"[" * 100000 + b"]" * 100000 + b"}"},
+}
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
     def test_exits_one_with_one_line(self, case, tmp_path, capsys):
         save_ppm16(LinearImage(np.full((8, 8, 3), 0.5)), tmp_path / "a.ppm")
         argv, config, error = MALFORMED_INPUTS[case]
+        for name, content in MALFORMED_FILES.get(case, {}).items():
+            (tmp_path / name).write_bytes(content)
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)

@@ -3,10 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from patchcc.errors import DegenerateEstimateError, ParameterError
+from patchcc.errors import (
+    DegenerateEstimateError,
+    NumericFaultError,
+    ParameterError,
+    PipelineError,
+)
 from patchcc.evaluation import angular_error
 from patchcc.image import LinearImage, normalize
-from oracles import brute_force_response, dense_gaussian_2d, pixel_loop_derivative
+from oracles import (
+    brute_force_response,
+    dense_gaussian_2d,
+    padded_gaussian_smooth,
+    pixel_loop_derivative,
+    wrapped_minkowski_response,
+)
 
 from patchcc.minkowski import (
     EdgeFrameworkParams,
@@ -29,9 +40,18 @@ PRESET_TRIPLES = {
 }
 
 
+def random_data(shape, seed=0):
+    return np.random.default_rng(seed).uniform(0.0, 1.0, size=shape)
+
+
 def random_image(shape, seed=0):
-    rng = np.random.default_rng(seed)
-    return LinearImage(rng.uniform(0.0, 1.0, size=shape))
+    return LinearImage(random_data(shape, seed))
+
+
+# image sides: 1 and 2 (1xN, and every radius > side), up to 60 (radius < side
+# for every sigma up to 9, whose radius is 27)
+SIDES = (1, 2, 3, 7, 30, 60)
+SIGMAS = (0.5, 1.0, 3.0, 6.0, 9.0)
 
 
 # --------------------------------------------------------------------------
@@ -61,21 +81,17 @@ class TestParams:
         with pytest.raises(ParameterError):
             EdgeFrameworkParams(**kwargs)
 
-    def test_unsmoothed_derivative_opt_in(self):
-        p = EdgeFrameworkParams(n=1, p=1.0, sigma=0.0, allow_unsmoothed=True)
-        assert p.sigma == 0.0
-
 
 class TestGaussianSmooth:
     def test_sigma_zero_identity(self):
-        img = random_image((6, 6, 3))
-        assert gaussian_smooth(img, 0.0) is img
+        data = random_data((6, 6, 3))
+        assert gaussian_smooth(data, 0.0) is data
 
     def test_constant_preserved(self):
-        img = LinearImage(np.full((10, 12, 3), 0.37))
+        data = np.full((10, 12, 3), 0.37)
         for sigma in (0.5, 1.0, 3.0):
-            out = gaussian_smooth(img, sigma)
-            assert np.max(np.abs(out.data - 0.37)) < 1e-9
+            out = gaussian_smooth(data, sigma)
+            assert np.max(np.abs(out - 0.37)) < 1e-9
 
     def test_kernel_normalized(self):
         for sigma in (0.5, 1.0, 6.0, 9.0):
@@ -86,47 +102,59 @@ class TestGaussianSmooth:
     def test_single_bright_pixel_matches_dense_oracle(self):
         data = np.zeros((9, 9, 3))
         data[4, 4] = 1.0
-        img = LinearImage(data)
-        out = gaussian_smooth(img, 1.0)
+        out = gaussian_smooth(data, 1.0)
         expected = dense_gaussian_2d(data, 1.0)
-        assert np.max(np.abs(out.data - expected)) < 1e-9
+        assert np.max(np.abs(out - expected)) < 1e-9
 
     def test_matches_dense_oracle_with_large_radius(self):
         # radius exceeds the image size, exercising multi-bounce reflection
-        img = random_image((6, 5, 3), seed=2)
-        out = gaussian_smooth(img, 3.0)
-        expected = dense_gaussian_2d(img.data, 3.0)
-        assert np.max(np.abs(out.data - expected)) < 1e-9
+        data = random_data((6, 5, 3), seed=2)
+        out = gaussian_smooth(data, 3.0)
+        expected = dense_gaussian_2d(data, 3.0)
+        assert np.max(np.abs(out - expected)) < 1e-9
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_bytes_equal_padded_smoothing(self, sigma):
+        for h in SIDES:
+            for w in SIDES:
+                data = random_data((h, w, 3), seed=10 * h + w)
+                got = gaussian_smooth(data, sigma)
+                want = padded_gaussian_smooth(data, sigma)
+                assert got.tobytes() == want.tobytes(), (h, w)
 
 
 class TestDerivativeMagnitude:
     def test_order0_identity_on_nonnegative(self):
-        img = random_image((5, 5, 3))
-        assert np.array_equal(derivative_magnitude(img, 0).data, img.data)
+        data = random_data((5, 5, 3))
+        assert np.array_equal(derivative_magnitude(data, 0), data)
+
+    def test_order0_returns_the_input(self):
+        data = random_data((5, 5, 3))
+        assert derivative_magnitude(data, 0) is data
 
     def test_order1_flat_field(self):
-        img = LinearImage(np.full((6, 6, 3), 0.5))
-        assert np.max(derivative_magnitude(img, 1).data) == 0.0
+        data = np.full((6, 6, 3), 0.5)
+        assert np.max(derivative_magnitude(data, 1)) == 0.0
 
     def test_order1_ramp_interior(self):
         c = np.array([0.01, 0.02, 0.03])
         data = np.arange(8)[None, :, None] * c[None, None, :]
         data = np.broadcast_to(data, (6, 8, 3)).copy()
-        out = derivative_magnitude(LinearImage(data), 1)
-        interior = out.data[1:-1, 1:-1, :]
+        out = derivative_magnitude(data, 1)
+        interior = out[1:-1, 1:-1, :]
         for ch in range(3):
             assert np.allclose(interior[:, :, ch], c[ch], atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_pixel_loop_oracle(self, n):
-        img = random_image((7, 6, 3), seed=3)
-        out = derivative_magnitude(img, n)
-        expected = pixel_loop_derivative(img.data, n)
-        assert np.max(np.abs(out.data - expected)) < 1e-12
+        data = random_data((7, 6, 3), seed=3)
+        out = derivative_magnitude(data, n)
+        expected = pixel_loop_derivative(data, n)
+        assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_invalid_order(self):
         with pytest.raises(ParameterError):
-            derivative_magnitude(random_image((4, 4, 3)), 5)
+            derivative_magnitude(random_data((4, 4, 3)), 5)
 
 
 class TestMinkowskiEstimate:
@@ -155,6 +183,37 @@ class TestMinkowskiEstimate:
         img = LinearImage(np.full((8, 8, 3), 0.4))
         with pytest.raises(DegenerateEstimateError):
             minkowski_estimate(img, preset("GE1"))
+
+    @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
+    def test_overflow_is_a_pipeline_error(self, name):
+        # finite pixels whose sums, differences or squares overflow to inf
+        img = LinearImage(random_data((40, 40, 3), seed=11) * 1.7e308)
+        expected = NumericFaultError if name in ("gGW", "GE1", "GE2") else PipelineError
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(expected):
+            minkowski_estimate(img, preset(name))
+
+
+class TestMatchesWrappedStages:
+    """Byte equality with the response composed through `LinearImage` stages."""
+
+    @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
+    def test_response_bytes(self, name):
+        for h in SIDES:
+            for w in SIDES:
+                img = random_image((h, w, 3), seed=100 * h + w)
+                got = minkowski_response(img, preset(name))
+                want = wrapped_minkowski_response(img, preset(name))
+                assert got.tobytes() == want.tobytes(), (h, w)
+
+    @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
+    def test_negative_zero_channel(self, name):
+        # -0.0 passes the nonnegativity check; np.abs made it +0.0
+        data = random_data((6, 7, 3), seed=12)
+        data[:, :, 1] = -0.0
+        img = LinearImage(data)
+        got = minkowski_response(img, preset(name))
+        assert got.tobytes() == wrapped_minkowski_response(img, preset(name)).tobytes()
+        assert not np.signbit(got[1])
 
 
 class TestDoNothing:
