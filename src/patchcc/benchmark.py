@@ -7,8 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .estimator import estimate_image, pool_average
-from .evaluation import ErrorStats, angular_error, summarize
+from .estimator import estimate_image, pool_average, pool_median, prepared_patches, unit_estimates
+from .evaluation import angular_error, summarize
 from .minkowski import ESTIMATORS
 
 STAT_ALGOS = tuple(ESTIMATORS)
@@ -66,8 +66,8 @@ def benchmark(
 
     Statistical rows run on every image; network rows evaluate each image
     with the model of its own fold. The cnn-patch, cnn-average and
-    cnn-median rows share one forward pass per image. The cnn-patch row
-    pools the errors of every patch of every image into one sample.
+    cnn-median rows share one `unit_estimates` call per image. The cnn-patch
+    row pools the errors of every patch of every image into one sample.
     """
     samples = list(samples)
     if not samples:
@@ -76,22 +76,21 @@ def benchmark(
         if algo not in ALL_ALGOS:
             raise ParameterError(f"unknown estimator {algo!r}; valid: {', '.join(ALL_ALGOS)}")
     shared = [a for a in algos if a in SHARED_FORWARD_ALGOS]
-    pooling = "median" if "cnn-median" in algos else "average"
 
     def image_errors(s) -> dict[str, list[float]]:
         if shared:
             model = _model_for(s, fold_models, shared[0])
-            pooled = estimate_image(model, s.image, pooling, patch_size)
+            _, _, units = unit_estimates(model, prepared_patches(s.image, patch_size))
         errors = {}
         for algo in algos:
             if algo in ESTIMATORS:
                 estimates = [ESTIMATORS[algo](s.image)]
             elif algo == "cnn-patch":
-                estimates = pooled.units
+                estimates = units
             elif algo == "cnn-average":
-                estimates = [pool_average(pooled.units)]
+                estimates = [pool_average(units)]
             elif algo == "cnn-median":
-                estimates = [pooled.illuminant]
+                estimates = [pool_median(units)]
             else:
                 model = _model_for(s, finetuned_models, algo)
                 estimates = [estimate_image(model, s.image, "median", patch_size).illuminant]

@@ -21,7 +21,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from .benchmark import STAT_ALGOS, benchmark as run_benchmark
 from .errors import FormatError, ParameterError, PipelineError
-from .estimator import estimate_image, fine_tune, train
+from .estimator import POOLINGS, estimate_image, fine_tune, fold_samples, fold_split, train
 from .evaluation import angular_error, summarize
 from .image import correct_von_kries, load_illuminant_map_ppm, load_ppm16, normalize, save_ppm16
 from .localmap import (
@@ -164,8 +164,7 @@ def cmd_finetune(args) -> int:
         raise ParameterError("finetune needs --manifest, --model and --out")
     hyper = _hyper_from(args)
     samples = dataset_mod.load_samples(dataset_mod.load_manifest(args.manifest))
-    train_samples = [s for s in samples if s.fold == (args.fold + 1) % 3]
-    val_samples = [s for s in samples if s.fold == (args.fold + 2) % 3]
+    train_samples, val_samples = (fold_samples(samples, f) for f in fold_split(args.fold))
     params = load_params(args.model)
     log: list = []
     tuned = fine_tune(params, train_samples, hyper, pooling=args.pooling,
@@ -349,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--out")
     p.add_argument("--fold", type=int, default=0)
-    p.add_argument("--pooling", choices=("average", "median"), default="median")
+    p.add_argument("--pooling", choices=POOLINGS, default="median")
     _add_hyper_flags(p)
 
     p = sub("estimate", cmd_estimate, help="estimate one image's illuminant")
     p.add_argument("--image")
     p.add_argument("--algo", default="GW")
     p.add_argument("--model")
-    p.add_argument("--pooling", choices=("average", "median"), default="median")
+    p.add_argument("--pooling", choices=POOLINGS, default="median")
     p.add_argument("--patch-size", type=int, default=32)
 
     p = sub("correct", cmd_correct, help="write the von Kries corrected image")
@@ -365,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ill", help="known illuminant R,G,B")
     p.add_argument("--algo", help="estimate the illuminant first")
     p.add_argument("--model")
-    p.add_argument("--pooling", choices=("average", "median"), default="median")
+    p.add_argument("--pooling", choices=POOLINGS, default="median")
     p.add_argument("--patch-size", type=int, default=32)
 
     p = sub("local-map", cmd_local_map, help="per-patch illuminant map")

@@ -36,6 +36,9 @@ from .patches import ExclusionMask
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
+# fewest and most rectangles in a synthetic scene
+RECT_COUNT_RANGE = (6, 14)
+
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -82,7 +85,7 @@ def save_manifest(manifest: DatasetManifest, path):
                 "ground_truth_illuminant": list(e.ground_truth_illuminant),
                 "fold": e.fold,
                 "exclusion_rects": [list(r) for r in e.exclusion_rects],
-                **({"gt_map_path": e.gt_map_path} if e.gt_map_path else {}),
+                **({"gt_map_path": e.gt_map_path} if e.gt_map_path is not None else {}),
             }
             for e in manifest.entries
         ],
@@ -93,7 +96,8 @@ def save_manifest(manifest: DatasetManifest, path):
 
 
 def _manifest_entry(raw) -> ManifestEntry:
-    """One manifest entry; KeyError, TypeError or ValueError if malformed."""
+    """One manifest entry; KeyError, TypeError, ValueError or OverflowError
+    if malformed."""
     entry = ManifestEntry(
         image_path=raw["image_path"],
         ground_truth_illuminant=tuple(float(v) for v in raw["ground_truth_illuminant"]),
@@ -131,7 +135,8 @@ def load_manifest(path) -> DatasetManifest:
             entry = _manifest_entry(raw)
         except KeyError as exc:
             raise ParameterError(f"manifest entry {i} has no {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        # OverflowError comes from int() of an infinite value such as 1e999
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"manifest entry {i} is malformed: {exc}") from exc
         full = os.path.join(base_dir, entry.image_path)
         if not os.path.exists(full):
@@ -187,7 +192,6 @@ class SynthConfig:
     white_patch: bool = False
     ill_red_range: tuple[float, float] = (0.4, 1.1)
     ill_blue_range: tuple[float, float] = (0.4, 1.1)
-    rect_count_range: tuple[int, int] = (6, 14)
     saturation: float = 0.65
     noise_sigma: float = 0.01
 
@@ -217,7 +221,7 @@ def generate_scene(rng, config: SynthConfig) -> LinearImage:
     w, h = config.width, config.height
     scene = np.empty((h, w, 3))
     scene[:] = _random_color(rng, config.saturation)
-    n_rects = int(rng.integers(config.rect_count_range[0], config.rect_count_range[1] + 1))
+    n_rects = int(rng.integers(RECT_COUNT_RANGE[0], RECT_COUNT_RANGE[1] + 1))
     for _ in range(n_rects):
         rw = int(rng.integers(max(2, w // 8), max(3, w // 2)))
         rh = int(rng.integers(max(2, h // 8), max(3, h // 2)))

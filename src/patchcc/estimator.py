@@ -7,12 +7,11 @@ error, backpropagating through the pooling step (median pooling routes each
 channel's gradient to the estimate(s) realizing the median, average pooling
 spreads it 1/N).
 
-Image estimation, fine-tuning and `localmap.estimate_local_map` all take
-their patches from `prepared_patches` (tile, then stretch); training takes
-them from `training_patch_arrays` (sample, then stretch).
-
-Cross-validation convention for test fold k: train on fold (k+1) % 3,
-validate on fold (k+2) % 3.
+Image estimation, fine-tuning, local maps and the benchmark's cnn rows take
+their patches from `prepared_patches` (tile, then stretch), and all but
+fine-tuning get their per-patch unit estimates from `unit_estimates`;
+training takes its patches from `training_patch_arrays` (sample, then
+stretch). `fold_split` holds the cross-validation convention.
 """
 
 from __future__ import annotations
@@ -46,6 +45,14 @@ from .patches import PatchBatch, extract_grid_patches, histogram_stretch, resize
 
 RESIZE_TARGET = 1200
 POOLINGS = ("average", "median")
+DIRECTION_FREE_NORM = 1e-9  # a shorter rectified network output has no direction
+
+# training validates on at most this many patches, drawn with the run's seed
+VAL_PATCH_CAP = 1024
+
+# a fine-tuning checkpoint must beat the best validation median by more than
+# this many degrees to displace it
+MIN_IMPROVEMENT_DEG = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +80,14 @@ def rectified_unit(raw: np.ndarray) -> np.ndarray:
     """
     clamped = np.maximum(raw, 0.0)
     norm = float(np.linalg.norm(clamped))
-    if norm < 1e-9:
+    if norm < DIRECTION_FREE_NORM:
         raise DegenerateEstimateError(f"network output {raw} has no usable direction")
     return clamped / norm
 
 
 def _usable_output_rows(raw: np.ndarray) -> np.ndarray:
     """Rows whose rectified output still has a direction; raises when none has."""
-    keep = np.linalg.norm(np.maximum(raw, 0.0), axis=1) >= 1e-9
+    keep = np.linalg.norm(np.maximum(raw, 0.0), axis=1) >= DIRECTION_FREE_NORM
     if not np.any(keep):
         raise EstimationImpossibleError("every patch estimate is direction-free")
     return keep
@@ -127,6 +134,16 @@ def prepared_patches(
     return batch
 
 
+def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray, ...]:
+    """The mask of the batch rows whose rectified network output has a
+    direction, and those rows' raw outputs and unit estimates, each (M, 3)."""
+    raw = forward(params, batch.data)
+    keep = _usable_output_rows(raw)
+    raw = raw[keep]
+    # row by row: a vectorized norm differs from rectified_unit's in the last bit
+    return keep, raw, np.stack([rectified_unit(row) for row in raw])
+
+
 def estimate_image(
     params: NetworkParams,
     img: LinearImage,
@@ -137,11 +154,7 @@ def estimate_image(
     if pooling not in POOLINGS:
         raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
     batch = prepared_patches(img, patch_size)
-    raw = forward(params, batch.data)
-    keep = _usable_output_rows(raw)
-    raw = raw[keep]
-    # row by row: a vectorized norm differs from rectified_unit's in the last bit
-    units = np.stack([rectified_unit(row) for row in raw])
+    keep, raw, units = unit_estimates(params, batch)
     return PooledEstimate(
         illuminant=(pool_median if pooling == "median" else pool_average)(units),
         origins=batch.origins[keep],
@@ -155,7 +168,13 @@ def estimate_image(
 # training
 
 
-def _fold_samples(samples, fold: int) -> list[LabeledImage]:
+def fold_split(k: int) -> tuple[int, int]:
+    """The (training, validation) folds for test fold k."""
+    return (k + 1) % 3, (k + 2) % 3
+
+
+def fold_samples(samples, fold: int) -> list[LabeledImage]:
+    """The samples of one cross-validation fold, in order."""
     return [s for s in samples if s.fold == fold]
 
 
@@ -189,26 +208,26 @@ class TrainResult:
 def train(dataset, folds, hyper: HyperParams) -> TrainResult:
     """Three-fold cross-validated patch training with half-squared-error loss.
 
-    For each requested test fold k the model trains on fold (k+1) % 3 and
-    early-stops on the patch-level angular error of fold (k+2) % 3, keeping
-    the best validation checkpoint.
+    For each requested test fold k the model trains on the first fold of
+    `fold_split(k)` and early-stops on the patch-level angular error of the
+    second, keeping the best validation checkpoint.
     """
     samples = list(dataset)
     present = {s.fold for s in samples}
     log: list[dict] = []
     models: dict[int, NetworkParams] = {}
     for k in folds:
-        train_fold, val_fold = (k + 1) % 3, (k + 2) % 3
+        train_fold, val_fold = fold_split(k)
         for f in (k, train_fold, val_fold):
             if f not in present:
                 raise ParameterError(f"dataset has no images in fold {f}")
         dtype = np.dtype(hyper.dtype)
-        x_tr, y_tr = training_patch_arrays(_fold_samples(samples, train_fold), hyper)
-        x_val, y_val = training_patch_arrays(_fold_samples(samples, val_fold), hyper)
+        x_tr, y_tr = training_patch_arrays(fold_samples(samples, train_fold), hyper)
+        x_val, y_val = training_patch_arrays(fold_samples(samples, val_fold), hyper)
         x_tr, y_tr = x_tr.astype(dtype), y_tr.astype(dtype)
-        if len(x_val) > hyper.val_patch_cap:
+        if len(x_val) > VAL_PATCH_CAP:
             keep = np.random.default_rng([hyper.seed, k, 2]).choice(
-                len(x_val), size=hyper.val_patch_cap, replace=False
+                len(x_val), size=VAL_PATCH_CAP, replace=False
             )
             x_val, y_val = x_val[keep], y_val[keep]
         x_val = x_val.astype(dtype)
@@ -306,7 +325,6 @@ def fine_tune(
     hyper: HyperParams,
     pooling: str = "median",
     val_dataset=None,
-    min_improvement: float = 0.1,
     log: list | None = None,
 ) -> NetworkParams:
     """Continue training on the image-level angular loss, one image per step.
@@ -314,7 +332,7 @@ def fine_tune(
     When a validation set is given, the checkpoint with the lowest pooled
     median error is returned; a checkpoint only displaces the current best
     (initially the input parameters) when it wins by more than
-    `min_improvement` degrees, so small-sample validation noise cannot hand
+    `MIN_IMPROVEMENT_DEG` degrees, so small-sample validation noise cannot hand
     back something worse than the starting point.
     """
     samples = list(dataset)
@@ -349,6 +367,6 @@ def fine_tune(
             err = val_median(params)
             if log is not None:
                 log.append({"epoch": epoch, "split": "val", "pooled_median": err})
-            if err < best_err - min_improvement:
+            if err < best_err - MIN_IMPROVEMENT_DEG:
                 best_params, best_err = params, err
     return best_params if val_dataset else params

@@ -1,5 +1,5 @@
-"""Per-patch illuminant maps for spatially varying light, with 3x3 spatial
-filtering of the estimate grid and per-cell error maps."""
+"""Per-patch illuminant maps for spatially varying light from `unit_estimates`,
+with 3x3 spatial filtering of the estimate grid and per-cell error maps."""
 
 from __future__ import annotations
 
@@ -9,11 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .estimator import _usable_output_rows, prepared_patches, rectified_unit
+from .estimator import prepared_patches, unit_estimates
 from .evaluation import angular_error_many
-from .image import LinearImage, save_ppm16, ILLUMINANT_MAP_SCALE
-from .network import NetworkParams, forward
+from .image import LinearImage, save_illuminant_map_ppm
+from .network import NetworkParams
 from .patches import grid_tiles
+
+# sigma, in cells, of the 3x3 Gaussian map filter
+MAP_GAUSSIAN_SIGMA = 0.8
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,13 +60,11 @@ def estimate_local_map(params: NetworkParams, img: LinearImage, patch_size: int)
     """
     # the cells must stay aligned with the source pixels, so no resize
     batch = prepared_patches(img, patch_size, resize_target=None)
-    raw = forward(params, batch.data)
-    keep = _usable_output_rows(raw)
+    keep, _, units = unit_estimates(params, batch)
     cells = np.zeros((img.height // patch_size, img.width // patch_size, 3))
     filled = np.zeros(cells.shape[:2], dtype=bool)
     gx, gy = (batch.origins[keep] // patch_size).T
-    # row by row: a vectorized norm differs from rectified_unit's in the last bit
-    cells[gy, gx] = np.stack([rectified_unit(row) for row in raw[keep]])
+    cells[gy, gx] = units
     filled[gy, gx] = True
     if not filled.all():
         # candidates sorted by (x, y), so argmin's first hit breaks distance ties
@@ -88,10 +89,11 @@ def _neighborhoods(cells: np.ndarray) -> np.ndarray:
     ])
 
 
-def gaussian_3x3_kernel(sigma: float = 0.8) -> np.ndarray:
-    """3x3 taps sampled from a Gaussian, normalized to sum 1."""
+def gaussian_3x3_kernel() -> np.ndarray:
+    """3x3 taps sampled from a Gaussian of `MAP_GAUSSIAN_SIGMA`, normalized
+    to sum 1."""
     xs = np.array([-1.0, 0.0, 1.0])
-    k1 = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    k1 = np.exp(-(xs * xs) / (2.0 * MAP_GAUSSIAN_SIGMA * MAP_GAUSSIAN_SIGMA))
     k = np.outer(k1, k1)
     return k / k.sum()
 
@@ -146,14 +148,10 @@ def grid_ground_truth(gt_pixels: np.ndarray, patch_size: int) -> IlluminantMap:
 
 
 def save_map_ppm(ill_map: IlluminantMap, path):
-    """Render the grid as a PPM, each cell upscaled to patch_size pixels and
-    scaled by 1/sqrt(3) like all stored illuminant maps."""
+    """Write the grid with `save_illuminant_map_ppm`, one cell per patch."""
     up = np.repeat(np.repeat(ill_map.estimates, ill_map.patch_size, axis=0),
                    ill_map.patch_size, axis=1)
-    save_ppm16(
-        LinearImage(up * ILLUMINANT_MAP_SCALE), path,
-        comment="illuminant map: unit RGB scaled by 65535/sqrt(3)",
-    )
+    save_illuminant_map_ppm(up, path)
 
 
 def save_map_csv(ill_map: IlluminantMap, path):

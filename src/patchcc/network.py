@@ -24,6 +24,7 @@ Wider kernels (k x k, for the width sweep) use the reference layers
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -50,6 +51,9 @@ FUSED_BLOCK_BYTES = 2 << 20
 # patches per `forward` pass over a large batch; it fixes the FC layer's
 # matrix shapes, and so the last bit of its sums
 FORWARD_CHUNK = 512
+
+# central-difference step of `gradient_check`
+GRADCHECK_STEP = 1e-4
 
 
 def _as_float(a) -> np.ndarray:
@@ -80,14 +84,12 @@ class HyperParams:
     epochs: int = 20
     patience: int = 5
     patches_per_image: int = 100
-    val_patch_cap: int = 1024
     seed: int = 0
     dtype: str = "float64"
 
     def __post_init__(self):
         for name in ("patch_size", "kernel_count", "kernel_width", "pool_size",
-                     "fc_units", "batch_size", "epochs", "patches_per_image",
-                     "val_patch_cap"):
+                     "fc_units", "batch_size", "epochs", "patches_per_image"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.patch_size % self.pool_size != 0:
@@ -127,13 +129,19 @@ class NetworkParams:
             if not np.all(np.isfinite(arr)):
                 raise NumericFaultError(f"non-finite values in {name}")
             arrays[name] = arr
-        k = arrays["conv_w"].shape[0]
-        if arrays["conv_w"].ndim != 4 or arrays["conv_w"].shape[3] != 3 \
-                or arrays["conv_w"].shape[1] != arrays["conv_w"].shape[2]:
-            raise ShapeMismatchError(f"conv_w must be (K, kw, kw, 3), got {arrays['conv_w'].shape}")
+        conv_w, fc_w = arrays["conv_w"], arrays["fc_w"]
+        if conv_w.ndim != 4 or conv_w.shape[3] != 3 or conv_w.shape[1] != conv_w.shape[2]:
+            raise ShapeMismatchError(f"conv_w must be (K, kw, kw, 3), got {conv_w.shape}")
+        if fc_w.ndim != 2:
+            raise ShapeMismatchError(f"fc_w must be (H, G*G*K), got {fc_w.shape}")
+        if 0 in conv_w.shape + fc_w.shape:
+            raise ShapeMismatchError(
+                f"conv_w {conv_w.shape} and fc_w {fc_w.shape} need every dimension >= 1"
+            )
+        k = conv_w.shape[0]
         if arrays["conv_b"].shape != (k,):
             raise ShapeMismatchError("conv_b length must match kernel count")
-        h, d = arrays["fc_w"].shape
+        h, d = fc_w.shape
         if d % k != 0:
             raise ShapeMismatchError(f"fc input width {d} not a multiple of kernel count {k}")
         g = int(round((d // k) ** 0.5))
@@ -599,14 +607,14 @@ def gradient_check(
     patch: np.ndarray,
     gt,
     loss_kind: str = "euclidean",
-    step: float = 1e-4,
     analytic: NetworkGrads | None = None,
 ) -> dict[str, float]:
     """Compare analytic gradients against central finite differences.
 
-    Enumerates every parameter, so keep the configuration small. Returns the
-    max relative error |a - n| / max(|a|, |n|, 1e-8) per layer. `analytic`
-    overrides the internally computed gradients (negative-control hook).
+    Enumerates every parameter, stepping each by +-`GRADCHECK_STEP`, so keep
+    the configuration small. Returns the max relative error
+    |a - n| / max(|a|, |n|, 1e-8) per layer. `analytic` overrides the
+    internally computed gradients (negative-control hook).
     """
     loss = _loss_fn(loss_kind)
     if analytic is None:
@@ -624,7 +632,8 @@ def gradient_check(
         worst = 0.0
         grads = getattr(analytic, name)
         for idx in np.ndindex(values[name].shape):
-            numeric = (loss_at(name, idx, step) - loss_at(name, idx, -step)) / (2 * step)
+            numeric = (loss_at(name, idx, GRADCHECK_STEP)
+                       - loss_at(name, idx, -GRADCHECK_STEP)) / (2 * GRADCHECK_STEP)
             a = float(grads[idx])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)
@@ -671,8 +680,12 @@ def load_params(path) -> NetworkParams:
         if pos + 4 * ndim > len(buf):
             raise FormatError(f"truncated dims for layer {name}", offset=pos)
         dims = struct.unpack_from(f"<{ndim}I", buf, pos)
+        # no layer is empty, and numpy cannot even reshape an empty payload
+        # to dims such as (0, 2**32 - 1, 2**32 - 1)
+        if 0 in dims:
+            raise FormatError(f"layer {name} has an empty dimension: {dims}", offset=pos)
         pos += 4 * ndim
-        n = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+        n = math.prod(dims)
         nbytes = 4 * n
         if pos + nbytes > len(buf):
             raise FormatError(

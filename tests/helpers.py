@@ -1,10 +1,21 @@
 """Shared builders for network and dataset fixtures."""
 
+import math
+import struct
+
 import numpy as np
+from hypothesis import strategies as st
 
 from patchcc.dataset import LabeledImage
 from patchcc.image import LinearImage, cast_illuminant, normalize
-from patchcc.network import HyperParams, NetworkParams, init_params
+from patchcc.network import (
+    PARAM_LAYERS,
+    WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
+    HyperParams,
+    NetworkParams,
+    init_params,
+)
 from patchcc.patches import PatchBatch
 
 TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5)
@@ -71,3 +82,34 @@ def make_synthetic_samples(count=9, size=48, seed=0, sat=0.4):
             illuminant=ill, fold=i % 3,
         ))
     return samples
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+# layer shapes of a valid network with K=2, 1x1 kernels, G=1 and H=4
+TINY_SHAPES = {"conv_w": (2, 1, 1, 3), "conv_b": (2,), "fc_w": (4, 2), "fc_b": (4,),
+               "out_w": (3, 4), "out_b": (3,)}
+
+
+def weights_bytes(layers) -> bytes:
+    """A weights file from (dims, payload bytes) per layer, in file order."""
+    out = WEIGHTS_MAGIC + struct.pack("<I", WEIGHTS_VERSION)
+    for dims, payload in layers:
+        out += struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload
+    return out
+
+
+def tiny_weights(**shapes) -> bytes:
+    """The TINY_SHAPES weights file with some layers' dims replaced. Each
+    payload holds as many float32 zeros as its dims call for, or none when
+    that is more than a million."""
+    layers = []
+    for name in PARAM_LAYERS:
+        dims = shapes.get(name, TINY_SHAPES[name])
+        n = math.prod(dims)
+        layers.append((dims, bytes(4 * n) if n <= 1 << 20 else b""))
+    return weights_bytes(layers)

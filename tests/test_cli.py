@@ -16,6 +16,8 @@ from patchcc.errors import PipelineError
 from patchcc.image import LinearImage, load_ppm16, save_ppm16, normalize
 from patchcc.network import HyperParams
 
+from helpers import JSON_VALUES, tiny_weights
+
 
 def run(args):
     return main(args)
@@ -241,6 +243,8 @@ class TestMalformedManifest:
         assert "Traceback" not in err
 
 
+CNN_ESTIMATE = ["estimate", "--image", "{tmp}/a.ppm", "--algo", "cnn", "--model", "{tmp}/w.ccnn"]
+
 # argv (with {tmp} for the test's directory), config file text or None, and
 # the error type the one-line message must name
 MALFORMED_INPUTS = {
@@ -260,6 +264,16 @@ MALFORMED_INPUTS = {
                                   "--model", "{tmp}/w.ccnn"], None, "FormatError"),
     "manifest_deeply_nested": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
                                "FormatError"),
+    "weights_dims_overflow_int64": (CNN_ESTIMATE, None, "FormatError"),
+    "weights_conv_w_scalar": (CNN_ESTIMATE, None, "ShapeMismatchError"),
+    "weights_fc_w_vector": (CNN_ESTIMATE, None, "ShapeMismatchError"),
+    "weights_zero_kernels": (CNN_ESTIMATE, None, "FormatError"),
+    "weights_zero_kernel_width": (CNN_ESTIMATE, None, "FormatError"),
+    "weights_zero_fc_width": (CNN_ESTIMATE, None, "FormatError"),
+    "manifest_fold_overflow": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
+                               "ParameterError"),
+    "manifest_rect_overflow": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
+                               "ParameterError"),
     "size_not_integers": (["synth", "--out", "{tmp}/set", "--size", "64xq"], None,
                           "ParameterError"),
     "ill_not_numbers": (["correct", "--image", "{tmp}/a.ppm", "--out", "{tmp}/b.ppm",
@@ -276,6 +290,19 @@ MALFORMED_FILES = {
     "weights_header_truncated": {"w.ccnn": b"CCNN\x01"},
     "manifest_deeply_nested": {
         "m.json": b'{"version": 1, "entries": ' + b"[" * 100000 + b"]" * 100000 + b"}"},
+    # 65536**4 is 2**64, which wraps to 0 in int64
+    "weights_dims_overflow_int64": {"w.ccnn": tiny_weights(conv_w=(65536,) * 4)},
+    "weights_conv_w_scalar": {"w.ccnn": tiny_weights(conv_w=())},
+    "weights_fc_w_vector": {"w.ccnn": tiny_weights(fc_w=(8,))},
+    "weights_zero_kernels": {"w.ccnn": tiny_weights(conv_w=(0, 1, 1, 3), conv_b=(0,))},
+    "weights_zero_kernel_width": {"w.ccnn": tiny_weights(conv_w=(2, 0, 0, 3))},
+    "weights_zero_fc_width": {"w.ccnn": tiny_weights(fc_w=(4, 0))},
+    # JSON reads 1e999 as a float infinity, which int() cannot convert
+    "manifest_fold_overflow": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
+                                         b'"ground_truth_illuminant": [1, 1, 1], "fold": 1e999}]}'},
+    "manifest_rect_overflow": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
+                                         b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, '
+                                         b'"exclusion_rects": [[0, 0, 1e999, 4]]}]}'},
 }
 
 
@@ -326,12 +353,6 @@ def built_in_options(command) -> dict:
         del options[key]
     return options
 
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=8,
-)
 
 JSON_OF_TYPE = {bool: st.booleans(), int: st.integers(), float: st.floats(allow_nan=False),
                 str: st.text()}

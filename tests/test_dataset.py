@@ -1,8 +1,10 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from patchcc.dataset import (
     DatasetManifest,
@@ -13,10 +15,12 @@ from patchcc.dataset import (
     load_samples,
     save_manifest,
 )
-from patchcc.errors import ParameterError
+from patchcc.errors import ParameterError, PipelineError
 from patchcc.evaluation import angular_error
 from patchcc.image import save_ppm16, LinearImage
 from patchcc.minkowski import minkowski_estimate, preset
+
+from helpers import JSON_VALUES
 
 
 def tree_bytes(root):
@@ -27,7 +31,78 @@ def tree_bytes(root):
     return out
 
 
+ENTRY_KEYS = ("image_path", "ground_truth_illuminant", "fold", "exclusion_rects", "gt_map_path")
+
+# JSON values, plus the infinities and NaN that Python's JSON reader accepts
+FIELD_VALUES = JSON_VALUES | st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308])
+
+VALID_ENTRIES = st.fixed_dictionaries(
+    {"image_path": st.just("img.ppm"),
+     "ground_truth_illuminant": st.lists(st.floats(0.01, 10.0), min_size=3, max_size=3),
+     "fold": st.integers(0, 2)},
+    optional={"exclusion_rects": st.lists(st.lists(st.integers(-9, 99), min_size=4, max_size=4),
+                                          max_size=2),
+              "gt_map_path": st.just("img.ppm")},
+)
+
+
+@st.composite
+def manifest_files(draw):
+    """Manifest file bytes and whether they are valid: a document of valid
+    entries; one whose entries mix valid ones, valid ones with one field
+    drawn, objects of entry keys (or any text) with drawn values, and any
+    values; any JSON value; or any bytes."""
+    kind = draw(st.sampled_from(["valid", "mixed", "json", "bytes"]))
+    if kind == "valid":
+        doc = {"version": 1, "entries": draw(st.lists(VALID_ENTRIES, max_size=3))}
+    elif kind == "mixed":
+        entries = []
+        for _ in range(draw(st.integers(0, 3))):
+            form = draw(st.sampled_from(["valid", "one_field", "any_fields", "any"]))
+            if form in ("valid", "one_field"):
+                entry = draw(VALID_ENTRIES)
+                if form == "one_field":
+                    entry[draw(st.sampled_from(ENTRY_KEYS))] = draw(FIELD_VALUES)
+            elif form == "any_fields":
+                keys = st.sampled_from(ENTRY_KEYS) | st.text(max_size=3)
+                entry = draw(st.dictionaries(keys, FIELD_VALUES, max_size=6))
+            else:
+                entry = draw(FIELD_VALUES)
+            entries.append(entry)
+        doc = {"version": draw(st.just(1) | FIELD_VALUES), "entries": entries}
+    elif kind == "json":
+        doc = draw(FIELD_VALUES)
+    else:
+        return draw(st.binary(max_size=64)), False
+    return json.dumps(doc).encode(), kind == "valid"
+
+
 class TestManifest:
+    @settings(max_examples=150, deadline=None)
+    @given(manifest_files())
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": 1e999}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, '
+              b'"exclusion_rects": [[0, 0, 1e999, 4]]}]}', False))
+    @example((b'{"version": 1, "entries": ' + b"[" * 100000 + b"]" * 100000 + b"}", False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, "gt_map_path": ""}]}', False))
+    def test_round_trip_or_pipeline_error(self, case):
+        data, valid = case
+        with tempfile.TemporaryDirectory() as tmp:
+            save_ppm16(LinearImage(np.full((2, 2, 3), 0.5)), os.path.join(tmp, "img.ppm"))
+            path = os.path.join(tmp, "manifest.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                manifest = load_manifest(path)
+            except PipelineError:
+                assert not valid
+                return
+            save_manifest(manifest, path)
+            assert load_manifest(path).entries == manifest.entries
+
     def test_roundtrip(self, tmp_path):
         img_path = tmp_path / "img.ppm"
         save_ppm16(LinearImage(np.full((2, 2, 3), 0.5)), img_path)

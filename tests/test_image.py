@@ -1,10 +1,12 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from patchcc.errors import FormatError, ImageTooSmallError, InvalidIlluminantError
+from patchcc.errors import FormatError, ImageTooSmallError, InvalidIlluminantError, PipelineError
 from patchcc.image import (
     Illuminant,
     LinearImage,
@@ -153,7 +155,55 @@ class TestComposeTwoIlluminants:
             compose_two_illuminants(random_image((3, 1, 3)), neutral_illuminant(), neutral_illuminant())
 
 
+HEADER_TOKENS = st.sampled_from([b"P6", b"P5", b"0", b"1", b"2", b"-1", b"+2", b"1_0", b"x",
+                                 b"255", b"65535", b"65536", b"4294967296", b"9" * 5000])
+HEADER_GAPS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"# c\n", b"#", b""])
+
+
+@st.composite
+def ppm_files(draw):
+    """PPM file bytes and, for a well-formed file, its (H, W, 3) samples: a
+    well-formed file with or without a comment, one with a few bytes cut,
+    replaced or inserted, a header of drawn tokens and gaps, or any bytes."""
+    kind = draw(st.sampled_from(["valid", "mutated", "tokens", "bytes"]))
+    if kind in ("valid", "mutated"):
+        h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        samples = np.array(draw(st.lists(st.integers(0, 65535), min_size=h * w * 3,
+                                         max_size=h * w * 3)), ">u2").reshape(h, w, 3)
+        comment = draw(st.sampled_from([b"", b"# c\n"]))
+        data = b"P6\n" + comment + b"%d %d\n65535\n" % (w, h) + samples.tobytes()
+        if kind == "valid":
+            return data, samples
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.binary(max_size=3)) + data[at + draw(st.integers(0, 3)):], None
+    if kind == "tokens":
+        header = b"".join(draw(HEADER_TOKENS) + draw(HEADER_GAPS) for _ in range(4))
+        return header + draw(st.binary(max_size=100)), None
+    return draw(st.binary(max_size=64)), None
+
+
 class TestPpmIO:
+    @settings(max_examples=150, deadline=None)
+    @given(ppm_files())
+    @example((b"P6\n1 1\n65535", None))
+    @example((b"P6 2 2 65535\n" + b"\x00" * 23, None))
+    @example((b"P6 65535 65535 65535\n" + b"\x00" * 6, None))
+    def test_round_trip_or_pipeline_error(self, case):
+        data, samples = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.ppm")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                img = load_ppm16(path)
+            except PipelineError:
+                assert samples is None
+                return
+            if samples is not None:
+                assert np.array_equal(img.data, samples.astype(np.float64) / 65535)
+            save_ppm16(img, path)
+            assert np.array_equal(load_ppm16(path).data, img.data)
+
     def test_single_pixel(self, tmp_path):
         path = tmp_path / "one.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n" + bytes([0xFF, 0xFF, 0, 0, 0, 0]))

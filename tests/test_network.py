@@ -1,19 +1,25 @@
 import math
+import os
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from patchcc.errors import (
     DegenerateEstimateError,
     FormatError,
     NumericFaultError,
+    PipelineError,
     ShapeMismatchError,
 )
 from patchcc.image import normalize
 from patchcc.network import (
     FUSED_BLOCK_BYTES,
+    PARAM_LAYERS,
+    WEIGHTS_MAGIC,
     HyperParams,
     NetworkGrads,
     NetworkParams,
@@ -38,6 +44,8 @@ from patchcc.network import (
     sgd_step,
     zero_momentum,
 )
+
+from helpers import TINY_SHAPES, tiny_weights, weights_bytes
 
 TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5)
 
@@ -453,6 +461,17 @@ class TestFullForward:
         with pytest.raises(NumericFaultError):
             replace(params, conv_w=bad)
 
+    @pytest.mark.parametrize("shapes", [
+        {"conv_w": ()}, {"fc_w": (8,)}, {"conv_w": (0, 1, 1, 3), "conv_b": (0,)},
+        {"conv_w": (2, 0, 0, 3)}, {"fc_w": (4, 0)}, {"fc_w": (0, 2), "fc_b": (0,), "out_w": (3, 0)},
+    ], ids=["conv_w_scalar", "fc_w_vector", "zero_kernels", "zero_kernel_width",
+            "zero_fc_width", "zero_fc_units"])
+    def test_misshapen_params_rejected(self, shapes):
+        arrays = {name: np.zeros(shapes.get(name, dims)) for name, dims in TINY_SHAPES.items()}
+        NetworkParams(**{name: np.zeros(dims) for name, dims in TINY_SHAPES.items()})
+        with pytest.raises(ShapeMismatchError):
+            NetworkParams(**arrays)
+
 
 class TestLosses:
     def test_euclidean_examples(self):
@@ -649,6 +668,38 @@ class TestGradientCheck:
         assert report["fc_w"] > 0.1
 
 
+FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+DIMS = st.sampled_from([0, 1, 2, 3, 4, 8, 65536, 2**32 - 1])
+
+
+@st.composite
+def weights_files(draw):
+    """Weights file bytes and whether they are valid: a network of drawn
+    shape and finite float32 values; the six layers, each with its TINY_SHAPES
+    dims or drawn ones and a payload of the size these call for or of drawn
+    bytes, plus drawn trailing bytes; or drawn bytes after a header or none."""
+    kind = draw(st.sampled_from(["valid", "layers", "bytes"]))
+    if kind == "valid":
+        k, h, g = (draw(st.integers(1, 3)) for _ in range(3))
+        kw = draw(st.sampled_from([1, 3]))
+        shapes = [(k, kw, kw, 3), (k,), (h, g * g * k), (h,), (3, h), (3,)]
+        sizes = [math.prod(dims) for dims in shapes]
+        return weights_bytes([
+            (dims, np.array(draw(st.lists(FLOAT32, min_size=n, max_size=n)), "<f4").tobytes())
+            for dims, n in zip(shapes, sizes)
+        ]), True
+    if kind == "layers":
+        layers = []
+        for name in PARAM_LAYERS[: draw(st.integers(0, len(PARAM_LAYERS)))]:
+            dims = draw(st.just(TINY_SHAPES[name]) | st.lists(DIMS, max_size=9).map(tuple))
+            n = math.prod(dims)
+            layers.append((dims, draw(st.binary(max_size=64)
+                                      | st.just(bytes(4 * n) if n <= 1 << 10 else b""))))
+        return weights_bytes(layers) + draw(st.binary(max_size=4)), False
+    header = draw(st.sampled_from([b"", WEIGHTS_MAGIC, weights_bytes([])]))
+    return header + draw(st.binary(max_size=64)), False
+
+
 class TestWeightsFile:
     def test_save_load_save_bit_exact(self, tmp_path):
         params = toy_params(11)
@@ -699,3 +750,28 @@ class TestWeightsFile:
         back = load_params(path)
         patch = np.random.default_rng(18).uniform(0, 1, (8, 8, 3))
         assert np.allclose(forward(back, patch), forward(params, patch), atol=1e-7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights_files())
+    @example((tiny_weights(conv_w=(65536,) * 4), False))  # 2**64 values wrap to 0 in int64
+    @example((tiny_weights(conv_w=()), False))
+    @example((tiny_weights(fc_w=(8,)), False))
+    @example((tiny_weights(conv_w=(0, 1, 1, 3), conv_b=(0,)), False))
+    @example((tiny_weights(conv_w=(2, 0, 0, 3)), False))
+    @example((tiny_weights(fc_w=(4, 0)), False))
+    @example((WEIGHTS_MAGIC + b"\x01", False))
+    def test_round_trip_or_pipeline_error(self, case):
+        data, valid = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "w.ccnn")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                params = load_params(path)
+            except PipelineError:
+                assert not valid
+                return
+            save_params(params, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == data
+
