@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .estimator import estimate_image, pool_average, pool_median, prepared_patches, unit_estimates
-from .evaluation import angular_error, summarize
+from .evaluation import STAT_NAMES, angular_error, summarize
 from .minkowski import ESTIMATORS
 
 STAT_ALGOS = tuple(ESTIMATORS)
@@ -35,7 +35,7 @@ class BenchmarkReport:
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["algorithm", "min", "prc10", "median", "mean", "prc90", "max"])
+            writer.writerow(["algorithm", *STAT_NAMES])
             for name, stats in self.rows.items():
                 writer.writerow([name] + [f"{v:.6f}" for v in stats.as_row()])
 

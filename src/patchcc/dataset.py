@@ -95,22 +95,35 @@ def save_manifest(manifest: DatasetManifest, path):
         fh.write("\n")
 
 
+def _json_value(value, types, what):
+    """`value` if it is an instance of `types` and not a boolean, which
+    Python counts as an int; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{what} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def _manifest_entry(raw) -> ManifestEntry:
     """One manifest entry; KeyError, TypeError, ValueError or OverflowError
-    if malformed."""
+    if malformed. `fold` and rectangle values must be JSON integers and
+    illuminant components JSON numbers."""
+    ill = raw["ground_truth_illuminant"]
+    rects = raw.get("exclusion_rects", [])
+    if not isinstance(ill, list) or len(ill) != 3:
+        raise ValueError("ground_truth_illuminant needs a list of 3 components")
+    if not isinstance(rects, list) or not all(isinstance(r, list) and len(r) == 4 for r in rects):
+        raise ValueError("exclusion rectangles are [x, y, w, h] lists")
     entry = ManifestEntry(
         image_path=raw["image_path"],
-        ground_truth_illuminant=tuple(float(v) for v in raw["ground_truth_illuminant"]),
-        fold=int(raw["fold"]),
-        exclusion_rects=tuple(tuple(int(v) for v in r) for r in raw.get("exclusion_rects", [])),
+        ground_truth_illuminant=tuple(float(_json_value(v, (int, float), "illuminant component"))
+                                      for v in ill),
+        fold=_json_value(raw["fold"], (int,), "fold"),
+        exclusion_rects=tuple(tuple(_json_value(v, (int,), "rectangle value") for v in r)
+                              for r in rects),
         gt_map_path=raw.get("gt_map_path"),
     )
     if not isinstance(entry.image_path, str) or not isinstance(entry.gt_map_path, (str, type(None))):
         raise TypeError("image_path and gt_map_path must be strings")
-    if len(entry.ground_truth_illuminant) != 3:
-        raise ValueError("ground_truth_illuminant needs 3 components")
-    if any(len(r) != 4 for r in entry.exclusion_rects):
-        raise ValueError("exclusion rectangles are (x, y, w, h)")
     return entry
 
 
@@ -135,7 +148,7 @@ def load_manifest(path) -> DatasetManifest:
             entry = _manifest_entry(raw)
         except KeyError as exc:
             raise ParameterError(f"manifest entry {i} has no {exc}") from exc
-        # OverflowError comes from int() of an infinite value such as 1e999
+        # OverflowError comes from float() of an integer past float range
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"manifest entry {i} is malformed: {exc}") from exc
         full = os.path.join(base_dir, entry.image_path)

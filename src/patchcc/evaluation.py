@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import InvalidIlluminantError, ParameterError
 
+# the summary's fields, in the column order of every report
 STAT_NAMES = ("min", "prc10", "median", "mean", "prc90", "max")
 
 
@@ -51,7 +52,8 @@ class ErrorStats:
     count: int = 0
 
     def as_row(self) -> tuple[float, ...]:
-        return (self.min, self.prc10, self.median, self.mean, self.prc90, self.max)
+        """The statistics in `STAT_NAMES` order."""
+        return tuple(getattr(self, name) for name in STAT_NAMES)
 
     def __str__(self):
         return (

@@ -10,14 +10,18 @@ axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
 
 Networks with 1x1 kernels run the convolution and the max pooling as one
-fused layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`). For training
-it computes the responses block by block, so the argmax runs over a
-contiguous axis, and its backward pass touches only the argmax pixel of each
-pool window. Ties go to the first occurrence in row-major block order, as in
-`maxpool_forward`. For inference it reduces a few pool windows at a time, so
-their responses stay in cache and no full-size response array is built, and
-it adds the bias once to the pooled maxima: rounding is monotone, so
-max_p fl(a_p + b) = fl(max_p a_p + b) and the result is bit for bit the same.
+fused layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`). It takes
+a few pool windows at a time, so their responses stay in cache and no
+full-size response array is built. For training it works pixel-outer, with
+the pixels of a pool window on the leading axis: the max over that axis
+goes straight into the pooled output, the argmax is the first pixel equal to
+it, and the backward pass touches only that pixel of each pool window. Ties
+go to the first occurrence in row-major block order, as in
+`maxpool_forward`. The bias is added before the max, because fl(a + b) can
+make distinct responses tie and the argmax must see those ties. Inference
+needs only the values, so it adds the bias once to the pooled maxima:
+rounding is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b) and the
+result is bit for bit the same.
 Wider kernels (k x k, for the width sweep) use the reference layers
 `conv_forward`, `maxpool_forward`, `maxpool_backward` and `conv_backward`.
 """
@@ -44,8 +48,9 @@ PARAM_LAYERS = ("conv_w", "conv_b", "fc_w", "fc_b", "out_w", "out_b")
 
 ANGULAR_COS_CLAMP = 1.0 - 1e-7
 
-# bytes of responses per block of the fused layer's inference path (17 8x8
-# pool windows at K=240 float64): small enough to stay in a core's L2 cache
+# bytes of responses per block of the fused layer (17 8x8 pool windows at
+# K=240 float64, 256 at K=32 float32): small enough to stay in a core's L2
+# cache
 FUSED_BLOCK_BYTES = 2 << 20
 
 # patches per `forward` pass over a large batch; it fixes the FC layer's
@@ -292,20 +297,32 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
 
     x: (..., S, S, 3), w: (K, 1, 1, 3), b: (K,) -> (..., S/pool, S/pool, K),
     the values and argmax of `maxpool_forward(conv_forward(x, w, b)[0], pool)`.
-    The input is copied once into block layout xb (..., G, G, pool*pool, 3).
-    With the cache, the responses W @ xb^T come out as (..., G, G, K,
-    pool*pool), with each pool window on the contiguous last axis. Passing
-    xb^T as a view of the pixel-major copy sends numpy to the same kind of
-    BLAS call as `conv_forward` (gemv when K = 1, gemm otherwise); the kernel
+    Both paths take the pool windows FUSED_BLOCK_BYTES of responses at a
+    time. Each response is the 3-term dot product of `conv_forward`, by the
+    same kind of BLAS call (gemv when K = 1, gemm otherwise); the kernel
     OpenBLAS then runs can still depend on the matrix size, so inexact sums
-    may differ from the reference in the last bit.
+    may differ from the reference layers in the last bit.
 
-    Pass need_cache=False for inference. The windows are then taken
-    FUSED_BLOCK_BYTES of responses at a time, computed pixel-major as
-    xb_block @ W^T and reduced over the pixel axis into the pooled output,
-    so no full-size response array exists. The bias is added once, after
-    the max: rounding is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b),
-    and the values are the same bits as with the cache.
+    With the cache (training), the input is copied once pixel-outer, xp
+    (pool*pool, windows, 3). A block of s windows gives the responses
+    xp_block @ W^T as (pool*pool, s, K). The bias is added before the max,
+    because fl(a + b) can make distinct responses tie and the argmax must
+    see those ties. The max over the pixel axis goes straight into the
+    pooled output, and the argmax is the smallest p whose response equals
+    it, P^2 - max_p(eq_p * (P^2 - p)) on an integer mask: `argmax`'s
+    first-index rule. Where numpy would call gemv (K = 1, pool 1, a
+    one-window block), whose rounding depends on the operands' shape and
+    layout, a block goes window by window as on the inference path. The
+    cache is (xp, idx); a window whose responses are all NaN gets the
+    out-of-range idx P^2, but the network raises on its non-finite output
+    before any backward pass.
+
+    Pass need_cache=False for inference. The input is then copied into
+    block layout xb (..., G, G, pool*pool, 3); each block of windows is
+    computed pixel-major as xb_block @ W^T and reduced over the pixel axis
+    into the pooled output. The bias is added once, after the max: rounding
+    is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b), and the values
+    are the same bits as with the cache.
     """
     x = _as_float(x)
     w = _as_float(w)
@@ -319,9 +336,9 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     nl = len(lead)
     g = s1 // pool
     k = w.shape[0]
-    axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
-    xb = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(*lead, g, g, pool * pool, 3)
     if not need_cache:
+        axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
+        xb = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(*lead, g, g, pool * pool, 3)
         dtype = np.result_type(x, w)
         wt = w[:, 0, 0, :].astype(dtype).T
         windows = xb.reshape(-1, pool * pool, 3)
@@ -337,29 +354,57 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
         out = out.astype(np.result_type(out, b), copy=False)
         out += b
         return out.reshape(*lead, g, g, k), None
-    resp = w[:, 0, 0, :] @ xb.swapaxes(-1, -2)
+    p2 = pool * pool
+    axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 4)
+    xp = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(p2, -1, 3)
+    dtype = np.result_type(x, w)
+    wt = w[:, 0, 0, :].astype(dtype).T
+    n = xp.shape[1]
+    step = max(1, FUSED_BLOCK_BYTES // (p2 * k * np.dtype(dtype).itemsize))
     # conv_forward adds the bias in the wider of the two dtypes
-    resp = resp.astype(np.result_type(resp, b), copy=False)
-    resp += b[:, None]
-    idx = resp.argmax(axis=-1)
-    out = np.take_along_axis(resp, idx[..., None], axis=-1)[..., 0]
-    return out, (xb, idx)
+    out = np.empty((n, k), dtype=np.result_type(dtype, b))
+    idx = np.empty((n, k), dtype=np.intp)
+    bias = np.broadcast_to(b, (min(n, step), k)).astype(out.dtype, order="C")
+    resp_buf = np.empty((p2,) + bias.shape, dtype)
+    # P^2 - p at pixel p: over the pixels whose response equals the max, the
+    # largest marks the first one
+    rank = np.arange(p2, 0, -1, dtype=np.min_scalar_type(p2))[:, None, None]
+    mask = np.empty(resp_buf.shape, rank.dtype)
+    for i in range(0, n, step):
+        block = xp[:, i : i + step]
+        s = block.shape[1]
+        if k > 1 and p2 > 1 and s > 1:
+            resp = np.matmul(block.astype(dtype, copy=False), wt, out=resp_buf[:, :s])
+        else:
+            # numpy calls gemv here, which rounds by operand shape and layout:
+            # go window by window, cast and laid out as on the inference path
+            windows = np.ascontiguousarray(block.swapaxes(0, 1))
+            if windows.dtype != dtype:
+                windows = windows.swapaxes(-1, -2).astype(dtype, order="C").swapaxes(-1, -2)
+            resp = (windows @ wt).swapaxes(0, 1)
+        resp = resp.astype(out.dtype, copy=False)
+        resp += bias[:s]
+        top = np.max(resp, axis=0, out=out[i : i + s])
+        first = np.equal(resp, top, out=mask[:, :s])
+        np.multiply(first, rank, out=first)
+        np.subtract(p2, np.max(first, axis=0), out=idx[i : i + s])
+    return out.reshape(*lead, g, g, k), (xp, idx.reshape(*lead, g, g, k))
 
 
 def conv1x1_pool_backward(grad_out: np.ndarray, cache):
     """Weight and bias gradients of `conv1x1_pool_forward`.
 
     Only the argmax pixel of each pool window gets a gradient, so this
-    gathers those pixels' RGB, (..., G, G, K, 3), and builds no
-    full-resolution map. Returns (grad_w (K, 1, 1, 3), grad_b (K,)); the
-    network needs no gradient with respect to its input.
+    gathers those pixels' RGB from the pixel-outer cache, xp[idx, window],
+    as (windows, K, 3) in window order, and builds no full-resolution map.
+    Returns (grad_w (K, 1, 1, 3), grad_b (K,)); the network needs no
+    gradient with respect to its input.
     """
-    xb, idx = cache
+    xp, idx = cache
     k = idx.shape[-1]
     flat_idx = idx.reshape(-1, k)
-    # fancy indexing gathers ~2x faster here than take_along_axis
-    rows = np.arange(flat_idx.shape[0])[:, None]
-    x_sel = xb.reshape(-1, xb.shape[-2], 3)[rows, flat_idx]
+    windows = np.arange(flat_idx.shape[0])[:, None]
+    x_sel = xp[flat_idx, windows]
     flat_g = _as_float(grad_out).reshape(-1, k)
     grad_w = np.einsum("nk,nkc->kc", flat_g, x_sel)
     return grad_w[:, None, None, :], flat_g.sum(axis=0)

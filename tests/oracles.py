@@ -3,9 +3,11 @@
 Everything here is deliberately structured differently from the library:
 dense 2-D convolution instead of separable passes, per-pixel Python loops
 instead of vectorized reductions, and sorting-based statistics. The
-exceptions are `padded_gaussian_smooth` and `wrapped_minkowski_response`:
-the forms the Minkowski stages had before they passed plain arrays, kept so
-the tests can check that the rewrite changed no bit.
+exceptions are `padded_gaussian_smooth` and `wrapped_minkowski_response`,
+the forms the Minkowski stages had before they passed plain arrays, and
+`block_conv1x1_pool_forward` / `block_conv1x1_pool_backward`, the form the
+fused layer's training path had before it went pixel-outer: kept so the
+tests can check that each rewrite changed no bit.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 from patchcc.errors import SamplingImpossibleError
 from patchcc.image import LinearImage
 from patchcc.minkowski import EdgeFrameworkParams, gaussian_kernel
+from patchcc.network import _as_float
 
 
 def dense_gaussian_2d(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -206,3 +209,35 @@ def loop_nearest_filled(filled):
                 bx, by = min(good, key=lambda c: ((c[0] - gx) ** 2 + (c[1] - gy) ** 2, c[0], c[1]))
                 out[gy, gx] = (by, bx)
     return out
+
+
+def block_conv1x1_pool_forward(x, w, b, pool, need_cache=True):
+    """The fused 1x1-conv + max-pool training path in block layout: the
+    responses W @ xb^T as (..., G, G, K, pool*pool) with the bias added, a
+    last-axis `argmax` and `take_along_axis`; the cache is (xb, idx), or
+    None without `need_cache`."""
+    x, w, b = _as_float(x), _as_float(w), _as_float(b)
+    lead = x.shape[:-3]
+    nl = len(lead)
+    g = x.shape[-3] // pool
+    axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
+    xb = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(*lead, g, g, pool * pool, 3)
+    resp = w[:, 0, 0, :] @ xb.swapaxes(-1, -2)
+    resp = resp.astype(np.result_type(resp, b), copy=False)
+    resp += b[:, None]
+    idx = resp.argmax(axis=-1)
+    out = np.take_along_axis(resp, idx[..., None], axis=-1)[..., 0]
+    return out, (xb, idx) if need_cache else None
+
+
+def block_conv1x1_pool_backward(grad_out, cache):
+    """Weight and bias gradients from the block-layout cache: gather each
+    window's argmax pixel, (windows, K, 3), and sum with `einsum`."""
+    xb, idx = cache
+    k = idx.shape[-1]
+    flat_idx = idx.reshape(-1, k)
+    rows = np.arange(flat_idx.shape[0])[:, None]
+    x_sel = xb.reshape(-1, xb.shape[-2], 3)[rows, flat_idx]
+    flat_g = _as_float(grad_out).reshape(-1, k)
+    grad_w = np.einsum("nk,nkc->kc", flat_g, x_sel)
+    return grad_w[:, None, None, :], flat_g.sum(axis=0)

@@ -1,11 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
 import patchcc.estimator
-from patchcc.benchmark import ALL_ALGOS, STAT_ALGOS, benchmark
+from patchcc.benchmark import ALL_ALGOS, STAT_ALGOS, BenchmarkReport, benchmark
 from patchcc.errors import ParameterError
 from patchcc.estimator import estimate_image
-from patchcc.evaluation import angular_error
+from patchcc.evaluation import STAT_NAMES, angular_error, summarize
 from patchcc.minkowski import ESTIMATORS, minkowski_estimate, preset
 from patchcc.network import HyperParams, init_params
 
@@ -78,3 +80,14 @@ class TestDispatch:
         with pytest.raises(ParameterError) as info:
             benchmark(samples, ("GW", "nope"))
         assert all(name in str(info.value) for name in ALL_ALGOS)
+
+
+class TestReport:
+    def test_csv_columns_are_the_stat_names(self, tmp_path):
+        stats = summarize([1.0, 2.0, 4.0, 8.0])
+        report = BenchmarkReport(rows={"GW": stats}, per_image={})
+        report.write_csv(tmp_path / "r.csv")
+        with open(tmp_path / "r.csv", newline="") as fh:
+            header, row = csv.reader(fh)
+        assert tuple(header) == ("algorithm", *STAT_NAMES)
+        assert [float(v) for v in row[1:]] == [round(getattr(stats, n), 6) for n in STAT_NAMES]

@@ -274,6 +274,12 @@ MALFORMED_INPUTS = {
                                "ParameterError"),
     "manifest_rect_overflow": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
                                "ParameterError"),
+    "manifest_fold_string": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
+                             "ParameterError"),
+    "manifest_ill_not_numbers": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"],
+                                 None, "ParameterError"),
+    "manifest_rect_string": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
+                             "ParameterError"),
     "size_not_integers": (["synth", "--out", "{tmp}/set", "--size", "64xq"], None,
                           "ParameterError"),
     "ill_not_numbers": (["correct", "--image", "{tmp}/a.ppm", "--out", "{tmp}/b.ppm",
@@ -303,6 +309,15 @@ MALFORMED_FILES = {
     "manifest_rect_overflow": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
                                          b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, '
                                          b'"exclusion_rects": [[0, 0, 1e999, 4]]}]}'},
+    # int() and float() would read these as 2, (1, 1, 1) and (1, 2, 3, 4)
+    "manifest_fold_string": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
+                                       b'"ground_truth_illuminant": [1, 1, 1], "fold": "2"}]}'},
+    "manifest_ill_not_numbers": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
+                                           b'"ground_truth_illuminant": ["1", true, 1], '
+                                           b'"fold": 0}]}'},
+    "manifest_rect_string": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
+                                       b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, '
+                                       b'"exclusion_rects": ["1234"]}]}'},
 }
 
 

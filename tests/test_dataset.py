@@ -88,6 +88,31 @@ class TestManifest:
     @example((b'{"version": 1, "entries": ' + b"[" * 100000 + b"]" * 100000 + b"}", False))
     @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
               b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, "gt_map_path": ""}]}', False))
+    # strings, booleans and floats are not coerced, nor strings read as rectangles
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": "2"}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": true}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": 2.0}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": ["1", true, 1], "fold": 0}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": "111", "fold": 0}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, "exclusion_rects": ["1234"]}]}',
+              False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, '
+              b'"exclusion_rects": [[0, 0, 4.0, 4]]}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, '
+              b'"exclusion_rects": [[0, 0, 4, 4, 4]]}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 1, 1' + b"0" * 400 + b'], "fold": 0}]}', False))
+    @example((b'{"version": 1, "entries": [{"image_path": "img.ppm", '
+              b'"ground_truth_illuminant": [1, 2, 3], "fold": 2, '
+              b'"exclusion_rects": [[0, 0, 4, 4]]}]}', True))
     def test_round_trip_or_pipeline_error(self, case):
         data, valid = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -100,6 +125,13 @@ class TestManifest:
             except PipelineError:
                 assert not valid
                 return
+            # what loads was read as written: no string, boolean or float
+            # became a fold, a rectangle value or an illuminant component
+            for raw, entry in zip(json.loads(data)["entries"], manifest.entries):
+                assert json.dumps(raw["fold"]) == json.dumps(entry.fold)
+                assert json.dumps(raw.get("exclusion_rects", [])) == json.dumps(
+                    [list(r) for r in entry.exclusion_rects])
+                assert all(type(v) in (int, float) for v in raw["ground_truth_illuminant"])
             save_manifest(manifest, path)
             assert load_manifest(path).entries == manifest.entries
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tempfile
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from patchcc import network
 from patchcc.errors import (
     DegenerateEstimateError,
     FormatError,
@@ -15,6 +17,7 @@ from patchcc.errors import (
     PipelineError,
     ShapeMismatchError,
 )
+from patchcc.estimator import fine_tune, train
 from patchcc.image import normalize
 from patchcc.network import (
     FUSED_BLOCK_BYTES,
@@ -45,7 +48,8 @@ from patchcc.network import (
     zero_momentum,
 )
 
-from helpers import TINY_SHAPES, tiny_weights, weights_bytes
+from helpers import SMALL, TINY_SHAPES, make_synthetic_samples, tiny_weights, weights_bytes
+from oracles import block_conv1x1_pool_backward, block_conv1x1_pool_forward
 
 TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5)
 
@@ -357,6 +361,76 @@ class TestConv1x1PoolBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+ALL_DTYPE_TRIPLES = tuple(itertools.product((np.float32, np.float64), repeat=3))
+
+
+class TestConv1x1PoolOracle:
+    """The training path is pixel-outer; it must give the bits of the block
+    layout form it replaced, ties and mixed dtypes included."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 17, 32, 240])
+    @pytest.mark.parametrize("xd,wd,bd", ALL_DTYPE_TRIPLES)
+    def test_bit_identical_to_block_layout(self, k, xd, wd, bd):
+        rng = np.random.default_rng(80 + k)
+        pool = 8
+        eps = np.finfo(np.result_type(xd, wd, bd)).eps
+        for kind in ("ties", "continuous", "rounding_bias"):
+            if kind == "continuous":
+                w = rng.standard_normal((k, 1, 1, 3))
+                b = rng.standard_normal(k)
+            else:
+                # dyadic values: exact sums, and on a coarse grid many ties
+                w = rng.integers(-64, 65, (k, 1, 1, 3)) / 32
+                b = rng.integers(-64, 65, k) / 64
+            if kind == "rounding_bias":
+                # at about 1/eps the bias add rounds distinct responses to
+                # ties, which the argmax must see
+                b = rng.choice([-1, 1], k) * rng.uniform(0.5, 1, k) / eps
+            w, b = w.astype(wd), b.astype(bd)
+            for windows in block_window_counts(k, pool, np.result_type(xd, wd)):
+                for side in (8, 16):
+                    shape = (-(-windows // (side // pool) ** 2), side, side, 3)
+                    if kind == "continuous":
+                        x = rng.uniform(0, 1, shape)
+                    else:
+                        x = rng.integers(0, 257 if kind == "rounding_bias" else 3, shape) / 256
+                    x = x.astype(xd)
+                    got, got_cache = conv1x1_pool_forward(x, w, b, pool)
+                    want, want_cache = block_conv1x1_pool_forward(x, w, b, pool)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    assert got_cache[1].tobytes() == want_cache[1].tobytes()
+                    grad = rng.standard_normal(got.shape).astype(got.dtype)
+                    for a, c in zip(conv1x1_pool_backward(grad, got_cache),
+                                    block_conv1x1_pool_backward(grad, want_cache)):
+                        assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_seeded_training_identical_to_block_layout(self, dtype, monkeypatch):
+        samples = make_synthetic_samples(count=6, size=48, seed=9)
+        hyper = replace(SMALL, epochs=2, patches_per_image=20, dtype=dtype)
+        tune = replace(hyper, learning_rate=1e-3, momentum=0.0)
+
+        def run():
+            model = train(samples, [0], hyper).models[0]
+            return [model, fine_tune(model, samples[:3], tune, val_dataset=samples[3:])]
+
+        def weights(models):
+            return [getattr(m, name).tobytes() for m in models for name in PARAM_LAYERS]
+
+        got = weights(run())
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("need_cache", True))
+            return block_conv1x1_pool_forward(*args, **kwargs)
+
+        monkeypatch.setattr(network, "conv1x1_pool_forward", counted)
+        monkeypatch.setattr(network, "conv1x1_pool_backward", block_conv1x1_pool_backward)
+        assert weights(run()) == got
+        assert True in calls and False in calls
 
 
 class TestFcRelu:
