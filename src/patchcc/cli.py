@@ -70,9 +70,10 @@ def _config_values(path: str, sub: argparse.ArgumentParser) -> dict:
 
     Each key must be an option's dest, and each value must have the JSON
     type of that option: that of its default, or a string where the default
-    is None. JSON null leaves an option unset.
+    is None. A value must also be one of the option's choices, if it has
+    any. JSON null leaves an option unset.
     """
-    defaults = {a.dest: a.default for a in sub._actions if a.dest not in ("help", "config")}
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -83,13 +84,19 @@ def _config_values(path: str, sub: argparse.ArgumentParser) -> dict:
     if not isinstance(cfg, dict):
         raise ParameterError(f"config {path} must hold a JSON object")
     for key, value in cfg.items():
-        if key not in defaults:
+        if key not in actions:
             raise ParameterError(
-                f"config {path} has unknown key {key!r}; valid: {', '.join(defaults)}"
+                f"config {path} has unknown key {key!r}; valid: {', '.join(actions)}"
             )
-        kinds = CONFIG_TYPES[type(defaults[key])]
-        if value is not None and type(value) not in kinds:
+        if value is None:
+            continue
+        kinds, choices = CONFIG_TYPES[type(actions[key].default)], actions[key].choices
+        if type(value) not in kinds:
             raise ParameterError(f"config {key!r} must be a {kinds[-1].__name__}, got {value!r}")
+        if choices is not None and value not in choices:
+            raise ParameterError(
+                f"config {key!r} must be one of {', '.join(choices)}, got {value!r}"
+            )
     return {key: value for key, value in cfg.items() if value is not None}
 
 
@@ -219,13 +226,10 @@ def cmd_local_map(args) -> int:
         raise ParameterError("local-map needs --image, --model and --out-prefix")
     params = load_params(args.model)
     ill_map = estimate_local_map(params, load_ppm16(args.image), args.patch_size)
-    # config values bypass argparse's choices, so the name is checked here
     if args.filter == "gaussian":
         ill_map = filter_gaussian_3x3(ill_map)
     elif args.filter == "median":
         ill_map = filter_median_3x3(ill_map)
-    elif args.filter != "none":
-        raise ParameterError(f"--filter must be none, gaussian or median, got {args.filter!r}")
     save_map_ppm(ill_map, args.out_prefix + ".ppm")
     save_map_csv(ill_map, args.out_prefix + ".csv")
     if args.gt_map:
@@ -262,11 +266,6 @@ def cmd_sweep(args) -> int:
         raise ParameterError("sweep needs --manifest, --parameter, --values and --out")
     base = _hyper_from(args)
     values = _parse_numbers(args.values, ",", int, "comma-separated integer values")
-    # config values bypass argparse's choices, so the name is checked here
-    if args.parameter not in SWEEP_PARAMETERS:
-        raise ParameterError(
-            f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {args.parameter!r}"
-        )
     hypers = []
     for value in values:
         try:
@@ -282,8 +281,7 @@ def cmd_sweep(args) -> int:
                 estimate_image(model, s.image, "median", hyper.patch_size).illuminant,
                 s.illuminant,
             )
-            for s in samples
-            if s.fold == args.fold
+            for s in fold_samples(samples, args.fold)
         ]
         rows.append((value, float(np.median(errors))))
         print(f"{args.parameter}={value}: median {rows[-1][1]:.2f} deg")

@@ -8,8 +8,9 @@ channel's gradient to the estimate(s) realizing the median, average pooling
 spreads it 1/N).
 
 Image estimation, fine-tuning, local maps and the benchmark's cnn rows take
-their patches from `prepared_patches` (tile, then stretch), and all but
-fine-tuning get their per-patch unit estimates from `unit_estimates`;
+their patches from `prepared_patches` (tile, then stretch) and make each
+raw network output a unit estimate with `rectified_units` (through
+`unit_estimates` for all but fine-tuning, which keeps the forward cache);
 training takes its patches from `training_patch_arrays` (sample, then
 stretch). `fold_split` holds the cross-validation convention.
 """
@@ -72,50 +73,44 @@ class PooledEstimate:
     degenerate_skipped: int = 0
 
 
-def rectified_unit(raw: np.ndarray) -> np.ndarray:
-    """Clamp negatives to zero and scale to unit length.
+def rectified_units(raw: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Clamp raw network outputs (N, 3) at zero and scale each row to unit
+    length: a light color has no negative component.
 
-    Raw network outputs are unconstrained; a light color cannot have negative
-    components, so the estimate is the rectified direction.
+    Returns the mask of the rows whose rectified output has a direction, and
+    those rows' norms (M,) and unit estimates (M, 3). Raises when no row has
+    one. Each norm is one row's dot product, as `np.linalg.norm` of a single
+    vector computes it.
     """
     clamped = np.maximum(raw, 0.0)
-    norm = float(np.linalg.norm(clamped))
-    if norm < DIRECTION_FREE_NORM:
-        raise DegenerateEstimateError(f"network output {raw} has no usable direction")
-    return clamped / norm
-
-
-def _usable_output_rows(raw: np.ndarray) -> np.ndarray:
-    """Rows whose rectified output still has a direction; raises when none has."""
-    keep = np.linalg.norm(np.maximum(raw, 0.0), axis=1) >= DIRECTION_FREE_NORM
-    if not np.any(keep):
+    norms = np.sqrt(np.vecdot(clamped, clamped))
+    keep = norms >= DIRECTION_FREE_NORM
+    if not keep.any():
         raise EstimationImpossibleError("every patch estimate is direction-free")
-    return keep
+    norms = norms[keep]
+    return keep, norms, clamped[keep] / norms[:, None]
 
 
-def pool_average(estimates) -> Illuminant:
-    """Channel-wise arithmetic mean of normalized estimates, renormalized."""
-    rows = _estimate_rows(estimates)
-    return normalize(rows.mean(axis=0))
+def _nonempty(units: np.ndarray) -> np.ndarray:
+    if not len(units):
+        raise ParameterError("cannot pool an empty estimate array")
+    return units
 
 
-def pool_median(estimates) -> Illuminant:
-    """Channel-wise median of normalized estimates, renormalized.
+def pool_average(units: np.ndarray) -> Illuminant:
+    """Channel-wise arithmetic mean of (M, 3) unit estimates, renormalized."""
+    return normalize(_nonempty(units).mean(axis=0))
+
+
+def pool_median(units: np.ndarray) -> Illuminant:
+    """Channel-wise median of (M, 3) unit estimates, renormalized.
 
     Even counts take the mean of the two middle values per channel.
     """
-    rows = _estimate_rows(estimates)
-    med = np.median(rows, axis=0)
+    med = np.median(_nonempty(units), axis=0)
     if not np.any(med > 0):
         raise DegenerateEstimateError("channel-wise median is the zero vector")
     return normalize(med)
-
-
-def _estimate_rows(estimates) -> np.ndarray:
-    rows = [np.asarray(getattr(e, "rgb", e), dtype=np.float64) for e in estimates]
-    if not rows:
-        raise ParameterError("cannot pool an empty estimate list")
-    return np.stack(rows)
 
 
 def prepared_patches(
@@ -138,10 +133,8 @@ def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray
     """The mask of the batch rows whose rectified network output has a
     direction, and those rows' raw outputs and unit estimates, each (M, 3)."""
     raw = forward(params, batch.data)
-    keep = _usable_output_rows(raw)
-    raw = raw[keep]
-    # row by row: a vectorized norm differs from rectified_unit's in the last bit
-    return keep, raw, np.stack([rectified_unit(row) for row in raw])
+    keep, _, units = rectified_units(raw)
+    return keep, raw[keep], units
 
 
 def estimate_image(
@@ -296,24 +289,22 @@ def image_level_loss(
 ) -> tuple[float, NetworkGrads]:
     """Angular loss (radians) of the pooled estimate, with exact parameter
     gradients through pooling, per-patch normalization, and the network."""
+    if pooling not in POOLINGS:
+        raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
     batch = prepared_patches(img, patch_size)
     raw, cache = forward_cache(params, batch.data)
-    keep = _usable_output_rows(raw)
-    clamped = np.maximum(raw[keep], 0.0)
-    norms = np.linalg.norm(clamped, axis=1, keepdims=True)
-    units = clamped / norms
+    keep, norms, units = rectified_units(raw)
     if pooling == "median":
         pooled = np.median(units, axis=0)
         routing = _median_routing(units)
-    elif pooling == "average":
+    else:
         pooled = units.mean(axis=0)
         routing = np.full_like(units, 1.0 / len(units))
-    else:
-        raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
     loss, grad_pooled = angular_loss(pooled, gt)
     grad_units = routing * grad_pooled[None, :]
     # d(unit)/d(clamped) = (I - unit unit^T) / norm, then the clamp mask
-    grad_clamped = (grad_units - (grad_units * units).sum(axis=1, keepdims=True) * units) / norms
+    along = (grad_units * units).sum(axis=1, keepdims=True)
+    grad_clamped = (grad_units - along * units) / norms[:, None]
     grad_raw = np.zeros_like(raw)
     grad_raw[keep] = grad_clamped * (raw[keep] > 0)
     return loss, backward(params, cache, grad_raw)

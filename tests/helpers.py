@@ -26,6 +26,11 @@ SMALL = HyperParams(patch_size=16, kernel_count=8, pool_size=4, fc_units=8,
                     seed=1, dtype="float64")
 
 
+# a raw network output whose np.linalg.norm(axis=1) is exactly the
+# estimator's 1e-9 direction-free threshold and whose per-row norm is below it
+BOUNDARY_ROW = (6.042988490261601e-10, 5.094656384620662e-10, 6.125909436908918e-10)
+
+
 def bias_net(bias=(1.0, 1.0, 1.0), hyper=None):
     """Zero-weight network that always outputs `bias`."""
     params = init_params(hyper or TOY, 0)

@@ -6,15 +6,17 @@ instead of vectorized reductions, and sorting-based statistics. The
 exceptions are `padded_gaussian_smooth` and `wrapped_minkowski_response`,
 the forms the Minkowski stages had before they passed plain arrays, and
 `block_conv1x1_pool_forward` / `block_conv1x1_pool_backward`, the form the
-fused layer's training path had before it went pixel-outer: kept so the
-tests can check that each rewrite changed no bit.
+fused layer's training path had before it went pixel-outer, and
+`loop_rectified_units`, the per-row form of the estimator's rectify step:
+kept so the tests can check that each rewrite changed no bit.
 """
 
 import math
 
 import numpy as np
 
-from patchcc.errors import SamplingImpossibleError
+from patchcc.errors import EstimationImpossibleError, SamplingImpossibleError
+from patchcc.estimator import DIRECTION_FREE_NORM
 from patchcc.image import LinearImage
 from patchcc.minkowski import EdgeFrameworkParams, gaussian_kernel
 from patchcc.network import _as_float
@@ -209,6 +211,22 @@ def loop_nearest_filled(filled):
                 bx, by = min(good, key=lambda c: ((c[0] - gx) ** 2 + (c[1] - gy) ** 2, c[0], c[1]))
                 out[gy, gx] = (by, bx)
     return out
+
+
+def loop_rectified_units(raw):
+    """(keep, norms, units) of raw network outputs (N, 3), one
+    `np.linalg.norm` per clamped row."""
+    keep, norms, units = [], [], []
+    for row in raw:
+        clamped = np.maximum(row, 0.0)
+        norm = float(np.linalg.norm(clamped))
+        keep.append(norm >= DIRECTION_FREE_NORM)
+        if keep[-1]:
+            norms.append(norm)
+            units.append(clamped / norm)
+    if not norms:
+        raise EstimationImpossibleError("every row is direction-free")
+    return np.array(keep), np.array(norms), np.stack(units)
 
 
 def block_conv1x1_pool_forward(x, w, b, pool, need_cache=True):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import patchcc
-from patchcc.cli import CONFIG_TYPES, main, parse_args
+from patchcc.cli import CONFIG_TYPES, build_parser, main, parse_args
 from patchcc.errors import PipelineError
 from patchcc.image import LinearImage, load_ppm16, save_ppm16, normalize
 from patchcc.network import HyperParams
@@ -289,6 +289,23 @@ MALFORMED_INPUTS = {
     "sweep_values_not_integers": (["sweep", "--manifest", "{tmp}/m.json", "--parameter",
                                    "fc_units", "--values", "2,x", "--out", "{tmp}/s.csv"],
                                   None, "ParameterError"),
+    # a config value outside an option's choices; the {tmp}/missing.* inputs
+    # do not exist, so reading one would fail with another error
+    "config_pooling_estimate": (["estimate", "--image", "{tmp}/missing.ppm"],
+                                '{"pooling": "bogus"}', "ParameterError"),
+    "config_pooling_correct": (["correct", "--image", "{tmp}/missing.ppm", "--out",
+                                "{tmp}/b.ppm", "--ill", "1,1,1"],
+                               '{"pooling": "bogus"}', "ParameterError"),
+    "config_pooling_finetune": (["finetune", "--manifest", "{tmp}/missing.json", "--model",
+                                 "{tmp}/missing.ccnn", "--out", "{tmp}/t.ccnn"],
+                                '{"pooling": "mean"}', "ParameterError"),
+    "config_filter_local_map": (["local-map", "--image", "{tmp}/missing.ppm", "--model",
+                                 "{tmp}/missing.ccnn", "--out-prefix", "{tmp}/map"],
+                                '{"filter": "box"}', "ParameterError"),
+    "config_parameter_sweep": (["sweep", "--manifest", "{tmp}/missing.json", "--values", "4",
+                                "--out", "{tmp}/s.csv"],
+                               '{"parameter": "epochs"}', "ParameterError"),
+    "config_loss_gradcheck": (["gradcheck"], '{"loss": "huber"}', "ParameterError"),
 }
 
 # case -> the files, by name in the test's directory, that its argv reads
@@ -337,6 +354,13 @@ class TestMalformedInput:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), err
 
+    def test_config_choice_error_names_key_and_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pooling": "bogus"}')
+        assert run(["estimate", "--config", str(cfg)]) == 1
+        assert ("config 'pooling' must be one of average, median, got 'bogus'"
+                in capsys.readouterr().err)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
@@ -368,6 +392,11 @@ def built_in_options(command) -> dict:
         del options[key]
     return options
 
+
+# command -> dest -> choices, for the options that have them
+CHOICES = {command: {a.dest: a.choices for a in parser._actions if a.choices}
+           for command, parser in next(a for a in build_parser()._actions
+                                       if a.dest == "command").choices.items()}
 
 JSON_OF_TYPE = {bool: st.booleans(), int: st.integers(), float: st.floats(allow_nan=False),
                 str: st.text()}
@@ -409,6 +438,7 @@ class TestConfigLoading:
             else:
                 assert options[key] == doc[key]
                 assert type(options[key]) in CONFIG_TYPES[type(default)]
+                assert key not in CHOICES[command] or options[key] in CHOICES[command][key]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_built_in_defaults_as_config_change_nothing(self, command, tmp_path):
@@ -436,11 +466,11 @@ class TestSweep:
         argv = ["sweep", "--manifest", str(tmp_path / "m.json"), "--out", str(tmp_path / "s.csv")]
         assert run(argv + ["--parameter", "pool_size", "--values", "7"]) == 1
         assert "sweep value 7 invalid" in capsys.readouterr().err
-        # a config value bypasses argparse's choices
+        # a config value is checked against argparse's choices too
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"parameter": "bogus", "values": "1"}))
         assert run(argv + ["--config", str(cfg)]) == 1
-        assert "sweep parameter must be one of" in capsys.readouterr().err
+        assert "config 'parameter' must be one of" in capsys.readouterr().err
 
     def test_sweep_defaults_to_a_smaller_model(self):
         sweep, train = vars(parse_args(["sweep"])), vars(parse_args(["train"]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from patchcc import estimator
-from patchcc.errors import DegenerateEstimateError, EstimationImpossibleError, ParameterError
+from patchcc.errors import EstimationImpossibleError, ParameterError
 from patchcc.estimator import (
     estimate_image,
     fine_tune,
@@ -10,15 +10,17 @@ from patchcc.estimator import (
     pool_average,
     pool_median,
     prepared_patches,
-    rectified_unit,
+    rectified_units,
     train,
     unit_estimates,
 )
 from patchcc.evaluation import angular_error
-from patchcc.image import Illuminant, LinearImage, normalize
+from patchcc.image import LinearImage, normalize
 from patchcc.network import HyperParams, forward, init_params
 
+import oracles
 from helpers import (
+    BOUNDARY_ROW,
     SMALL,
     TOY,
     bias_net,
@@ -37,11 +39,39 @@ class TestUnitEstimates:
         params = replace(init_params(SMALL, 0), out_b=np.array([0.4, -0.5, 0.45]))
         batch = prepared_patches(img, 16)
         keep, raw, units = unit_estimates(params, batch)
-        assert np.array_equal(raw, forward(params, batch.data)[keep])
-        assert np.array_equal(units, np.stack([rectified_unit(row) for row in raw]))
-        # a vectorized norm gives other last bits on some rows of this batch
+        all_raw = forward(params, batch.data)
+        assert np.array_equal(raw, all_raw[keep])
+        oracle_keep, oracle_norms, oracle_units = oracles.loop_rectified_units(all_raw)
+        assert np.array_equal(keep, oracle_keep)
+        assert np.array_equal(units, oracle_units)
+        assert np.array_equal(rectified_units(all_raw)[1], oracle_norms)
+        # a norm over axis 1 gives other last bits on some rows of this batch
         clamped = np.maximum(raw, 0.0)
         assert not np.array_equal(units, clamped / np.linalg.norm(clamped, axis=1, keepdims=True))
+
+    def test_row_at_the_threshold_is_dropped_not_fatal(self, monkeypatch):
+        raw = np.array([[0.2, 0.4, 0.9], BOUNDARY_ROW])
+        monkeypatch.setattr(estimator, "forward", lambda params, x: raw.copy())
+        assert np.linalg.norm(raw, axis=1)[1] == estimator.DIRECTION_FREE_NORM
+        oracle_keep, _, oracle_units = oracles.loop_rectified_units(raw)
+        assert oracle_keep.tolist() == [True, False]
+        img = LinearImage(np.random.default_rng(14).uniform(0.1, 1.0, (8, 16, 3)))
+        batch = prepared_patches(img, 8)
+        keep, kept_raw, units = unit_estimates(bias_net(), batch)
+        assert keep.tolist() == [True, False]
+        assert np.array_equal(kept_raw, raw[:1])
+        assert np.array_equal(units, oracle_units)
+        pooled = estimate_image(bias_net(), img, patch_size=8)
+        assert np.array_equal(pooled.units, oracle_units)
+        assert pooled.degenerate_skipped == 1
+        assert pooled.origins.tolist() == [[0, 0]]
+
+    def test_rectified_units_matches_loop_oracle(self):
+        rng = np.random.default_rng(15)
+        raw = rng.standard_normal((500, 3)) * np.exp(rng.uniform(-25, 25, (500, 1)))
+        raw[:3] = [[-1.0, -2.0, -3.0], [0.0, 0.0, 0.0], BOUNDARY_ROW]
+        for got, want in zip(rectified_units(raw), oracles.loop_rectified_units(raw)):
+            assert np.array_equal(got, want)
 
 
 class TestEstimatePatch:
@@ -88,8 +118,8 @@ class TestEstimatePatch:
 
     def test_all_negative_output_degenerate(self):
         img = textured_patch(np.random.default_rng(5), (0.5, 0.6, 0.7))
-        with pytest.raises(DegenerateEstimateError):
-            rectified_unit(np.array([-1.0, -1.0, -1.0]))
+        with pytest.raises(EstimationImpossibleError):
+            rectified_units(np.array([[-1.0, -1.0, -1.0]]))
         with pytest.raises(EstimationImpossibleError):
             estimate_image(bias_net((-1.0, -1.0, -1.0)), img, patch_size=8)
 
@@ -97,53 +127,51 @@ class TestEstimatePatch:
 class TestPooling:
     def test_average_identical(self):
         ill = normalize((0.2, 0.9, 0.4))
-        assert np.allclose(pool_average([ill, ill, ill]).rgb, ill.rgb, atol=1e-12)
+        assert np.allclose(pool_average(np.stack([ill.rgb] * 3)).rgb, ill.rgb, atol=1e-12)
 
     def test_average_two_axes(self):
-        out = pool_average([normalize((1, 0, 0)), normalize((0, 1, 0))])
+        out = pool_average(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         assert np.allclose(out.rgb, [np.sqrt(0.5), np.sqrt(0.5), 0.0], atol=1e-12)
 
     def test_average_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
-        ests = [normalize(rng.uniform(0.1, 1, 3)) for _ in range(17)]
+        units = np.stack([normalize(rng.uniform(0.1, 1, 3)).rgb for _ in range(17)])
         mean = np.zeros(3)
-        for e in ests:
-            mean += e.rgb
-        mean /= len(ests)
-        assert np.allclose(pool_average(ests).rgb, normalize(mean).rgb, atol=1e-12)
+        for row in units:
+            mean += row
+        mean /= len(units)
+        assert np.allclose(pool_average(units).rgb, normalize(mean).rgb, atol=1e-12)
 
     def test_median_single(self):
         ill = normalize((0.3, 0.3, 0.9))
-        assert np.array_equal(pool_median([ill]).rgb, ill.rgb)
+        assert np.array_equal(pool_median(ill.rgb[None, :]).rgb, ill.rgb)
 
     def test_median_majority(self):
-        a, b = normalize((1, 0, 0)), normalize((0, 1, 0))
-        assert np.array_equal(pool_median([a, a, b]).rgb, a.rgb)
+        a, b = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+        assert np.array_equal(pool_median(np.array([a, a, b])).rgb, a)
 
     def test_median_matches_sort_oracle(self):
         rng = np.random.default_rng(7)
-        ests = [normalize(rng.uniform(0.1, 1, 3)) for _ in range(100)]
-        rows = np.stack([e.rgb for e in ests])
+        rows = np.stack([normalize(rng.uniform(0.1, 1, 3)).rgb for _ in range(100)])
         med = np.array([np.sort(rows[:, c])[[49, 50]].mean() for c in range(3)])
-        assert np.allclose(pool_median(ests).rgb, normalize(med).rgb, atol=1e-12)
+        assert np.allclose(pool_median(rows).rgb, normalize(med).rgb, atol=1e-12)
 
     def test_median_outlier_resistance_exact(self):
-        e = Illuminant(np.array([0.6, 0.8, 0.0]), normalized=True)
+        e = np.array([0.6, 0.8, 0.0])
         rng = np.random.default_rng(8)
-        outliers = [normalize(rng.uniform(0.1, 1, 3)) for _ in range(3)]
-        estimates = [e] * 4 + outliers  # 2k+1 = 7, k = 3
-        assert np.array_equal(pool_median(estimates).rgb, e.rgb)
+        outliers = [normalize(rng.uniform(0.1, 1, 3)).rgb for _ in range(3)]
+        units = np.stack([e] * 4 + outliers)  # 2k+1 = 7, k = 3
+        assert np.array_equal(pool_median(units).rgb, e)
 
     def test_poolings_agree_on_identical(self):
-        ill = normalize((0.5, 0.7, 0.2))
-        ests = [ill] * 5
-        assert np.array_equal(pool_average(ests).rgb, pool_median(ests).rgb)
+        units = np.stack([normalize((0.5, 0.7, 0.2)).rgb] * 5)
+        assert np.array_equal(pool_average(units).rgb, pool_median(units).rgb)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            pool_average([])
+            pool_average(np.empty((0, 3)))
         with pytest.raises(ParameterError):
-            pool_median([])
+            pool_median(np.empty((0, 3)))
 
 
 class TestEstimateImage:
@@ -296,6 +324,12 @@ class TestFineTune:
         pooled = estimate_image(params, sample.image, "median", SMALL.patch_size)
         reference = angular_error(pooled.illuminant, sample.illuminant)
         assert logged == pytest.approx(reference, abs=1e-9)
+
+    def test_image_loss_rejects_unknown_pooling_first(self):
+        # a flat image would fail in patch preparation, after the check
+        flat = LinearImage(np.full((16, 16, 3), 0.5))
+        with pytest.raises(ParameterError, match="pooling"):
+            image_level_loss(bias_net(), flat, normalize((1, 1, 1)), "mean", 8)
 
     def test_image_loss_gradient_matches_finite_differences(self):
         from dataclasses import replace

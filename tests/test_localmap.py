@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from patchcc.errors import EstimationImpossibleError, ShapeMismatchError
-from patchcc.estimator import estimate_image, prepared_patches, rectified_unit
+from patchcc import estimator
+from patchcc.estimator import estimate_image, prepared_patches
 from patchcc.evaluation import angular_error, summarize
 from patchcc.image import LinearImage, compose_two_illuminants, normalize
 from patchcc.localmap import (
@@ -20,7 +21,7 @@ from patchcc.image import load_ppm16
 from patchcc.network import HyperParams, NetworkParams, forward, init_params
 
 import oracles
-from helpers import channel_max_net, tiled_image
+from helpers import BOUNDARY_ROW, bias_net, channel_max_net, tiled_image
 
 
 def unit_rows(arr):
@@ -109,13 +110,22 @@ class TestEstimateLocalMap:
         raw = forward(params, batch.data)
         usable = np.zeros((m.grid_h, m.grid_w), dtype=bool)
         gx, gy = (batch.origins // 16).T
-        usable[gy, gx] = np.linalg.norm(np.maximum(raw, 0.0), axis=1) >= 1e-9
+        keep, _, units = oracles.loop_rectified_units(raw)
+        usable[gy, gx] = keep
         assert len(batch) == usable.size and 0 < usable.sum() < usable.size
-        for row, x, y in zip(raw, gx, gy):
-            if usable[y, x]:
-                assert np.array_equal(m.estimates[y, x], rectified_unit(row))
+        assert np.array_equal(m.estimates[gy[keep], gx[keep]], units)
         for cell, source in oracles.loop_nearest_filled(usable).items():
             assert np.array_equal(m.estimates[cell], m.estimates[source])
+
+    def test_row_at_the_threshold_borrows_nearest(self, monkeypatch):
+        raw = np.array([[0.2, 0.4, 0.9], BOUNDARY_ROW])
+        monkeypatch.setattr(estimator, "forward", lambda params, x: raw.copy())
+        img = LinearImage(np.random.default_rng(5).uniform(0.1, 1.0, (8, 16, 3)))
+        m = estimate_local_map(bias_net(), img, 8)
+        _, _, units = oracles.loop_rectified_units(raw)
+        assert m.estimates.shape == (1, 2, 3)
+        assert np.array_equal(m.estimates[0, 0], units[0])
+        assert np.array_equal(m.estimates[0, 1], units[0])
 
     def test_all_direction_free_rejected(self):
         net = channel_max_net()
