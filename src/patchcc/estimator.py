@@ -10,9 +10,10 @@ spreads it 1/N).
 Image estimation, fine-tuning, local maps and the benchmark's cnn rows take
 their patches from `prepared_patches` (tile, then stretch) and make each
 raw network output a unit estimate with `rectified_units` (through
-`unit_estimates` for all but fine-tuning, which keeps the forward cache);
-training takes its patches from `training_patch_arrays` (sample, then
-stretch). `fold_split` holds the cross-validation convention.
+`unit_estimates` for all but fine-tuning's steps, which keep the forward
+cache). The network runs in the dtype of the weights, everything after it
+in float64. Training takes its patches from `training_patch_arrays`
+(sample, then stretch). `fold_split` holds the cross-validation convention.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
 from .evaluation import angular_error, angular_error_many
 from .image import Illuminant, LinearImage, normalize
 from .network import (
+    PARAM_LAYERS,
     HyperParams,
     NetworkGrads,
     NetworkParams,
@@ -131,8 +133,14 @@ def prepared_patches(
 
 def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray, ...]:
     """The mask of the batch rows whose rectified network output has a
-    direction, and those rows' raw outputs and unit estimates, each (M, 3)."""
-    raw = forward(params, batch.data)
+    direction, and those rows' raw outputs and unit estimates, each (M, 3).
+
+    The forward pass runs in the weights' dtype, the patches cast to it;
+    the raw outputs are widened to float64 before they are rectified, so
+    everything downstream is float64 whatever the weights' precision.
+    """
+    raw = forward(params, batch.data.astype(params.dtype, copy=False))
+    raw = raw.astype(np.float64, copy=False)
     keep, _, units = rectified_units(raw)
     return keep, raw[keep], units
 
@@ -282,17 +290,21 @@ def _median_routing(rows: np.ndarray) -> np.ndarray:
 
 def image_level_loss(
     params: NetworkParams,
-    img: LinearImage,
+    batch: PatchBatch,
     gt: Illuminant,
     pooling: str = "median",
-    patch_size: int = 32,
 ) -> tuple[float, NetworkGrads]:
-    """Angular loss (radians) of the pooled estimate, with exact parameter
-    gradients through pooling, per-patch normalization, and the network."""
+    """Angular loss (radians) of the pooled estimate of an image's
+    `prepared_patches`, with exact parameter gradients through pooling,
+    per-patch normalization, and the network.
+
+    As in `unit_estimates`, the network runs in the weights' dtype and the
+    outputs are rectified and pooled in float64.
+    """
     if pooling not in POOLINGS:
         raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
-    batch = prepared_patches(img, patch_size)
-    raw, cache = forward_cache(params, batch.data)
+    out, cache = forward_cache(params, batch.data.astype(params.dtype, copy=False))
+    raw = out.astype(np.float64, copy=False)
     keep, norms, units = rectified_units(raw)
     if pooling == "median":
         pooled = np.median(units, axis=0)
@@ -305,7 +317,7 @@ def image_level_loss(
     # d(unit)/d(clamped) = (I - unit unit^T) / norm, then the clamp mask
     along = (grad_units * units).sum(axis=1, keepdims=True)
     grad_clamped = (grad_units - along * units) / norms[:, None]
-    grad_raw = np.zeros_like(raw)
+    grad_raw = np.zeros_like(out)
     grad_raw[keep] = grad_clamped * (raw[keep] > 0)
     return loss, backward(params, cache, grad_raw)
 
@@ -320,6 +332,9 @@ def fine_tune(
 ) -> NetworkParams:
     """Continue training on the image-level angular loss, one image per step.
 
+    The weights are cast to `hyper.dtype` first, and the result has that
+    dtype. Each image's patches are prepared once per call.
+
     When a validation set is given, the checkpoint with the lowest pooled
     median error is returned; a checkpoint only displaces the current best
     (initially the input parameters) when it wins by more than
@@ -329,35 +344,37 @@ def fine_tune(
     samples = list(dataset)
     if not samples:
         raise ParameterError("fine_tune needs at least one image")
+    if pooling not in POOLINGS:
+        raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
+    params = NetworkParams(
+        **{name: getattr(params, name).astype(hyper.dtype) for name in PARAM_LAYERS})
     state = zero_momentum(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 7])
+    pool = pool_median if pooling == "median" else pool_average
+    batches = [prepared_patches(s.image, hyper.patch_size) for s in samples]
+    val_batches = [(prepared_patches(s.image, hyper.patch_size), s.illuminant)
+                   for s in val_dataset or ()]
 
     def val_median(p: NetworkParams) -> float:
-        errs = [
-            angular_error(
-                estimate_image(p, s.image, pooling, hyper.patch_size).illuminant,
-                s.illuminant,
-            )
-            for s in val_dataset
-        ]
+        errs = [angular_error(pool(unit_estimates(p, batch)[2]), gt) for batch, gt in val_batches]
         return float(np.median(errs))
 
-    best_params, best_err = params, val_median(params) if val_dataset else float("inf")
+    best_params, best_err = params, val_median(params) if val_batches else float("inf")
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(len(samples))
         for i in order:
             s = samples[i]
-            loss, grads = image_level_loss(params, s.image, s.illuminant, pooling, hyper.patch_size)
+            loss, grads = image_level_loss(params, batches[i], s.illuminant, pooling)
             params, state = sgd_step(params, grads, hyper, state)
             if log is not None:
                 log.append({
                     "epoch": epoch, "image": s.image_id,
                     "loss_rad": loss, "loss_deg": float(np.degrees(loss)),
                 })
-        if val_dataset:
+        if val_batches:
             err = val_median(params)
             if log is not None:
                 log.append({"epoch": epoch, "split": "val", "pooled_median": err})
             if err < best_err - MIN_IMPROVEMENT_DEG:
                 best_params, best_err = params, err
-    return best_params if val_dataset else params
+    return best_params if val_batches else params

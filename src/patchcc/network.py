@@ -5,6 +5,12 @@ same-padding for the width sweep), max pooling, one fully connected ReLU
 layer, and a linear 3-output regression head. Everything is plain numpy with
 exact analytic gradients, checked against central finite differences.
 
+The weights hold one dtype, float32 or float64 (`NetworkParams.dtype`), and
+weights files store float32, which `load_params` keeps. The layers compute
+in the wider of their inputs' dtypes, so callers that want the weights'
+precision cast their patches to it: the estimators run every inference
+pass in the dtype of the weights.
+
 Layer inputs may carry a leading batch axis; channels are always the last
 axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
@@ -116,6 +122,9 @@ class NetworkParams:
     conv_w: (K, kw, kw, 3), conv_b: (K,), fc_w: (H, G*G*K), fc_b: (H,),
     out_w: (3, H), out_b: (3,). The pooled side G is implied by the shapes:
     G = sqrt(fc_w.shape[1] / K).
+
+    All six arrays share one `dtype`: float32 when every array given is
+    float32, float64 otherwise (a mixed set is widened whole).
     """
 
     conv_w: np.ndarray
@@ -126,11 +135,12 @@ class NetworkParams:
     out_b: np.ndarray
 
     def __post_init__(self):
+        given = [np.asarray(getattr(self, name)) for name in PARAM_LAYERS]
+        single = all(a.dtype.kind == "f" and a.dtype.itemsize == 4 for a in given)
+        dtype = np.float32 if single else np.float64
         arrays = {}
-        for name in PARAM_LAYERS:
-            arr = np.asarray(getattr(self, name))
-            if arr.dtype != np.float32:
-                arr = arr.astype(np.float64)
+        for name, arr in zip(PARAM_LAYERS, given):
+            arr = arr.astype(dtype)
             if not np.all(np.isfinite(arr)):
                 raise NumericFaultError(f"non-finite values in {name}")
             arrays[name] = arr
@@ -159,9 +169,12 @@ class NetworkParams:
         if arrays["out_b"].shape != (3,):
             raise ShapeMismatchError("out_b must have 3 components")
         for name, arr in arrays.items():
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.conv_w.dtype
 
     @property
     def kernel_count(self) -> int:
@@ -704,6 +717,8 @@ def save_params(params: NetworkParams, path):
 
 
 def load_params(path) -> NetworkParams:
+    """Read a `save_params` file. The arrays keep the payload's float32, so
+    inference with the loaded weights runs in float32."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != WEIGHTS_MAGIC:
@@ -742,4 +757,4 @@ def load_params(path) -> NetworkParams:
         pos += nbytes
     if pos != len(buf):
         raise FormatError(f"{len(buf) - pos} trailing bytes after {PARAM_LAYERS[-1]}", offset=pos)
-    return NetworkParams(**{k: v.astype(np.float64) for k, v in arrays.items()})
+    return NetworkParams(**arrays)

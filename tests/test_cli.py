@@ -153,6 +153,34 @@ class TestTrainedPipeline:
         assert out.exists()
         assert out.with_name(out.name + ".log.jsonl").exists()
 
+    @pytest.mark.parametrize("pooling", ["median", "average"])
+    def test_finetune_command_widens_float32_file(self, dataset_dir, model_dir, tmp_path,
+                                                  pooling):
+        """The CLI has no --dtype: a float32 weights file is fine-tuned in
+        float64, as in-process `fine_tune` of the widened weights does."""
+        from patchcc.dataset import load_manifest, load_samples
+        from patchcc.estimator import fine_tune, fold_samples, fold_split
+        from patchcc.network import PARAM_LAYERS, NetworkParams, load_params, save_params
+
+        out = tmp_path / "tuned.ccnn"
+        assert run(["finetune", "--manifest", str(dataset_dir / "manifest.json"),
+                    "--model", str(model_dir / "fold0.ccnn"), "--out", str(out),
+                    "--fold", "0", "--patch-size", "16", "--epochs", "2",
+                    "--lr", "0.0001", "--seed", "3", "--pooling", pooling]) == 0
+        stored = load_params(model_dir / "fold0.ccnn")
+        assert stored.dtype == np.float32
+        widened = NetworkParams(**{n: getattr(stored, n).astype(np.float64) for n in PARAM_LAYERS})
+        samples = load_samples(load_manifest(dataset_dir / "manifest.json"))
+        train_samples, val_samples = (fold_samples(samples, f) for f in fold_split(0))
+        log = []
+        tuned = fine_tune(widened, train_samples,
+                          HyperParams(patch_size=16, epochs=2, learning_rate=0.0001, seed=3),
+                          pooling=pooling, val_dataset=val_samples, log=log)
+        save_params(tuned, tmp_path / "in_process.ccnn")
+        assert out.read_bytes() == (tmp_path / "in_process.ccnn").read_bytes()
+        lines = out.with_name(out.name + ".log.jsonl").read_text().splitlines()
+        assert lines == [json.dumps(rec, sort_keys=True) for rec in log]
+
 
 class TestEvaluateCommand:
     def test_dn_row_matches_closed_form(self, tmp_path, capsys):

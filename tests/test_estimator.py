@@ -4,6 +4,7 @@ import pytest
 from patchcc import estimator
 from patchcc.errors import EstimationImpossibleError, ParameterError
 from patchcc.estimator import (
+    POOLINGS,
     estimate_image,
     fine_tune,
     image_level_loss,
@@ -14,9 +15,10 @@ from patchcc.estimator import (
     train,
     unit_estimates,
 )
-from patchcc.evaluation import angular_error
+from patchcc.evaluation import angular_error, angular_error_many
 from patchcc.image import LinearImage, normalize
-from patchcc.network import HyperParams, forward, init_params
+from patchcc.localmap import estimate_local_map, filter_gaussian_3x3, filter_median_3x3
+from patchcc.network import PARAM_LAYERS, HyperParams, NetworkParams, forward, init_params
 
 import oracles
 from helpers import (
@@ -294,16 +296,15 @@ class TestFineTune:
         samples = make_synthetic_samples(count=3, size=48, seed=6)
         sample = samples[0]
         params = init_params(SMALL, 6)
-        before, _ = image_level_loss(params, sample.image, sample.illuminant,
-                                     "median", SMALL.patch_size)
+        batch = prepared_patches(sample.image, SMALL.patch_size)
+        before, _ = image_level_loss(params, batch, sample.illuminant, "median")
         tuned = fine_tune(
             params, [sample],
             HyperParams(patch_size=16, kernel_count=8, pool_size=4, fc_units=8,
                         learning_rate=0.005, momentum=0.9, weight_decay=0.0,
                         epochs=50, seed=2),
         )
-        after, _ = image_level_loss(tuned, sample.image, sample.illuminant,
-                                    "median", SMALL.patch_size)
+        after, _ = image_level_loss(tuned, batch, sample.illuminant, "median")
         assert after < before
 
     def test_objective_consistency_with_estimate_image(self):
@@ -326,10 +327,19 @@ class TestFineTune:
         assert logged == pytest.approx(reference, abs=1e-9)
 
     def test_image_loss_rejects_unknown_pooling_first(self):
-        # a flat image would fail in patch preparation, after the check
-        flat = LinearImage(np.full((16, 16, 3), 0.5))
+        from dataclasses import replace
+
+        from patchcc.patches import PatchBatch
+
+        # an empty batch would fail in the network, and a flat image in
+        # fine_tune's patch preparation, both after the check
+        empty = PatchBatch(np.zeros((0, 8, 8, 3)), np.zeros((0, 2), dtype=int))
         with pytest.raises(ParameterError, match="pooling"):
-            image_level_loss(bias_net(), flat, normalize((1, 1, 1)), "mean", 8)
+            image_level_loss(bias_net(), empty, normalize((1, 1, 1)), "mean")
+        flat = make_synthetic_samples(count=1, size=16, seed=1)[0]
+        flat = replace(flat, image=LinearImage(np.full((16, 16, 3), 0.5)))
+        with pytest.raises(ParameterError, match="pooling"):
+            fine_tune(bias_net(), [flat], TOY, pooling="mean")
 
     def test_image_loss_gradient_matches_finite_differences(self):
         from dataclasses import replace
@@ -338,8 +348,8 @@ class TestFineTune:
         sample = samples[0]
         params = init_params(SMALL, 10)
         params = replace(params, out_b=np.array([0.5, 0.55, 0.6]))
-        _, grads = image_level_loss(params, sample.image, sample.illuminant,
-                                    "median", SMALL.patch_size)
+        batch = prepared_patches(sample.image, SMALL.patch_size)
+        _, grads = image_level_loss(params, batch, sample.illuminant, "median")
         step = 1e-5
         rng = np.random.default_rng(0)
         for layer in ("conv_w", "fc_w", "out_w"):
@@ -350,12 +360,10 @@ class TestFineTune:
                 bump = arr.copy()
                 bump[idx] += step
                 up, _ = image_level_loss(replace(params, **{layer: bump}),
-                                         sample.image, sample.illuminant,
-                                         "median", SMALL.patch_size)
+                                         batch, sample.illuminant, "median")
                 bump[idx] -= 2 * step
                 down, _ = image_level_loss(replace(params, **{layer: bump}),
-                                           sample.image, sample.illuminant,
-                                           "median", SMALL.patch_size)
+                                           batch, sample.illuminant, "median")
                 numeric = (up - down) / (2 * step)
                 analytic = float(getattr(grads, layer)[idx])
                 rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
@@ -378,3 +386,108 @@ class TestFineTune:
         )
         for name in ("conv_w", "fc_w", "out_b"):
             assert np.array_equal(getattr(tuned, name), getattr(params, name))
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_each_image_prepared_once(self, pooling, monkeypatch):
+        from dataclasses import replace
+
+        samples = make_synthetic_samples(count=6, size=48, seed=13)
+        params = replace(init_params(SMALL, 14), out_b=np.array([0.4, 0.5, 0.45]))
+        calls = []
+
+        def counted(img, *args, **kwargs):
+            calls.append(img)
+            return prepared_patches(img, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "prepared_patches", counted)
+        fine_tune(params, samples[:3], replace(SMALL, learning_rate=1e-4, epochs=3),
+                  pooling=pooling, val_dataset=samples[3:])
+        assert [id(img) for img in calls] == [id(s.image) for s in samples]
+
+    def test_weights_cast_to_hyper_dtype(self):
+        from dataclasses import replace
+
+        samples = make_synthetic_samples(count=2, size=32, seed=15)
+        frozen = replace(SMALL, learning_rate=0.0, momentum=0.0, epochs=1)
+        p32 = init_params(replace(SMALL, dtype="float32"), 16)
+        widened = fine_tune(p32, samples, frozen)
+        assert widened.dtype == np.float64
+        for name in PARAM_LAYERS:
+            assert np.array_equal(getattr(widened, name), getattr(p32, name))
+        narrowed = fine_tune(init_params(SMALL, 16), samples, replace(frozen, dtype="float32"))
+        assert narrowed.dtype == np.float32
+
+
+def float32_model_and_widened_copy(seed):
+    """A float32 SMALL-shape model with positive output biases, and the
+    same values held as float64."""
+    from dataclasses import replace
+
+    p32 = init_params(replace(SMALL, dtype="float32"), seed)
+    p32 = replace(p32, out_b=np.array([0.4, 0.5, 0.45], dtype=np.float32))
+    p64 = NetworkParams(**{name: getattr(p32, name).astype(np.float64) for name in PARAM_LAYERS})
+    assert p32.dtype == np.float32 and p64.dtype == np.float64
+    return p32, p64
+
+
+class TestWeightsPrecision:
+    """The network runs in the dtype of the weights; the estimates that
+    leave `unit_estimates` are float64 whatever that dtype is."""
+
+    def test_float32_weights_see_float32_patches_and_give_float64(self, monkeypatch):
+        p32, _ = float32_model_and_widened_copy(20)
+        seen = []
+
+        def recording(params, x):
+            seen.append(x.dtype)
+            return forward(params, x)
+
+        monkeypatch.setattr(estimator, "forward", recording)
+        img = make_synthetic_samples(count=1, size=64, seed=21)[0].image
+        batch = prepared_patches(img, SMALL.patch_size)
+        keep, raw, units = unit_estimates(p32, batch)
+        assert seen == [np.float32]
+        assert raw.dtype == np.float64 and units.dtype == np.float64
+        want = forward(p32, batch.data.astype(np.float32)).astype(np.float64)
+        assert np.array_equal(raw, want[keep])
+
+    @pytest.mark.parametrize("seed", [22, 23])
+    def test_float32_model_agrees_with_its_float64_copy(self, seed):
+        p32, p64 = float32_model_and_widened_copy(seed)
+        img = make_synthetic_samples(count=1, size=144, seed=seed)[0].image
+        for pooling in POOLINGS:
+            e32 = estimate_image(p32, img, pooling, SMALL.patch_size)
+            e64 = estimate_image(p64, img, pooling, SMALL.patch_size)
+            assert angular_error(e32.illuminant, e64.illuminant) < 0.01
+            assert np.array_equal(e32.origins, e64.origins)
+            assert e32.degenerate_skipped == e64.degenerate_skipped
+            assert np.max(angular_error_many(e32.units, e64.units)) < 0.01
+            # the float32 pass did run: its estimates are not the float64 bits
+            assert not np.array_equal(e32.units, e64.units)
+        full = prepared_patches(img, SMALL.patch_size, resize_target=None)
+        assert np.array_equal(unit_estimates(p32, full)[0], unit_estimates(p64, full)[0])
+        m32 = estimate_local_map(p32, img, SMALL.patch_size)
+        m64 = estimate_local_map(p64, img, SMALL.patch_size)
+        for smooth in (lambda m: m, filter_median_3x3, filter_gaussian_3x3):
+            a, b = smooth(m32).estimates, smooth(m64).estimates
+            assert np.max(angular_error_many(a.reshape(-1, 3), b.reshape(-1, 3))) < 0.01
+
+    def test_image_loss_runs_in_the_weights_dtype(self, monkeypatch):
+        from patchcc.network import forward_cache
+
+        p32, _ = float32_model_and_widened_copy(24)
+        seen = []
+
+        def recording(params, x):
+            seen.append(x.dtype)
+            return forward_cache(params, x)
+
+        monkeypatch.setattr(estimator, "forward_cache", recording)
+        sample = make_synthetic_samples(count=1, size=64, seed=25)[0]
+        batch = prepared_patches(sample.image, SMALL.patch_size)
+        loss, grads = image_level_loss(p32, batch, sample.illuminant, "median")
+        assert seen == [np.float32]
+        assert all(getattr(grads, name).dtype == np.float32 for name in PARAM_LAYERS)
+        # the loss is the angular error of the float64 estimate `estimate_image` pools
+        pooled = estimate_image(p32, sample.image, "median", SMALL.patch_size).illuminant
+        assert np.degrees(loss) == pytest.approx(angular_error(pooled, sample.illuminant), abs=1e-9)

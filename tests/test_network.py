@@ -535,6 +535,25 @@ class TestFullForward:
         with pytest.raises(NumericFaultError):
             replace(params, conv_w=bad)
 
+    def test_mixed_dtypes_widen_to_one_dtype(self):
+        """The weights have one precision: all float32 stays float32, and
+        one float64 (or integer) array among float32 ones widens all six."""
+        single = init_params(replace(TOY, dtype="float32"), 30)
+        assert single.dtype == np.float32
+        for name in PARAM_LAYERS:
+            for odd in (np.float64, np.int64):
+                mixed = replace(single, **{name: getattr(single, name).astype(odd)})
+                assert mixed.dtype == np.float64
+                assert all(getattr(mixed, n).dtype == np.float64 for n in PARAM_LAYERS)
+                if odd is np.float64:
+                    for n in PARAM_LAYERS:
+                        assert np.array_equal(getattr(mixed, n), getattr(single, n))
+        # a mixed set runs its whole forward pass in float64
+        patch = np.random.default_rng(31).uniform(0, 1, (2, 8, 8, 3)).astype(np.float32)
+        mixed = replace(single, fc_w=single.fc_w.astype(np.float64))
+        assert forward(mixed, patch).dtype == np.float64
+        assert forward(single, patch).dtype == np.float32
+
     @pytest.mark.parametrize("shapes", [
         {"conv_w": ()}, {"fc_w": (8,)}, {"conv_w": (0, 1, 1, 3), "conv_b": (0,)},
         {"conv_w": (2, 0, 0, 3)}, {"fc_w": (4, 0)}, {"fc_w": (0, 2), "fc_b": (0,), "out_w": (3, 0)},
@@ -790,6 +809,21 @@ class TestWeightsFile:
         for name in ("conv_w", "conv_b", "fc_w", "fc_b", "out_w", "out_b"):
             want = getattr(params, name).astype(np.float32).astype(np.float64)
             assert np.array_equal(getattr(back, name), want)
+
+    def test_load_keeps_the_float32_payload(self, tmp_path):
+        path = tmp_path / "p.ccnn"
+        save_params(toy_params(16), path)
+        blob = path.read_bytes()
+        back = load_params(path)
+        assert back.dtype == np.float32
+        pos = 8
+        for name in PARAM_LAYERS:
+            arr = getattr(back, name)
+            assert arr.dtype == np.float32
+            pos += 4 * (1 + arr.ndim)
+            assert arr.astype("<f4").tobytes() == blob[pos : pos + 4 * arr.size]
+            pos += 4 * arr.size
+        assert pos == len(blob)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ccnn"
