@@ -217,7 +217,8 @@ def cmd_correct(args) -> int:
         raise ParameterError("correct needs --ill R,G,B or --algo")
     corrected = correct_von_kries(img, ill)
     save_ppm16(corrected, args.out)
-    print(f"{args.out} written (saturated values: {corrected.meta['saturated_values']})")
+    saturated = np.count_nonzero(corrected.data > 1.0)
+    print(f"{args.out} written (saturated values: {saturated})")
     return 0
 
 
@@ -249,7 +250,7 @@ def cmd_evaluate(args) -> int:
     finetuned = _load_fold_models(args.finetuned_dir) if args.finetuned_dir else None
     report = run_benchmark(
         samples, algos, fold_models=fold_models, finetuned_models=finetuned,
-        patch_size=args.patch_size, threads=1 if args.deterministic else args.threads,
+        patch_size=args.patch_size, threads=args.threads,
     )
     text = report.render_text()
     print(text, end="")
@@ -381,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix")
     p.add_argument("--patch-size", type=int, default=32)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=False)
 
     p = sub("sweep", cmd_sweep, help="hyperparameter sweep, median error per value")
     p.add_argument("--manifest")

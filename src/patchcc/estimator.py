@@ -11,9 +11,10 @@ Image estimation, fine-tuning, local maps and the benchmark's cnn rows take
 their patches from `prepared_patches` (tile, then stretch) and make each
 raw network output a unit estimate with `rectified_units` (through
 `unit_estimates` for all but fine-tuning's steps, which keep the forward
-cache). The network runs in the dtype of the weights, everything after it
-in float64. Training takes its patches from `training_patch_arrays`
-(sample, then stretch). `fold_split` holds the cross-validation convention.
+cache). The network casts the patches to the dtype of its weights; the raw
+outputs are widened to float64, and everything after them is float64.
+Training takes its patches from `training_patch_arrays` (sample, then
+stretch). `fold_split` holds the cross-validation convention.
 """
 
 from __future__ import annotations
@@ -135,11 +136,11 @@ def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray
     """The mask of the batch rows whose rectified network output has a
     direction, and those rows' raw outputs and unit estimates, each (M, 3).
 
-    The forward pass runs in the weights' dtype, the patches cast to it;
-    the raw outputs are widened to float64 before they are rectified, so
-    everything downstream is float64 whatever the weights' precision.
+    The forward pass runs in the weights' dtype; the raw outputs are
+    widened to float64 before they are rectified, so everything downstream
+    is float64 whatever the weights' precision.
     """
-    raw = forward(params, batch.data.astype(params.dtype, copy=False))
+    raw = forward(params, batch.data)
     raw = raw.astype(np.float64, copy=False)
     keep, _, units = rectified_units(raw)
     return keep, raw[keep], units
@@ -298,12 +299,12 @@ def image_level_loss(
     `prepared_patches`, with exact parameter gradients through pooling,
     per-patch normalization, and the network.
 
-    As in `unit_estimates`, the network runs in the weights' dtype and the
-    outputs are rectified and pooled in float64.
+    As in `unit_estimates`, the network runs in the weights' dtype and its
+    outputs are widened to float64 before they are rectified and pooled.
     """
     if pooling not in POOLINGS:
         raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
-    out, cache = forward_cache(params, batch.data.astype(params.dtype, copy=False))
+    out, cache = forward_cache(params, batch.data)
     raw = out.astype(np.float64, copy=False)
     keep, norms, units = rectified_units(raw)
     if pooling == "median":

@@ -8,7 +8,7 @@ can be shared freely between workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class LinearImage:
     """
 
     data: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -129,17 +128,14 @@ def cast_illuminant(img: LinearImage, ill: Illuminant) -> LinearImage:
 def correct_von_kries(img: LinearImage, ill: Illuminant) -> LinearImage:
     """Divide each pixel channel-wise by the illuminant (diagonal correction).
 
-    The output is clamped below at 0 but not above 1; the number of channel
-    samples exceeding 1 is recorded in meta["saturated_values"].
+    The output is clamped below at 0 but not above 1.
     """
     if np.any(ill.rgb <= 0):
         raise InvalidIlluminantError(
             f"von Kries correction needs strictly positive channels, got {ill.rgb}"
         )
     out = img.data / ill.rgb[None, None, :]
-    out = np.maximum(out, 0.0)
-    saturated = int(np.count_nonzero(out > 1.0))
-    return LinearImage(out, meta={"saturated_values": saturated})
+    return LinearImage(np.maximum(out, 0.0))
 
 
 def compose_two_illuminants(

@@ -6,10 +6,10 @@ layer, and a linear 3-output regression head. Everything is plain numpy with
 exact analytic gradients, checked against central finite differences.
 
 The weights hold one dtype, float32 or float64 (`NetworkParams.dtype`), and
-weights files store float32, which `load_params` keeps. The layers compute
-in the wider of their inputs' dtypes, so callers that want the weights'
-precision cast their patches to it: the estimators run every inference
-pass in the dtype of the weights.
+weights files store float32, which `load_params` keeps. The network computes
+in the dtype of its weights: `forward` and `forward_cache` cast the patches
+to it, so callers pass patches of any float dtype and get outputs of the
+weights' dtype.
 
 Layer inputs may carry a leading batch axis; channels are always the last
 axis. The flatten between pooling and the FC layer is row-major with channel
@@ -65,14 +65,6 @@ FORWARD_CHUNK = 512
 
 # central-difference step of `gradient_check`
 GRADCHECK_STEP = 1e-4
-
-
-def _as_float(a) -> np.ndarray:
-    """Leave float32/float64 arrays alone; promote everything else to float64."""
-    a = np.asarray(a)
-    if a.dtype == np.float32 or a.dtype == np.float64:
-        return a
-    return a.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -215,11 +207,9 @@ def _conv_pads(kw: int) -> tuple[int, int]:
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """k x k convolution over the channel axis with zero same-padding.
 
-    x: (..., S, S, 3), w: (K, kw, kw, 3), b: (K,) -> (..., S, S, K).
+    x: (..., S, S, 3), w: (K, kw, kw, 3), b: (K,) -> (..., S, S, K), summed
+    in the wider of x's and w's dtypes.
     """
-    x = _as_float(x)
-    w = _as_float(w)
-    b = _as_float(b)
     if x.shape[-1] != w.shape[3] or b.shape != (w.shape[0],):
         raise ShapeMismatchError(f"conv shapes inconsistent: x{x.shape} w{w.shape} b{b.shape}")
     kw = w.shape[1]
@@ -230,7 +220,7 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     lo, hi = _conv_pads(kw)
     pad = [(0, 0)] * (x.ndim - 3) + [(lo, hi), (lo, hi), (0, 0)]
     xpad = np.pad(x, pad)
-    out = np.zeros(x.shape[:-1] + (w.shape[0],), dtype=np.float64)
+    out = np.zeros(x.shape[:-1] + (w.shape[0],), dtype=np.result_type(x, w))
     for dy in range(kw):
         for dx in range(kw):
             out += xpad[..., dy : dy + s1, dx : dx + s2, :] @ w[:, dy, dx, :].T
@@ -272,7 +262,6 @@ def maxpool_forward(x: np.ndarray, pool: int, need_cache: bool = True):
     Ties go to the first occurrence in row-major block order. Pass
     need_cache=False for inference to skip the argmax bookkeeping.
     """
-    x = _as_float(x)
     s1, s2, k = x.shape[-3], x.shape[-2], x.shape[-1]
     if s1 != s2 or s1 % pool != 0:
         raise ShapeMismatchError(f"spatial size {s1}x{s2} not divisible by pool {pool}")
@@ -296,7 +285,6 @@ def maxpool_backward(grad_out: np.ndarray, cache):
     nl = len(lead)
     s, k = x_shape[-3], x_shape[-1]
     g = s // pool
-    grad_out = _as_float(grad_out)
     grad_blocks = np.zeros(lead + (g, g, k, pool * pool), dtype=grad_out.dtype)
     np.put_along_axis(grad_blocks, idx[..., None], grad_out[..., None], axis=-1)
     grad_blocks = grad_blocks.reshape(*lead, g, g, k, pool, pool)
@@ -310,11 +298,13 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
 
     x: (..., S, S, 3), w: (K, 1, 1, 3), b: (K,) -> (..., S/pool, S/pool, K),
     the values and argmax of `maxpool_forward(conv_forward(x, w, b)[0], pool)`.
-    Both paths take the pool windows FUSED_BLOCK_BYTES of responses at a
-    time. Each response is the 3-term dot product of `conv_forward`, by the
-    same kind of BLAS call (gemv when K = 1, gemm otherwise); the kernel
-    OpenBLAS then runs can still depend on the matrix size, so inexact sums
-    may differ from the reference layers in the last bit.
+    x, w and b share one dtype, which the layer computes and returns in; a
+    mixed call raises `ParameterError`. Both paths take the pool windows
+    FUSED_BLOCK_BYTES of responses at a time. Each response is the 3-term
+    dot product of `conv_forward`, by the same kind of BLAS call (gemv when
+    K = 1, gemm otherwise); the kernel OpenBLAS then runs can still depend
+    on the matrix size, so inexact sums may differ from the reference layers
+    in the last bit.
 
     With the cache (training), the input is copied once pixel-outer, xp
     (pool*pool, windows, 3). A block of s windows gives the responses
@@ -337,9 +327,9 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b), and the values
     are the same bits as with the cache.
     """
-    x = _as_float(x)
-    w = _as_float(w)
-    b = _as_float(b)
+    if not x.dtype == w.dtype == b.dtype:
+        raise ParameterError(
+            f"conv1x1 dtypes differ: x {x.dtype}, w {w.dtype}, b {b.dtype}")
     if x.shape[-1] != 3 or w.shape[1:] != (1, 1, 3) or b.shape != (w.shape[0],):
         raise ShapeMismatchError(f"conv1x1 shapes inconsistent: x{x.shape} w{w.shape} b{b.shape}")
     s1, s2 = x.shape[-3], x.shape[-2]
@@ -349,36 +339,24 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     nl = len(lead)
     g = s1 // pool
     k = w.shape[0]
+    p2 = pool * pool
+    wt = w[:, 0, 0, :].T
+    step = max(1, FUSED_BLOCK_BYTES // (p2 * k * x.itemsize))
     if not need_cache:
         axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
-        xb = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(*lead, g, g, pool * pool, 3)
-        dtype = np.result_type(x, w)
-        wt = w[:, 0, 0, :].astype(dtype).T
-        windows = xb.reshape(-1, pool * pool, 3)
-        if windows.dtype != dtype:
-            # cast through a (3, pool*pool) copy, as numpy casts the cached
-            # path's xb^T operand: a K = 1 gemv rounds by its memory layout
-            windows = windows.swapaxes(-1, -2).astype(dtype, order="C").swapaxes(-1, -2)
-        out = np.empty((windows.shape[0], k), dtype=dtype)
-        step = max(1, FUSED_BLOCK_BYTES // (pool * pool * k * out.itemsize))
+        windows = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(-1, p2, 3)
+        out = np.empty((windows.shape[0], k), dtype=x.dtype)
         for i in range(0, len(windows), step):
             np.max(windows[i : i + step] @ wt, axis=-2, out=out[i : i + step])
-        # conv_forward adds the bias in the wider of the two dtypes
-        out = out.astype(np.result_type(out, b), copy=False)
         out += b
         return out.reshape(*lead, g, g, k), None
-    p2 = pool * pool
     axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 4)
     xp = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(p2, -1, 3)
-    dtype = np.result_type(x, w)
-    wt = w[:, 0, 0, :].astype(dtype).T
     n = xp.shape[1]
-    step = max(1, FUSED_BLOCK_BYTES // (p2 * k * np.dtype(dtype).itemsize))
-    # conv_forward adds the bias in the wider of the two dtypes
-    out = np.empty((n, k), dtype=np.result_type(dtype, b))
+    out = np.empty((n, k), dtype=x.dtype)
     idx = np.empty((n, k), dtype=np.intp)
-    bias = np.broadcast_to(b, (min(n, step), k)).astype(out.dtype, order="C")
-    resp_buf = np.empty((p2,) + bias.shape, dtype)
+    bias = np.broadcast_to(b, (min(n, step), k)).copy()
+    resp_buf = np.empty((p2,) + bias.shape, x.dtype)
     # P^2 - p at pixel p: over the pixels whose response equals the max, the
     # largest marks the first one
     rank = np.arange(p2, 0, -1, dtype=np.min_scalar_type(p2))[:, None, None]
@@ -387,15 +365,11 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
         block = xp[:, i : i + step]
         s = block.shape[1]
         if k > 1 and p2 > 1 and s > 1:
-            resp = np.matmul(block.astype(dtype, copy=False), wt, out=resp_buf[:, :s])
+            resp = np.matmul(block, wt, out=resp_buf[:, :s])
         else:
             # numpy calls gemv here, which rounds by operand shape and layout:
-            # go window by window, cast and laid out as on the inference path
-            windows = np.ascontiguousarray(block.swapaxes(0, 1))
-            if windows.dtype != dtype:
-                windows = windows.swapaxes(-1, -2).astype(dtype, order="C").swapaxes(-1, -2)
-            resp = (windows @ wt).swapaxes(0, 1)
-        resp = resp.astype(out.dtype, copy=False)
+            # go window by window, laid out as on the inference path
+            resp = (np.ascontiguousarray(block.swapaxes(0, 1)) @ wt).swapaxes(0, 1)
         resp += bias[:s]
         top = np.max(resp, axis=0, out=out[i : i + s])
         first = np.equal(resp, top, out=mask[:, :s])
@@ -418,15 +392,13 @@ def conv1x1_pool_backward(grad_out: np.ndarray, cache):
     flat_idx = idx.reshape(-1, k)
     windows = np.arange(flat_idx.shape[0])[:, None]
     x_sel = xp[flat_idx, windows]
-    flat_g = _as_float(grad_out).reshape(-1, k)
+    flat_g = grad_out.reshape(-1, k)
     grad_w = np.einsum("nk,nkc->kc", flat_g, x_sel)
     return grad_w[:, None, None, :], flat_g.sum(axis=0)
 
 
 def fc_relu_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Fully connected layer with ReLU: out = max(0, w @ x + b)."""
-    x = _as_float(x)
-    w = _as_float(w)
     if x.shape[-1] != w.shape[1]:
         raise ShapeMismatchError(f"fc input width {x.shape[-1]} != weight width {w.shape[1]}")
     pre = x @ w.T + b
@@ -444,8 +416,7 @@ def fc_relu_backward(grad_out: np.ndarray, cache):
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    x = _as_float(x)
-    return x @ _as_float(w).T + b, (x, w)
+    return x @ w.T + b, (x, w)
 
 
 def linear_backward(grad_out: np.ndarray, cache):
@@ -462,7 +433,7 @@ def linear_backward(grad_out: np.ndarray, cache):
 
 
 def _forward_impl(params: NetworkParams, x: np.ndarray, need_cache: bool = True):
-    x = _as_float(x)
+    x = np.asarray(x, dtype=params.dtype)
     single = x.ndim == 3
     if single:
         x = x[None]
@@ -501,7 +472,8 @@ def _forward_impl(params: NetworkParams, x: np.ndarray, need_cache: bool = True)
 
 
 def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
-    """Raw (unnormalized) illuminant estimate for one patch or a batch.
+    """Raw (unnormalized) illuminant estimate for one patch or a batch, in
+    the dtype of the weights, to which each chunk of patches is cast.
 
     Large batches are processed `FORWARD_CHUNK` patches at a time. For 1x1
     kernels the chunk bounds only the block-layout copy of the input and the
@@ -510,7 +482,7 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     full-resolution convolution output. The chunk size is a constant because
     it fixes the FC layer's matrix shapes, and so the last bit of its sums.
     """
-    patch = _as_float(patch)
+    patch = np.asarray(patch)
     if patch.ndim == 4 and patch.shape[0] > FORWARD_CHUNK:
         return np.concatenate(
             [_forward_impl(params, patch[i : i + FORWARD_CHUNK], need_cache=False)[0]
@@ -521,13 +493,14 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
 
 
 def forward_cache(params: NetworkParams, patch: np.ndarray):
-    """Forward pass keeping the intermediates needed by `backward`."""
+    """Forward pass keeping the intermediates needed by `backward`; the
+    patches are cast to the weights' dtype, as in `forward`."""
     return _forward_impl(params, patch)
 
 
 def backward(params: NetworkParams, cache, grad_est: np.ndarray) -> NetworkGrads:
     """Analytic parameter gradients given d(loss)/d(raw estimate)."""
-    grad_est = _as_float(grad_est)
+    grad_est = np.asarray(grad_est)
     if cache["single"]:
         grad_est = grad_est[None]
     grad_fc_out, grad_out_w, grad_out_b = linear_backward(grad_est, cache["out"])
@@ -552,7 +525,7 @@ def backward(params: NetworkParams, cache, grad_est: np.ndarray) -> NetworkGrads
 def euclidean_loss(est: np.ndarray, gt) -> tuple[float, np.ndarray]:
     """Half squared error. Batched inputs return the batch mean and
     mean-scaled gradients."""
-    est = _as_float(est)
+    est = np.asarray(est)
     gt = np.asarray(getattr(gt, "rgb", gt), dtype=est.dtype)
     diff = est - gt
     if est.ndim == 1:

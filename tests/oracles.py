@@ -19,7 +19,6 @@ from patchcc.errors import EstimationImpossibleError, SamplingImpossibleError
 from patchcc.estimator import DIRECTION_FREE_NORM
 from patchcc.image import LinearImage
 from patchcc.minkowski import EdgeFrameworkParams, gaussian_kernel
-from patchcc.network import _as_float
 
 
 def dense_gaussian_2d(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -234,14 +233,12 @@ def block_conv1x1_pool_forward(x, w, b, pool, need_cache=True):
     responses W @ xb^T as (..., G, G, K, pool*pool) with the bias added, a
     last-axis `argmax` and `take_along_axis`; the cache is (xb, idx), or
     None without `need_cache`."""
-    x, w, b = _as_float(x), _as_float(w), _as_float(b)
     lead = x.shape[:-3]
     nl = len(lead)
     g = x.shape[-3] // pool
     axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
     xb = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(*lead, g, g, pool * pool, 3)
     resp = w[:, 0, 0, :] @ xb.swapaxes(-1, -2)
-    resp = resp.astype(np.result_type(resp, b), copy=False)
     resp += b[:, None]
     idx = resp.argmax(axis=-1)
     out = np.take_along_axis(resp, idx[..., None], axis=-1)[..., 0]
@@ -256,6 +253,6 @@ def block_conv1x1_pool_backward(grad_out, cache):
     flat_idx = idx.reshape(-1, k)
     rows = np.arange(flat_idx.shape[0])[:, None]
     x_sel = xb.reshape(-1, xb.shape[-2], 3)[rows, flat_idx]
-    flat_g = _as_float(grad_out).reshape(-1, k)
+    flat_g = grad_out.reshape(-1, k)
     grad_w = np.einsum("nk,nkc->kc", flat_g, x_sel)
     return grad_w[:, None, None, :], flat_g.sum(axis=0)

@@ -117,6 +117,14 @@ class TestCorrectCommand:
         ill = normalize((0.5, 0.8, 0.6))
         assert np.allclose(out.data[0, 0], 0.3 / ill.rgb, atol=1e-3)
 
+    def test_saturation_counter(self, tmp_path, capsys):
+        # divided by 1/sqrt(3), 0.9 exceeds 1 and 0.5 does not
+        src = tmp_path / "in.ppm"
+        save_ppm16(LinearImage(np.array([[[0.9, 0.9, 0.9], [0.9, 0.5, 0.5]]])), src)
+        dst = tmp_path / "out.ppm"
+        assert run(["correct", "--image", str(src), "--out", str(dst), "--ill", "1,1,1"]) == 0
+        assert capsys.readouterr().out == f"{dst} written (saturated values: 4)\n"
+
 
 class TestTrainedPipeline:
     def test_models_written(self, model_dir):

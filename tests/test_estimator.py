@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from patchcc import estimator
+from patchcc import estimator, network
 from patchcc.errors import EstimationImpossibleError, ParameterError
 from patchcc.estimator import (
     POOLINGS,
@@ -430,23 +430,31 @@ def float32_model_and_widened_copy(seed):
     return p32, p64
 
 
+def recorded_conv_dtypes(monkeypatch) -> list:
+    """The dtypes of the patches, weights and bias of each call to the
+    network's fused first layer, recorded from now on."""
+    seen = []
+    layer = network.conv1x1_pool_forward
+
+    def recording(x, w, b, *args, **kwargs):
+        seen.append((x.dtype, w.dtype, b.dtype))
+        return layer(x, w, b, *args, **kwargs)
+
+    monkeypatch.setattr(network, "conv1x1_pool_forward", recording)
+    return seen
+
+
 class TestWeightsPrecision:
     """The network runs in the dtype of the weights; the estimates that
     leave `unit_estimates` are float64 whatever that dtype is."""
 
     def test_float32_weights_see_float32_patches_and_give_float64(self, monkeypatch):
         p32, _ = float32_model_and_widened_copy(20)
-        seen = []
-
-        def recording(params, x):
-            seen.append(x.dtype)
-            return forward(params, x)
-
-        monkeypatch.setattr(estimator, "forward", recording)
+        seen = recorded_conv_dtypes(monkeypatch)
         img = make_synthetic_samples(count=1, size=64, seed=21)[0].image
         batch = prepared_patches(img, SMALL.patch_size)
         keep, raw, units = unit_estimates(p32, batch)
-        assert seen == [np.float32]
+        assert seen == [(np.float32,) * 3]
         assert raw.dtype == np.float64 and units.dtype == np.float64
         want = forward(p32, batch.data.astype(np.float32)).astype(np.float64)
         assert np.array_equal(raw, want[keep])
@@ -473,20 +481,12 @@ class TestWeightsPrecision:
             assert np.max(angular_error_many(a.reshape(-1, 3), b.reshape(-1, 3))) < 0.01
 
     def test_image_loss_runs_in_the_weights_dtype(self, monkeypatch):
-        from patchcc.network import forward_cache
-
         p32, _ = float32_model_and_widened_copy(24)
-        seen = []
-
-        def recording(params, x):
-            seen.append(x.dtype)
-            return forward_cache(params, x)
-
-        monkeypatch.setattr(estimator, "forward_cache", recording)
+        seen = recorded_conv_dtypes(monkeypatch)
         sample = make_synthetic_samples(count=1, size=64, seed=25)[0]
         batch = prepared_patches(sample.image, SMALL.patch_size)
         loss, grads = image_level_loss(p32, batch, sample.illuminant, "median")
-        assert seen == [np.float32]
+        assert seen == [(np.float32,) * 3]
         assert all(getattr(grads, name).dtype == np.float32 for name in PARAM_LAYERS)
         # the loss is the angular error of the float64 estimate `estimate_image` pools
         pooled = estimate_image(p32, sample.image, "median", SMALL.patch_size).illuminant

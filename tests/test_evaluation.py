@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from patchcc.errors import InvalidIlluminantError, ParameterError
 from patchcc.evaluation import angular_error, angular_error_many, summarize
@@ -30,6 +30,7 @@ class TestAngularError:
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
+    @example(seed=8175, alpha=5.0, beta=1.0)  # arccos of the cosine missed by 1.4e-11
     def test_scale_invariance_property(self, seed, alpha, beta):
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.05, 1.0, 3)

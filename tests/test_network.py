@@ -14,10 +14,12 @@ from patchcc.errors import (
     DegenerateEstimateError,
     FormatError,
     NumericFaultError,
+    ParameterError,
     PipelineError,
     ShapeMismatchError,
 )
 from patchcc.estimator import fine_tune, train
+from patchcc.evaluation import angular_error_many
 from patchcc.image import normalize
 from patchcc.network import (
     FUSED_BLOCK_BYTES,
@@ -245,20 +247,6 @@ class TestConv1x1Pool:
             assert np.allclose(got_w, want_w, rtol=0, atol=tol)
             assert np.allclose(got_b, want_b, rtol=0, atol=tol)
 
-    def test_mixed_dtypes_match_reference(self):
-        rng = np.random.default_rng(60)
-        x = rng.integers(0, 257, (2, 8, 8, 3)) / 256
-        w = rng.integers(-64, 65, (5, 1, 1, 3)) / 32
-        b = rng.uniform(-1, 1, 5)  # the bias add is the one rounding step, alike in both
-        for xd, wd, bd in ((np.float32, np.float32, np.float64),
-                           (np.float64, np.float32, np.float32),
-                           (np.float32, np.float64, np.float32)):
-            args = (x.astype(xd), w.astype(wd), b.astype(bd))
-            want, _, _ = reference_conv_pool(*args, 4)
-            got, _ = conv1x1_pool_forward(*args, 4)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-
     def test_finite_differences(self):
         rng = np.random.default_rng(61)
         x = rng.uniform(0, 1, (2, 8, 8, 3))
@@ -285,9 +273,60 @@ class TestConv1x1Pool:
         with pytest.raises(ShapeMismatchError):
             conv1x1_pool_forward(np.zeros((8, 8, 3)), np.zeros((2, 3, 3, 3)), np.zeros(2), 4)
 
+    def test_mixed_dtypes_rejected(self):
+        x, w, b = np.zeros((2, 8, 8, 3)), np.zeros((2, 1, 1, 3)), np.zeros(2)
+        for args in ((x.astype(np.float32), w, b), (x, w.astype(np.float32), b),
+                     (x, w, b.astype(np.float32))):
+            for need_cache in (True, False):
+                with pytest.raises(ParameterError):
+                    conv1x1_pool_forward(*args, 4, need_cache=need_cache)
+
+    def test_mixed_dtypes_match_reference(self):
+        # the network runs mixed patches, weights and bias in the weights' one
+        # dtype, a plain cast of each operand before the layer
+        rng = np.random.default_rng(60)
+        x = rng.integers(0, 257, (2, 8, 8, 3)) / 256
+        w = rng.integers(-64, 65, (5, 1, 1, 3)) / 32
+        b = rng.uniform(-1, 1, 5)  # the bias add is the one rounding step, alike in both
+        for xd, wd, bd in ((np.float32, np.float32, np.float64),
+                           (np.float64, np.float32, np.float32),
+                           (np.float32, np.float64, np.float32)):
+            args = (x.astype(xd), w.astype(wd), b.astype(bd))
+            cast = [a.astype(np.result_type(wd, bd)) for a in args]
+            ops = fused_operands(*args, 4)
+            assert all(a.tobytes() == c.tobytes() for a, c in zip(ops, cast))
+            want, _, _ = reference_conv_pool(*cast, 4)
+            got, _ = conv1x1_pool_forward(*ops, 4)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
 
 DTYPE_TRIPLES = ((np.float32,) * 3, (np.float64,) * 3, (np.float32, np.float32, np.float64),
                  (np.float64, np.float32, np.float32), (np.float32, np.float64, np.float32))
+
+
+def fused_operands(x, w, b, pool):
+    """The patches, 1x1 weights and bias that `forward_cache` hands the fused
+    layer for patches x and a first layer (w, b) of any float dtypes, under
+    float32 FC and output layers: all three in the weights' one dtype, which
+    is float32 only when w and b are."""
+    k, g, f32 = w.shape[0], x.shape[1] // pool, np.float32
+    params = NetworkParams(conv_w=w, conv_b=b, fc_w=np.zeros((1, g * g * k), f32),
+                           fc_b=np.zeros(1, f32), out_w=np.zeros((3, 1), f32),
+                           out_b=np.ones(3, f32))
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(args[:3])
+        return conv1x1_pool_forward(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "conv1x1_pool_forward", record)
+        forward_cache(params, x)
+    (ops,) = seen
+    assert params.dtype == np.result_type(w, b)
+    assert all(a.dtype == params.dtype for a in ops)
+    return ops
 
 
 def block_window_counts(k, pool, dtype):
@@ -305,26 +344,27 @@ class TestConv1x1PoolBlocks:
     def test_block_boundaries_with_a_rounding_bias(self, xd, wd, bd):
         rng = np.random.default_rng(70)
         k, pool = 240, 8
-        out_dtype = np.result_type(xd, wd, bd)
+        out_dtype = np.result_type(wd, bd)  # the weights', which the network runs in
         # dyadic x and w make every response exact, so the bias add is the one
         # rounding step; at about 1/eps the distinct responses of a channel
         # round to a few equal sums
         w = (rng.integers(-64, 65, (k, 1, 1, 3)) / 32).astype(wd)
         b = (rng.choice([-1, 1], k) * rng.uniform(0.5, 1, k) / np.finfo(out_dtype).eps).astype(bd)
-        for windows in block_window_counts(k, pool, np.result_type(xd, wd)):
+        for windows in block_window_counts(k, pool, out_dtype):
             for side in (8, 16):
                 n = -(-windows // (side // pool) ** 2)
                 x = (rng.integers(0, 257, (n, side, side, 3)) / 256).astype(xd)
-                want, _, _ = reference_conv_pool(x, w, b, pool)
-                cached, _ = conv1x1_pool_forward(x, w, b, pool)
-                lean, cache = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+                ops = fused_operands(x, w, b, pool)
+                want, _, _ = reference_conv_pool(*ops, pool)
+                cached, _ = conv1x1_pool_forward(*ops, pool)
+                lean, cache = conv1x1_pool_forward(*ops, pool, need_cache=False)
                 assert cache is None
                 assert lean.dtype == want.dtype == out_dtype
                 assert np.array_equal(lean, cached)
                 assert np.array_equal(lean, want)
                 if windows > 1:
-                    biased, _ = conv_forward(x, w, b)
-                    bare, _ = conv_forward(x, w, np.zeros_like(b))
+                    biased, _ = conv_forward(*ops)
+                    bare, _ = conv_forward(*ops[:2], np.zeros_like(ops[2]))
                     assert np.unique(biased[..., 0]).size < np.unique(bare[..., 0]).size
 
     @pytest.mark.parametrize("k", [1, 240])
@@ -335,10 +375,11 @@ class TestConv1x1PoolBlocks:
         pool = 8
         w = rng.standard_normal((k, 1, 1, 3)).astype(wd)
         b = rng.standard_normal(k).astype(bd)
-        for windows in block_window_counts(k, pool, np.result_type(xd, wd)):
+        for windows in block_window_counts(k, pool, np.result_type(wd, bd)):
             x = rng.uniform(0, 1, (windows, 8, 8, 3)).astype(xd)
-            cached, _ = conv1x1_pool_forward(x, w, b, pool)
-            lean, _ = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+            ops = fused_operands(x, w, b, pool)
+            cached, _ = conv1x1_pool_forward(*ops, pool)
+            lean, _ = conv1x1_pool_forward(*ops, pool, need_cache=False)
             assert np.array_equal(lean, cached)
 
     def test_forward_equals_forward_cache_at_paper_shape(self):
@@ -368,14 +409,16 @@ ALL_DTYPE_TRIPLES = tuple(itertools.product((np.float32, np.float64), repeat=3))
 
 class TestConv1x1PoolOracle:
     """The training path is pixel-outer; it must give the bits of the block
-    layout form it replaced, ties and mixed dtypes included."""
+    layout form it replaced, ties included, for the operands the network
+    hands it from patches, weights and bias of any dtypes."""
 
     @pytest.mark.parametrize("k", [1, 2, 4, 17, 32, 240])
     @pytest.mark.parametrize("xd,wd,bd", ALL_DTYPE_TRIPLES)
     def test_bit_identical_to_block_layout(self, k, xd, wd, bd):
         rng = np.random.default_rng(80 + k)
         pool = 8
-        eps = np.finfo(np.result_type(xd, wd, bd)).eps
+        dtype = np.result_type(wd, bd)  # the weights', which the network runs in
+        eps = np.finfo(dtype).eps
         for kind in ("ties", "continuous", "rounding_bias"):
             if kind == "continuous":
                 w = rng.standard_normal((k, 1, 1, 3))
@@ -389,16 +432,16 @@ class TestConv1x1PoolOracle:
                 # ties, which the argmax must see
                 b = rng.choice([-1, 1], k) * rng.uniform(0.5, 1, k) / eps
             w, b = w.astype(wd), b.astype(bd)
-            for windows in block_window_counts(k, pool, np.result_type(xd, wd)):
+            for windows in block_window_counts(k, pool, dtype):
                 for side in (8, 16):
                     shape = (-(-windows // (side // pool) ** 2), side, side, 3)
                     if kind == "continuous":
                         x = rng.uniform(0, 1, shape)
                     else:
                         x = rng.integers(0, 257 if kind == "rounding_bias" else 3, shape) / 256
-                    x = x.astype(xd)
-                    got, got_cache = conv1x1_pool_forward(x, w, b, pool)
-                    want, want_cache = block_conv1x1_pool_forward(x, w, b, pool)
+                    ops = fused_operands(x.astype(xd), w, b, pool)
+                    got, got_cache = conv1x1_pool_forward(*ops, pool)
+                    want, want_cache = block_conv1x1_pool_forward(*ops, pool)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     assert got_cache[1].tobytes() == want_cache[1].tobytes()
@@ -527,6 +570,33 @@ class TestFullForward:
         gx, gw, gb = conv_backward(grad_out, cache)
         err = layer_fd(lambda: conv_forward(x, w, np.zeros(2)), [x, w], grad_out, [gx, gw])
         assert err < 1e-4
+
+    @pytest.mark.parametrize("kernel_width", [1, 3])
+    def test_patches_cast_to_the_weights_dtype(self, kernel_width, monkeypatch):
+        """The network computes in its weights' dtype, whatever the patches'."""
+        monkeypatch.setattr(network, "FORWARD_CHUNK", 2)  # cast chunk by chunk
+        p32 = init_params(replace(TOY, kernel_width=kernel_width, dtype="float32"), 32)
+        x64 = np.random.default_rng(33).uniform(0, 1, (5, 8, 8, 3))
+        x32 = x64.astype(np.float32)
+        got = forward(p32, x64)
+        assert got.dtype == np.float32
+        assert got.tobytes() == forward(p32, x32).tobytes()
+        cached, _ = forward_cache(p32, x64)
+        assert cached.dtype == np.float32
+        assert cached.tobytes() == forward_cache(p32, x32)[0].tobytes()
+
+    def test_float32_wide_kernel_network_computes_in_float32(self):
+        hyper = replace(SMALL, kernel_width=3, dtype="float32")
+        p32 = replace(init_params(hyper, 34), out_b=np.array([0.4, 0.5, 0.45], dtype=np.float32))
+        p64 = NetworkParams(**{n: getattr(p32, n).astype(np.float64) for n in PARAM_LAYERS})
+        x = np.random.default_rng(35).uniform(0, 1, (20, 16, 16, 3))
+        conv_out, _ = conv_forward(x.astype(np.float32), p32.conv_w, p32.conv_b)
+        assert conv_out.dtype == np.float32
+        e32, e64 = forward(p32, x), forward(p64, x)
+        assert e32.dtype == np.float32 and e64.dtype == np.float64
+        assert np.max(angular_error_many(e32, e64)) < 0.01
+        # the float32 pass did run: its estimates are not the float64 bits
+        assert not np.array_equal(e32, e64)
 
     def test_nonfinite_params_rejected(self):
         params = toy_params()
