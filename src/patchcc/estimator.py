@@ -19,7 +19,7 @@ stretch). `fold_split` holds the cross-validation convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -334,7 +334,8 @@ def fine_tune(
     """Continue training on the image-level angular loss, one image per step.
 
     The weights are cast to `hyper.dtype` first, and the result has that
-    dtype. Each image's patches are prepared once per call.
+    dtype. Each image's patches are prepared once per call and held in that
+    dtype too, the one the network computes in.
 
     When a validation set is given, the checkpoint with the lowest pooled
     median error is returned; a checkpoint only displaces the current best
@@ -352,9 +353,13 @@ def fine_tune(
     state = zero_momentum(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 7])
     pool = pool_median if pooling == "median" else pool_average
-    batches = [prepared_patches(s.image, hyper.patch_size) for s in samples]
-    val_batches = [(prepared_patches(s.image, hyper.patch_size), s.illuminant)
-                   for s in val_dataset or ()]
+
+    def prepared(img: LinearImage) -> PatchBatch:
+        batch = prepared_patches(img, hyper.patch_size)
+        return replace(batch, data=batch.data.astype(hyper.dtype, copy=False))
+
+    batches = [prepared(s.image) for s in samples]
+    val_batches = [(prepared(s.image), s.illuminant) for s in val_dataset or ()]
 
     def val_median(p: NetworkParams) -> float:
         errs = [angular_error(pool(unit_estimates(p, batch)[2]), gt) for batch, gt in val_batches]

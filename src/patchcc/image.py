@@ -1,8 +1,11 @@
 """Linear-RGB images, illuminant vectors, diagonal casting/correction, and 16-bit PPM IO.
 
 Pixel data lives in float64 numpy arrays of shape (height, width, 3) holding
-linear radiometric values. Arrays are made read-only on construction so images
-can be shared freely between workers.
+linear radiometric values, read-only so images can be shared freely between
+workers. A `LinearImage` takes ownership of a C-contiguous array that owns
+its memory (`base is None`), such as a fresh result of numpy arithmetic, and
+freezes it in place; any other array, a view included, is copied first. So
+an array must not be written after it is wrapped.
 """
 
 from __future__ import annotations
@@ -93,11 +96,13 @@ class LinearImage:
             raise ShapeMismatchError(f"expected (H, W, 3) pixel array, got {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ImageTooSmallError(f"image dimensions must be >= 1, got {data.shape}")
-        if not np.all(np.isfinite(data)):
+        # min and max propagate NaN, so they also find every non-finite value
+        lo, hi = float(data.min()), float(data.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ShapeMismatchError("pixel data contains non-finite values")
-        if np.any(data < 0):
+        if lo < 0:
             raise ShapeMismatchError("pixel data contains negative values")
-        if data.base is not None or data.flags.writeable:
+        if data.base is not None or not data.flags.c_contiguous:
             data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -182,6 +187,8 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _parse_ppm16(buf: bytes) -> np.ndarray:
+    """The (H, W, 3) big-endian samples of a 16-bit P6 PPM, a read-only view
+    of `buf`."""
     magic, pos = _next_token(buf, 0)
     if magic != b"P6":
         raise FormatError(f"not a binary PPM (magic {magic!r})", offset=0)
@@ -200,57 +207,87 @@ def _parse_ppm16(buf: bytes) -> np.ndarray:
     if pos >= len(buf) or not buf[pos : pos + 1].isspace():
         raise FormatError("missing whitespace after maxval", offset=pos)
     pos += 1
-    expected = width * height * 3 * 2
-    payload = buf[pos : pos + expected]
-    if len(payload) != expected:
+    count = width * height * 3
+    got = len(buf) - pos
+    if got < 2 * count:
         raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}",
-            offset=pos,
+            f"truncated payload: expected {2 * count} bytes, got {got}", offset=pos
         )
-    samples = np.frombuffer(payload, dtype=">u2").astype(np.float64)
-    return samples.reshape(height, width, 3)
+    return np.frombuffer(buf, dtype=">u2", count=count, offset=pos).reshape(height, width, 3)
+
+
+def _read_ppm16(path) -> np.ndarray:
+    """A 16-bit PPM file's samples scaled to [0, 1], as a new float64 array."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    data = _parse_ppm16(buf).astype(np.float64)
+    data /= PPM_MAXVAL
+    return data
 
 
 def load_ppm16(path) -> LinearImage:
     """Load a binary P6 PPM with 16-bit big-endian samples, scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    return LinearImage(_parse_ppm16(buf) / PPM_MAXVAL)
+    return LinearImage(_read_ppm16(path))
 
 
 def _quantize16(values: np.ndarray) -> np.ndarray:
     """Clamp to [0, 1] and quantize to 16 bits with round-half-up."""
-    clamped = np.clip(values, 0.0, 1.0)
-    return np.floor(clamped * PPM_MAXVAL + 0.5).astype(">u2")
+    q = np.clip(values, 0.0, 1.0)
+    q *= PPM_MAXVAL
+    q += 0.5
+    np.floor(q, out=q)
+    return q.astype(">u2")
+
+
+def _write_ppm16(samples: np.ndarray, path, comment: str | None = None):
+    """Write (H, W, 3) big-endian 16-bit samples as a binary P6 PPM."""
+    header = b"P6\n"
+    if comment:
+        header += b"# " + comment.encode("ascii") + b"\n"
+    header += f"{samples.shape[1]} {samples.shape[0]}\n{PPM_MAXVAL}\n".encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(samples.tobytes())
 
 
 def save_ppm16(img: LinearImage, path, comment: str | None = None):
     """Write a binary P6 PPM with 16-bit big-endian samples."""
-    header = b"P6\n"
-    if comment:
-        header += b"# " + comment.encode("ascii") + b"\n"
-    header += f"{img.width} {img.height}\n{PPM_MAXVAL}\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(_quantize16(img.data).tobytes())
+    _write_ppm16(_quantize16(img.data), path, comment)
 
 
-def save_illuminant_map_ppm(gt_map: np.ndarray, path):
-    """Serialize a per-pixel map of unit illuminants as a 16-bit PPM.
+def save_illuminant_map_ppm(gt_map: np.ndarray, path, cell_size: int = 1):
+    """Serialize a map of unit illuminants as a 16-bit PPM, each map pixel
+    written as a cell_size x cell_size block.
 
     Components are scaled by 1/sqrt(3) so every unit vector fits in [0, 1];
-    the scaling is recorded in a header comment.
+    the scaling is recorded in a header comment. Quantizing commutes with
+    the repetition, so the map is checked and quantized at its own size.
     """
-    gt_map = np.asarray(gt_map, dtype=np.float64)
-    img = LinearImage(gt_map * ILLUMINANT_MAP_SCALE)
-    save_ppm16(img, path, comment="illuminant map: unit RGB scaled by 65535/sqrt(3)")
+    if cell_size < 1:
+        raise ImageTooSmallError(f"cell size must be >= 1, got {cell_size}")
+    scaled = LinearImage(np.asarray(gt_map, dtype=np.float64) * ILLUMINANT_MAP_SCALE)
+    samples = _quantize16(scaled.data)
+    if cell_size > 1:
+        samples = np.repeat(np.repeat(samples, cell_size, axis=0), cell_size, axis=1)
+    _write_ppm16(samples, path, comment="illuminant map: unit RGB scaled by 65535/sqrt(3)")
 
 
 def load_illuminant_map_ppm(path) -> np.ndarray:
-    """Read a map written by `save_illuminant_map_ppm`, renormalizing each pixel."""
-    img = load_ppm16(path)
-    data = img.data / ILLUMINANT_MAP_SCALE
-    norms = np.linalg.norm(data, axis=2, keepdims=True)
+    """Read a map written by `save_illuminant_map_ppm`, renormalizing each pixel.
+
+    Works in place on the decoded samples. Each norm adds the squared
+    channels in order, (r*r + g*g) + b*b, which gives the bits of
+    `np.linalg.norm(data, axis=2)` without its full-size temporaries.
+    """
+    data = _read_ppm16(path)
+    data /= ILLUMINANT_MAP_SCALE
+    norms = np.square(data[..., 0])
+    squared = np.square(data[..., 1])
+    norms += squared
+    np.square(data[..., 2], out=squared)
+    norms += squared
+    np.sqrt(norms, out=norms)
     if np.any(norms == 0):
         raise FormatError("illuminant map contains zero vectors")
-    return data / norms
+    data /= norms[..., None]
+    return data

@@ -13,7 +13,6 @@ from .estimator import prepared_patches, unit_estimates
 from .evaluation import angular_error_many
 from .image import LinearImage, save_illuminant_map_ppm
 from .network import NetworkParams
-from .patches import grid_tiles
 
 # sigma, in cells, of the 3x3 Gaussian map filter
 MAP_GAUSSIAN_SIGMA = 0.8
@@ -129,29 +128,36 @@ def grid_ground_truth(gt_pixels: np.ndarray, patch_size: int) -> IlluminantMap:
 
     Ties take the value of the earliest pixel in row-major cell order, i.e.
     a cell split exactly in half by a vertical boundary keeps the left light.
+    A cell is uniform when each of its rows equals its first row and that
+    row is constant; only the other cells are voted on.
     """
     gt_pixels = np.asarray(gt_pixels, dtype=np.float64)
     gh = gt_pixels.shape[0] // patch_size
     gw = gt_pixels.shape[1] // patch_size
     if gh < 1 or gw < 1:
         raise ShapeMismatchError("ground-truth map smaller than one patch")
-    blocks = grid_tiles(gt_pixels, patch_size).reshape(gh * gw, patch_size * patch_size, 3)
-    cells = blocks[:, 0].copy()
-    mixed = np.flatnonzero(~(blocks == blocks[:, :1]).all(axis=(1, 2)))
-    for i in mixed:
+    # a view: blocks[gy, :, gx] is the cell (gy, gx)
+    blocks = gt_pixels[: gh * patch_size, : gw * patch_size].reshape(
+        gh, patch_size, gw, patch_size, 3)
+    first_rows = blocks[:, 0]
+    # the row axis is reduced on its own: all() over axes (1, 3) at once is far slower
+    uniform = (
+        (blocks == first_rows[:, None]).all(axis=1).all(axis=(2, 3))
+        & (first_rows == first_rows[:, :, :1]).all(axis=(2, 3))
+    )
+    cells = first_rows[:, :, 0].copy()
+    for gy, gx in zip(*np.nonzero(~uniform)):
         values, first_idx, counts = np.unique(
-            blocks[i], axis=0, return_index=True, return_counts=True
+            blocks[gy, :, gx].reshape(-1, 3), axis=0, return_index=True, return_counts=True
         )
         candidates = np.flatnonzero(counts == counts.max())
-        cells[i] = values[candidates[np.argmin(first_idx[candidates])]]
-    return IlluminantMap(_renormalize(cells.reshape(gh, gw, 3)), patch_size)
+        cells[gy, gx] = values[candidates[np.argmin(first_idx[candidates])]]
+    return IlluminantMap(_renormalize(cells), patch_size)
 
 
 def save_map_ppm(ill_map: IlluminantMap, path):
     """Write the grid with `save_illuminant_map_ppm`, one cell per patch."""
-    up = np.repeat(np.repeat(ill_map.estimates, ill_map.patch_size, axis=0),
-                   ill_map.patch_size, axis=1)
-    save_illuminant_map_ppm(up, path)
+    save_illuminant_map_ppm(ill_map.estimates, path, cell_size=ill_map.patch_size)
 
 
 def save_map_csv(ill_map: IlluminantMap, path):

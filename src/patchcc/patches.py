@@ -86,8 +86,9 @@ def _bilinear(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, in_w - 1)
     fy = np.clip(src_y - y0, 0.0, 1.0)[:, None, None]
     fx = np.clip(src_x - x0, 0.0, 1.0)[None, :, None]
-    top = data[y0][:, x0] * (1 - fx) + data[y0][:, x1] * fx
-    bottom = data[y1][:, x0] * (1 - fx) + data[y1][:, x1] * fx
+    y0, y1 = y0[:, None], y1[:, None]
+    top = data[y0, x0] * (1 - fx) + data[y0, x1] * fx
+    bottom = data[y1, x0] * (1 - fx) + data[y1, x1] * fx
     return top * (1 - fy) + bottom * fy
 
 
@@ -178,5 +179,7 @@ def histogram_stretch(batch: PatchBatch) -> PatchBatch:
     lo = batch.data.min(axis=(1, 2, 3), keepdims=True)
     span = batch.data.max(axis=(1, 2, 3), keepdims=True) - lo
     keep = span.reshape(-1) >= DEGENERATE_RANGE
-    data = (batch.data[keep] - lo[keep]) / span[keep]
+    data = batch.data[keep]
+    data -= lo[keep]
+    data /= span[keep]
     return PatchBatch(data, batch.origins[keep], degenerate=int(len(keep) - keep.sum()))

@@ -7,18 +7,23 @@ exceptions are `padded_gaussian_smooth` and `wrapped_minkowski_response`,
 the forms the Minkowski stages had before they passed plain arrays, and
 `block_conv1x1_pool_forward` / `block_conv1x1_pool_backward`, the form the
 fused layer's training path had before it went pixel-outer, and
-`loop_rectified_units`, the per-row form of the estimator's rectify step:
-kept so the tests can check that each rewrite changed no bit.
+`loop_rectified_units`, the per-row form of the estimator's rectify step,
+and the full-resolution forms of the pixel path before each stage made one
+pass with one new array (`row_gather_bilinear`, `repeat_then_quantize_map`,
+`linear_image_illuminant_map`, `tile_copy_grid_ground_truth`,
+`two_temporary_histogram_stretch`): kept so the tests can check that each
+rewrite changed no bit.
 """
 
 import math
 
 import numpy as np
 
-from patchcc.errors import EstimationImpossibleError, SamplingImpossibleError
+from patchcc.errors import EstimationImpossibleError, FormatError, SamplingImpossibleError
 from patchcc.estimator import DIRECTION_FREE_NORM
-from patchcc.image import LinearImage
+from patchcc.image import ILLUMINANT_MAP_SCALE, LinearImage, load_ppm16
 from patchcc.minkowski import EdgeFrameworkParams, gaussian_kernel
+from patchcc.patches import grid_tiles
 
 
 def dense_gaussian_2d(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -256,3 +261,69 @@ def block_conv1x1_pool_backward(grad_out, cache):
     flat_g = grad_out.reshape(-1, k)
     grad_w = np.einsum("nk,nkc->kc", flat_g, x_sel)
     return grad_w[:, None, None, :], flat_g.sum(axis=0)
+
+
+def row_gather_bilinear(data, out_h, out_w):
+    """Bilinear resampling whose gathers copy whole source rows, then pick
+    columns: `data[y0][:, x0]`."""
+    in_h, in_w = data.shape[:2]
+    src_y = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
+    src_x = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
+    y0 = np.clip(np.floor(src_y).astype(int), 0, in_h - 1)
+    x0 = np.clip(np.floor(src_x).astype(int), 0, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    fy = np.clip(src_y - y0, 0.0, 1.0)[:, None, None]
+    fx = np.clip(src_x - x0, 0.0, 1.0)[None, :, None]
+    top = data[y0][:, x0] * (1 - fx) + data[y0][:, x1] * fx
+    bottom = data[y1][:, x0] * (1 - fx) + data[y1][:, x1] * fx
+    return top * (1 - fy) + bottom * fy
+
+
+def repeat_then_quantize_map(gt_map, cell_size):
+    """The PPM bytes of a map of unit illuminants repeated to
+    cell_size x cell_size blocks first, then wrapped in a `LinearImage`,
+    scaled and quantized at full size."""
+    up = np.repeat(np.repeat(np.asarray(gt_map, dtype=np.float64), cell_size, axis=0),
+                   cell_size, axis=1)
+    img = LinearImage(up * ILLUMINANT_MAP_SCALE)
+    samples = np.floor(np.clip(img.data, 0.0, 1.0) * 65535 + 0.5).astype(">u2")
+    header = b"P6\n# illuminant map: unit RGB scaled by 65535/sqrt(3)\n"
+    header += f"{img.width} {img.height}\n65535\n".encode("ascii")
+    return header + samples.tobytes()
+
+
+def linear_image_illuminant_map(path):
+    """Read a map through `load_ppm16` (a `LinearImage`), then divide and
+    renormalize out of place with `np.linalg.norm`."""
+    data = load_ppm16(path).data / ILLUMINANT_MAP_SCALE
+    norms = np.linalg.norm(data, axis=2, keepdims=True)
+    if np.any(norms == 0):
+        raise FormatError("illuminant map contains zero vectors")
+    return data / norms
+
+
+def tile_copy_grid_ground_truth(gt_pixels, patch_size):
+    """Majority vote on a copy of every tile, each tile tested for
+    uniformity against its first pixel, then renormalized."""
+    gh, gw = gt_pixels.shape[0] // patch_size, gt_pixels.shape[1] // patch_size
+    blocks = grid_tiles(gt_pixels, patch_size).reshape(gh * gw, patch_size * patch_size, 3)
+    cells = blocks[:, 0].copy()
+    mixed = np.flatnonzero(~(blocks == blocks[:, :1]).all(axis=(1, 2)))
+    for i in mixed:
+        values, first_idx, counts = np.unique(
+            blocks[i], axis=0, return_index=True, return_counts=True
+        )
+        candidates = np.flatnonzero(counts == counts.max())
+        cells[i] = values[candidates[np.argmin(first_idx[candidates])]]
+    cells = cells.reshape(gh, gw, 3)
+    return cells / np.linalg.norm(cells, axis=2, keepdims=True)
+
+
+def two_temporary_histogram_stretch(data):
+    """(stretched, keep) of an (N, S, S, 3) batch: select the patches with
+    contrast, subtract and divide out of place."""
+    lo = data.min(axis=(1, 2, 3), keepdims=True)
+    span = data.max(axis=(1, 2, 3), keepdims=True) - lo
+    keep = span.reshape(-1) >= 1e-12
+    return (data[keep] - lo[keep]) / span[keep], keep

@@ -418,6 +418,29 @@ class TestFineTune:
         assert narrowed.dtype == np.float32
 
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_batches_held_in_hyper_dtype(self, dtype, monkeypatch):
+        from dataclasses import replace
+
+        samples = make_synthetic_samples(count=4, size=48, seed=17)
+        params = replace(init_params(SMALL, 18), out_b=np.array([0.4, 0.5, 0.45]))
+        seen = []
+
+        def recording(layer):
+            def wrapped(p, x, *args, **kwargs):
+                seen.append((layer.__name__, x.dtype))
+                return layer(p, x, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(estimator, "forward_cache", recording(network.forward_cache))
+        monkeypatch.setattr(estimator, "forward", recording(network.forward))
+        fine_tune(params, samples[:2], replace(SMALL, learning_rate=1e-4, epochs=2, dtype=dtype),
+                  val_dataset=samples[2:])
+        # 2 images x 2 epochs of steps; 2 validation images x (start + 2 epochs)
+        assert sorted(name for name, _ in seen) == ["forward"] * 6 + ["forward_cache"] * 4
+        assert {x_dtype for _, x_dtype in seen} == {np.dtype(dtype)}
+
+
 def float32_model_and_widened_copy(seed):
     """A float32 SMALL-shape model with positive output biases, and the
     same values held as float64."""

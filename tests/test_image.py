@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from patchcc.errors import FormatError, ImageTooSmallError, InvalidIlluminantError, PipelineError
+from patchcc.errors import (
+    FormatError,
+    ImageTooSmallError,
+    InvalidIlluminantError,
+    PipelineError,
+    ShapeMismatchError,
+)
 from patchcc.image import (
+    ILLUMINANT_MAP_SCALE,
     Illuminant,
     LinearImage,
     cast_illuminant,
@@ -20,6 +27,8 @@ from patchcc.image import (
     save_illuminant_map_ppm,
     save_ppm16,
 )
+
+import oracles
 
 
 def random_image(shape, seed=0, lo=0.0, hi=1.0):
@@ -288,3 +297,143 @@ class TestLinearImageInvariants:
     def test_allows_values_above_one(self):
         img = LinearImage(np.full((1, 1, 3), 1.7))
         assert img.data.max() == 1.7
+
+
+class TestLinearImageOwnership:
+    def test_fresh_owned_array_adopted_and_frozen(self):
+        data = np.random.default_rng(1).uniform(size=(3, 4, 3))
+        img = LinearImage(data)
+        assert np.shares_memory(img.data, data)
+        assert not data.flags.writeable
+        with pytest.raises(ValueError):
+            data[0, 0, 0] = 0.5
+
+    @pytest.mark.parametrize("kind", ["view", "read_only_view", "buffer", "fortran"])
+    def test_other_arrays_copied(self, kind):
+        base = np.random.default_rng(2).uniform(size=(4, 5, 3))
+        data = {
+            "view": base[1:],
+            "read_only_view": base[:, 1:],
+            "buffer": np.frombuffer(base.tobytes()).reshape(base.shape),
+            "fortran": np.asfortranarray(base),
+        }[kind]
+        if kind == "read_only_view":
+            data.setflags(write=False)
+        img = LinearImage(data)
+        assert not np.shares_memory(img.data, data)
+        assert img.data.flags.c_contiguous and not img.data.flags.writeable
+        assert np.array_equal(img.data, data)
+        assert base.flags.writeable
+
+    def test_converted_input_left_writable(self):
+        data = np.full((2, 2, 3), 0.25, dtype=np.float32)
+        img = LinearImage(data)
+        assert img.data.dtype == np.float64 and data.flags.writeable
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+        (-1e-300, "negative"),
+    ])
+    def test_invalid_values_still_raise(self, bad, message):
+        data = np.full((3, 3, 3), 0.5)
+        data[2, 1, 0] = bad
+        with pytest.raises(ShapeMismatchError, match=message):
+            LinearImage(data)
+        assert data.flags.writeable  # a rejected array is not frozen
+
+    def test_non_finite_reported_before_negative(self):
+        data = np.full((2, 2, 3), -0.5)
+        data[1, 1, 2] = np.nan
+        with pytest.raises(ShapeMismatchError, match="non-finite"):
+            LinearImage(data)
+
+    def test_negative_zero_allowed(self):
+        assert LinearImage(np.full((1, 1, 3), -0.0)).data.min() == 0.0
+
+
+def exact_half_steps():
+    """Map components v, one per 16-bit code k, with v / sqrt(3) * 65535
+    exactly k + 0.5 in float64."""
+    found = []
+    for k in range(0, 65535, 2311):
+        v0 = (k + 0.5) / 65535 / ILLUMINANT_MAP_SCALE
+        steps = [v0 + n * np.spacing(v0) for n in range(-64, 65)]
+        found += [v for v in steps if v * ILLUMINANT_MAP_SCALE * 65535 == k + 0.5][:1]
+    return np.array(found)
+
+
+def write_ppm(path, samples):
+    h, w = samples.shape[:2]
+    path.write_bytes(b"P6\n%d %d\n65535\n" % (w, h) + samples.astype(">u2").tobytes())
+
+
+class TestIlluminantMapMatchesParentForms:
+    """The map encoder and decoder against their earlier full-resolution
+    forms in tests/oracles.py, byte for byte."""
+
+    @pytest.mark.parametrize("cell_size", [1, 3, 32])
+    def test_half_steps_and_values_above_one(self, tmp_path, cell_size):
+        halves = exact_half_steps()
+        assert len(halves) > 20
+        values = np.concatenate([halves, [0.0, 1.0, 1.7, 1.0 / ILLUMINANT_MAP_SCALE, 5.0, 1e300]])
+        gt = np.resize(values, 7 * 5 * 3).reshape(7, 5, 3)
+        path = tmp_path / "map.ppm"
+        save_illuminant_map_ppm(gt, path, cell_size=cell_size)
+        data = path.read_bytes()
+        assert data == oracles.repeat_then_quantize_map(gt, cell_size)
+        codes = np.frombuffer(data[-gt.size * cell_size**2 * 2:], ">u2")
+        assert codes.max() == 65535
+        # round half up: each exact half step lands on the code above it
+        one = tmp_path / "one.ppm"
+        save_illuminant_map_ppm(halves.reshape(1, -1, 1).repeat(3, axis=2), one)
+        k = np.frombuffer(one.read_bytes()[-halves.size * 6:], ">u2")[::3]
+        assert np.array_equal(k.astype(float), np.floor(halves * ILLUMINANT_MAP_SCALE * 65535) + 1)
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_invalid_map_raises_before_writing(self, tmp_path, bad):
+        gt = np.full((2, 3, 3), 0.5)
+        gt[1, 2, 1] = bad
+        path = tmp_path / "map.ppm"
+        with pytest.raises(ShapeMismatchError):
+            save_illuminant_map_ppm(gt, path, cell_size=4)
+        with pytest.raises(ShapeMismatchError):
+            oracles.repeat_then_quantize_map(gt, 4)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("cell_size", [0, -2])
+    def test_cell_size_below_one_raises(self, tmp_path, cell_size):
+        with pytest.raises(ImageTooSmallError):
+            save_illuminant_map_ppm(np.full((2, 2, 3), 0.5), tmp_path / "m.ppm", cell_size)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (23, 37), (70, 45)])
+    def test_load_matches_linear_image_form(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[0])
+        samples = rng.integers(0, 65536, size=shape + (3,))
+        samples[0, 0] = (1, 0, 0)
+        samples[-1, -1] = 65535
+        path = tmp_path / "map.ppm"
+        write_ppm(path, samples)
+        back = load_illuminant_map_ppm(path)
+        assert back.tobytes() == oracles.linear_image_illuminant_map(path).tobytes()
+        assert back.flags.writeable
+
+    @pytest.mark.parametrize("where", [(0, 0), (5, 7), (-1, -1)])
+    def test_zero_vector_raises_inside_and_outside_the_grid(self, tmp_path, where):
+        # 35x45 at patch size 16: (-1, -1) lies outside the 2x2 grid of cells
+        samples = np.full((35, 45, 3), 1000)
+        samples[where] = 0
+        path = tmp_path / "map.ppm"
+        write_ppm(path, samples)
+        for load in (load_illuminant_map_ppm, oracles.linear_image_illuminant_map):
+            with pytest.raises(FormatError, match="zero vectors"):
+                load(path)
+
+    def test_round_trip_through_a_synthesized_map(self, tmp_path):
+        img = random_image((40, 50, 3), seed=4)
+        left, right = normalize((1.0, 0.7, 0.3)), normalize((0.2, 0.6, 1.0))
+        _, gt = compose_two_illuminants(img, left, right)
+        path = tmp_path / "gt.ppm"
+        save_illuminant_map_ppm(gt, path)
+        assert path.read_bytes() == oracles.repeat_then_quantize_map(gt, 1)
+        assert load_illuminant_map_ppm(path).tobytes() == (
+            oracles.linear_image_illuminant_map(path).tobytes())

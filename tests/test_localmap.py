@@ -280,7 +280,46 @@ class TestGridGroundTruth:
         assert np.array_equal(grid_ground_truth(gt_pixels, size).estimates, expected)
 
 
+    @pytest.mark.parametrize("size", [1, 4, 6])
+    def test_matches_tile_copies(self, size):
+        rng = np.random.default_rng(size)
+        palette = unit_rows(rng.uniform(0.1, 1.0, size=(1, 5, 3)))[0]
+        gh, gw = 5, 6
+        # one light per cell, plus a ragged border outside the grid
+        labels = np.repeat(np.repeat(rng.integers(0, 5, size=(gh, gw)), size, 0), size, 1)
+        labels = np.pad(labels, ((0, 3), (0, 2)), mode="wrap")
+        labels[gh * size :] = rng.integers(0, 5, size=labels[gh * size :].shape)
+        def cell(gy, gx):
+            return labels[gy * size : (gy + 1) * size, gx * size : (gx + 1) * size]
+
+        if size > 1:
+            # rows agree and the first row varies: a tie, then a majority on the right
+            cell(0, 1)[:, : size // 2], cell(0, 1)[:, size // 2 :] = 1, 2
+            cell(1, 4)[:, :1], cell(1, 4)[:, 1:] = 1, 2
+            cell(1, 2)[: size // 2], cell(1, 2)[size // 2 :] = 3, 4  # first row constant, rows differ
+            cell(2, 3)[:] = 0
+            cell(2, 3)[-1, -1] = 1  # one odd pixel, last in its cell
+            cell(3, 0)[:] = 2
+            cell(3, 0)[0, -1] = 3  # one odd pixel in the first row
+            # three lights: a three-way tie when size * size divides by 3
+            cell(4, 5)[:] = rng.permutation(np.arange(size * size) % 3).reshape(size, size)
+        gt_pixels = palette[labels]
+        grid = grid_ground_truth(gt_pixels, size)
+        expected = oracles.tile_copy_grid_ground_truth(gt_pixels, size)
+        assert grid.estimates.tobytes() == expected.tobytes()
+        loop = oracles.loop_grid_ground_truth(gt_pixels, size)
+        assert np.array_equal(grid.estimates, loop / np.linalg.norm(loop, axis=2, keepdims=True))
+
+
 class TestExports:
+    @pytest.mark.parametrize("grid, size", [((2, 3), 32), ((3, 1), 5), ((1, 1), 1), ((4, 7), 2)])
+    def test_ppm_bytes_match_full_size_quantizing(self, tmp_path, grid, size):
+        rng = np.random.default_rng(size)
+        m = IlluminantMap(unit_rows(rng.uniform(0.0, 1.0, size=grid + (3,))), patch_size=size)
+        path = tmp_path / "map.ppm"
+        save_map_ppm(m, path)
+        assert path.read_bytes() == oracles.repeat_then_quantize_map(m.estimates, size)
+
     def test_ppm_upscaled_by_patch_size(self, tmp_path):
         m = random_map((2, 3), seed=11)
         path = tmp_path / "map.ppm"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from patchcc.errors import ParameterError, SamplingImpossibleError
 from patchcc.image import LinearImage
 from patchcc.patches import (
+    PatchBatch,
     ExclusionMask,
     extract_grid_patches,
     histogram_stretch,
@@ -270,3 +271,37 @@ class TestArrayPipelineMatchesLoops:
         assert out.degenerate == 1
         assert out.origins.tolist() == [list(o) for o, _ in expected]
         assert np.array_equal(out.data, np.stack([p for _, p in expected]))
+
+
+class TestOnePassFormsMatchParentForms:
+    """Resizing and stretching against their earlier full-resolution forms
+    in tests/oracles.py, bit for bit."""
+
+    # (height, width), target: every scale here is non-integer
+    @pytest.mark.parametrize("shape, target", [
+        ((181, 120), 120), ((121, 173), 100), ((50, 50), 33), ((7, 300), 128), ((300, 2), 17),
+    ])
+    def test_bilinear_matches_row_gathers(self, shape, target):
+        img = random_image(shape + (3,), seed=shape[0])
+        out = resize_max_side(img, target)
+        assert max(out.width, out.height) == target
+        expected = oracles.row_gather_bilinear(img.data, out.height, out.width)
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("flat", ["none", "some", "all"])
+    def test_stretch_matches_two_temporaries(self, flat):
+        rng = np.random.default_rng(31)
+        data = rng.uniform(0.0, 3.0, size=(12, 5, 5, 3))
+        if flat == "some":
+            data[[0, 5, 11]] = 0.4
+            data[7] = 0.5 + 1e-13 * rng.uniform(size=(5, 5, 3))
+        elif flat == "all":
+            data[:] = rng.uniform(size=(12, 1, 1, 1))
+        before = data.copy()
+        batch = PatchBatch(data, rng.integers(0, 100, size=(12, 2)))
+        out = histogram_stretch(batch)
+        expected, keep = oracles.two_temporary_histogram_stretch(data)
+        assert out.data.tobytes() == expected.tobytes()
+        assert np.array_equal(out.origins, batch.origins[keep])
+        assert out.degenerate == len(data) - keep.sum() == {"none": 0, "some": 4, "all": 12}[flat]
+        assert np.array_equal(batch.data, before)  # the input batch is left alone
