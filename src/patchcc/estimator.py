@@ -48,7 +48,6 @@ from .network import (
 from .patches import PatchBatch, extract_grid_patches, histogram_stretch, resize_max_side, sample_random_patches
 
 RESIZE_TARGET = 1200
-POOLINGS = ("average", "median")
 DIRECTION_FREE_NORM = 1e-9  # a shorter rectified network output has no direction
 
 # training validates on at most this many patches, drawn with the run's seed
@@ -116,6 +115,16 @@ def pool_median(units: np.ndarray) -> Illuminant:
     return normalize(med)
 
 
+POOLINGS = {"average": pool_average, "median": pool_median}
+
+
+def _pooling_function(pooling: str):
+    """The pooling function named `pooling`; raises on an unknown name."""
+    if not isinstance(pooling, str) or pooling not in POOLINGS:
+        raise ParameterError(f"pooling must be one of {tuple(POOLINGS)}, got {pooling!r}")
+    return POOLINGS[pooling]
+
+
 def prepared_patches(
     img: LinearImage, patch_size: int, resize_target: int | None = RESIZE_TARGET
 ) -> PatchBatch:
@@ -153,12 +162,11 @@ def estimate_image(
     patch_size: int = 32,
 ) -> PooledEstimate:
     """Grid-patch the image and pool the per-patch network estimates."""
-    if pooling not in POOLINGS:
-        raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
+    pool = _pooling_function(pooling)
     batch = prepared_patches(img, patch_size)
     keep, raw, units = unit_estimates(params, batch)
     return PooledEstimate(
-        illuminant=(pool_median if pooling == "median" else pool_average)(units),
+        illuminant=pool(units),
         origins=batch.origins[keep],
         raw=raw,
         units=units,
@@ -302,8 +310,7 @@ def image_level_loss(
     As in `unit_estimates`, the network runs in the weights' dtype and its
     outputs are widened to float64 before they are rectified and pooled.
     """
-    if pooling not in POOLINGS:
-        raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
+    _pooling_function(pooling)
     out, cache = forward_cache(params, batch.data)
     raw = out.astype(np.float64, copy=False)
     keep, norms, units = rectified_units(raw)
@@ -346,13 +353,11 @@ def fine_tune(
     samples = list(dataset)
     if not samples:
         raise ParameterError("fine_tune needs at least one image")
-    if pooling not in POOLINGS:
-        raise ParameterError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
+    pool = _pooling_function(pooling)
     params = NetworkParams(
         **{name: getattr(params, name).astype(hyper.dtype) for name in PARAM_LAYERS})
     state = zero_momentum(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 7])
-    pool = pool_median if pooling == "median" else pool_average
 
     def prepared(img: LinearImage) -> PatchBatch:
         batch = prepared_patches(img, hyper.patch_size)

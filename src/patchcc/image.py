@@ -250,9 +250,9 @@ def _write_ppm16(samples: np.ndarray, path, comment: str | None = None):
         fh.write(samples.tobytes())
 
 
-def save_ppm16(img: LinearImage, path, comment: str | None = None):
+def save_ppm16(img: LinearImage, path):
     """Write a binary P6 PPM with 16-bit big-endian samples."""
-    _write_ppm16(_quantize16(img.data), path, comment)
+    _write_ppm16(_quantize16(img.data), path)
 
 
 def save_illuminant_map_ppm(gt_map: np.ndarray, path, cell_size: int = 1):

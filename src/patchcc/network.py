@@ -16,20 +16,22 @@ axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
 
 Networks with 1x1 kernels run the convolution and the max pooling as one
-fused layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`). It takes
-a few pool windows at a time, so their responses stay in cache and no
-full-size response array is built. For training it works pixel-outer, with
-the pixels of a pool window on the leading axis: the max over that axis
-goes straight into the pooled output, the argmax is the first pixel equal to
-it, and the backward pass touches only that pixel of each pool window. Ties
-go to the first occurrence in row-major block order, as in
-`maxpool_forward`. The bias is added before the max, because fl(a + b) can
-make distinct responses tie and the argmax must see those ties. Inference
-needs only the values, so it adds the bias once to the pooled maxima:
-rounding is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b) and the
-result is bit for bit the same.
-Wider kernels (k x k, for the width sweep) use the reference layers
-`conv_forward`, `maxpool_forward`, `maxpool_backward` and `conv_backward`.
+fused layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`), in one
+layout for training and inference. It copies the input pixel-outer, with the
+pixels of a pool window on the leading axis, and takes a few pool windows at
+a time, so their responses stay in cache and no full-size response array is
+built; the max over the pixel axis goes straight into the pooled output.
+For training the argmax is the first pixel equal to the max, and the
+backward pass touches only that pixel of each pool window. Ties go to the
+first occurrence in row-major block order, as in `maxpool_forward`. The bias
+is added before the max, because fl(a + b) can make distinct responses tie
+and the argmax must see those ties. Inference needs only the values, so it
+adds the bias once to the pooled maxima: rounding is monotone, so
+max_p fl(a_p + b) = fl(max_p a_p + b) and the result is bit for bit the same.
+The reference layers `conv_forward`, `maxpool_forward`, `maxpool_backward`
+and `conv_backward` take one loop over the kernel taps for every width.
+They run the wider kernels (k x k, for the width sweep) and are the tests'
+reference for the fused layer.
 """
 
 from __future__ import annotations
@@ -213,9 +215,6 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     if x.shape[-1] != w.shape[3] or b.shape != (w.shape[0],):
         raise ShapeMismatchError(f"conv shapes inconsistent: x{x.shape} w{w.shape} b{b.shape}")
     kw = w.shape[1]
-    if kw == 1:
-        out = x @ w[:, 0, 0, :].T + b
-        return out, (x, w, None)
     s1, s2 = x.shape[-3], x.shape[-2]
     lo, hi = _conv_pads(kw)
     pad = [(0, 0)] * (x.ndim - 3) + [(lo, hi), (lo, hi), (0, 0)]
@@ -234,12 +233,6 @@ def conv_backward(grad_out: np.ndarray, cache):
     kw = w.shape[1]
     sum_axes = tuple(range(grad_out.ndim - 1))
     grad_b = grad_out.sum(axis=sum_axes)
-    if kw == 1:
-        flat_g = grad_out.reshape(-1, w.shape[0])
-        flat_x = x.reshape(-1, 3)
-        grad_w = (flat_g.T @ flat_x)[:, None, None, :]
-        grad_x = grad_out @ w[:, 0, 0, :]
-        return grad_x, grad_w, grad_b
     s1, s2 = x.shape[-3], x.shape[-2]
     grad_w = np.zeros_like(w)
     grad_xpad = np.zeros_like(xpad)
@@ -299,33 +292,31 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     x: (..., S, S, 3), w: (K, 1, 1, 3), b: (K,) -> (..., S/pool, S/pool, K),
     the values and argmax of `maxpool_forward(conv_forward(x, w, b)[0], pool)`.
     x, w and b share one dtype, which the layer computes and returns in; a
-    mixed call raises `ParameterError`. Both paths take the pool windows
-    FUSED_BLOCK_BYTES of responses at a time. Each response is the 3-term
-    dot product of `conv_forward`, by the same kind of BLAS call (gemv when
+    mixed call raises `ParameterError`. Each response is the 3-term dot
+    product of `conv_forward`, by the same kind of BLAS call (gemv when
     K = 1, gemm otherwise); the kernel OpenBLAS then runs can still depend
     on the matrix size, so inexact sums may differ from the reference layers
     in the last bit.
 
-    With the cache (training), the input is copied once pixel-outer, xp
-    (pool*pool, windows, 3). A block of s windows gives the responses
-    xp_block @ W^T as (pool*pool, s, K). The bias is added before the max,
-    because fl(a + b) can make distinct responses tie and the argmax must
-    see those ties. The max over the pixel axis goes straight into the
-    pooled output, and the argmax is the smallest p whose response equals
-    it, P^2 - max_p(eq_p * (P^2 - p)) on an integer mask: `argmax`'s
-    first-index rule. Where numpy would call gemv (K = 1, pool 1, a
-    one-window block), whose rounding depends on the operands' shape and
-    layout, a block goes window by window as on the inference path. The
-    cache is (xp, idx); a window whose responses are all NaN gets the
-    out-of-range idx P^2, but the network raises on its non-finite output
-    before any backward pass.
+    The input is copied once pixel-outer, xp (pool*pool, windows, 3), and
+    the windows are taken FUSED_BLOCK_BYTES of responses at a time: a block
+    of s windows gives the responses xp_block @ W^T as (pool*pool, s, K),
+    and their max over the pixel axis goes straight into the pooled output.
+    Where numpy would call gemv (K = 1, pool 1, a one-window block), whose
+    rounding depends on the operands' shape and layout, a block goes window
+    by window.
 
-    Pass need_cache=False for inference. The input is then copied into
-    block layout xb (..., G, G, pool*pool, 3); each block of windows is
-    computed pixel-major as xb_block @ W^T and reduced over the pixel axis
-    into the pooled output. The bias is added once, after the max: rounding
-    is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b), and the values
-    are the same bits as with the cache.
+    With the cache (training), the bias is added before the max, because
+    fl(a + b) can make distinct responses tie and the argmax must see those
+    ties. The argmax is the smallest p whose response equals the max,
+    P^2 - max_p(eq_p * (P^2 - p)) on an integer mask: `argmax`'s first-index
+    rule. The cache is (xp, idx); a window whose responses are all NaN gets
+    the out-of-range idx P^2, but the network raises on its non-finite
+    output before any backward pass.
+
+    Pass need_cache=False for inference. The bias is then added once, after
+    the max: rounding is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b),
+    and the values are the same bits as with the cache.
     """
     if not x.dtype == w.dtype == b.dtype:
         raise ParameterError(
@@ -342,25 +333,18 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     p2 = pool * pool
     wt = w[:, 0, 0, :].T
     step = max(1, FUSED_BLOCK_BYTES // (p2 * k * x.itemsize))
-    if not need_cache:
-        axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
-        windows = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(-1, p2, 3)
-        out = np.empty((windows.shape[0], k), dtype=x.dtype)
-        for i in range(0, len(windows), step):
-            np.max(windows[i : i + step] @ wt, axis=-2, out=out[i : i + step])
-        out += b
-        return out.reshape(*lead, g, g, k), None
     axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 4)
     xp = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(p2, -1, 3)
     n = xp.shape[1]
     out = np.empty((n, k), dtype=x.dtype)
-    idx = np.empty((n, k), dtype=np.intp)
-    bias = np.broadcast_to(b, (min(n, step), k)).copy()
-    resp_buf = np.empty((p2,) + bias.shape, x.dtype)
-    # P^2 - p at pixel p: over the pixels whose response equals the max, the
-    # largest marks the first one
-    rank = np.arange(p2, 0, -1, dtype=np.min_scalar_type(p2))[:, None, None]
-    mask = np.empty(resp_buf.shape, rank.dtype)
+    resp_buf = np.empty((p2, min(n, step), k), x.dtype)
+    if need_cache:
+        idx = np.empty((n, k), dtype=np.intp)
+        bias = np.broadcast_to(b, resp_buf.shape[1:]).copy()
+        # P^2 - p at pixel p: over the pixels whose response equals the max,
+        # the largest marks the first one
+        rank = np.arange(p2, 0, -1, dtype=np.min_scalar_type(p2))[:, None, None]
+        mask = np.empty(resp_buf.shape, rank.dtype)
     for i in range(0, n, step):
         block = xp[:, i : i + step]
         s = block.shape[1]
@@ -368,13 +352,20 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
             resp = np.matmul(block, wt, out=resp_buf[:, :s])
         else:
             # numpy calls gemv here, which rounds by operand shape and layout:
-            # go window by window, laid out as on the inference path
+            # going window by window keeps the bits of the block-layout form
+            # (tests/oracles.py)
             resp = (np.ascontiguousarray(block.swapaxes(0, 1)) @ wt).swapaxes(0, 1)
+        if not need_cache:
+            np.max(resp, axis=0, out=out[i : i + s])
+            continue
         resp += bias[:s]
         top = np.max(resp, axis=0, out=out[i : i + s])
         first = np.equal(resp, top, out=mask[:, :s])
         np.multiply(first, rank, out=first)
         np.subtract(p2, np.max(first, axis=0), out=idx[i : i + s])
+    if not need_cache:
+        out += b
+        return out.reshape(*lead, g, g, k), None
     return out.reshape(*lead, g, g, k), (xp, idx.reshape(*lead, g, g, k))
 
 
@@ -476,7 +467,7 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     the dtype of the weights, to which each chunk of patches is cast.
 
     Large batches are processed `FORWARD_CHUNK` patches at a time. For 1x1
-    kernels the chunk bounds only the block-layout copy of the input and the
+    kernels the chunk bounds only the pixel-outer copy of the input and the
     FC layer's input, since the fused layer reduces its responses a
     cache-sized block at a time; for wider kernels it also bounds the
     full-resolution convolution output. The chunk size is a constant because

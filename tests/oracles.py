@@ -6,7 +6,7 @@ instead of vectorized reductions, and sorting-based statistics. The
 exceptions are `padded_gaussian_smooth` and `wrapped_minkowski_response`,
 the forms the Minkowski stages had before they passed plain arrays, and
 `block_conv1x1_pool_forward` / `block_conv1x1_pool_backward`, the form the
-fused layer's training path had before it went pixel-outer, and
+fused layer had before its training and inference went pixel-outer, and
 `loop_rectified_units`, the per-row form of the estimator's rectify step,
 and the full-resolution forms of the pixel path before each stage made one
 pass with one new array (`row_gather_bilinear`, `repeat_then_quantize_map`,
@@ -234,7 +234,7 @@ def loop_rectified_units(raw):
 
 
 def block_conv1x1_pool_forward(x, w, b, pool, need_cache=True):
-    """The fused 1x1-conv + max-pool training path in block layout: the
+    """The fused 1x1-conv + max-pool layer in block layout: the
     responses W @ xb^T as (..., G, G, K, pool*pool) with the bias added, a
     last-axis `argmax` and `take_along_axis`; the cache is (xb, idx), or
     None without `need_cache`."""

@@ -330,10 +330,12 @@ def fused_operands(x, w, b, pool):
 
 
 def block_window_counts(k, pool, dtype):
-    """Window counts below one inference block, exactly one and not a
-    multiple of one, for K kernels and pool x pool windows."""
+    """Window counts below one block of the fused layer, exactly one, one
+    full block followed by a one-window block (which numpy would send to
+    gemv), and not a multiple of one, for K kernels and pool x pool
+    windows."""
     step = max(1, FUSED_BLOCK_BYTES // (pool * pool * k * np.dtype(dtype).itemsize))
-    return (1, step - 1, step, 2 * step + 5)
+    return (1, step - 1, step, step + 1, 2 * step + 5)
 
 
 class TestConv1x1PoolBlocks:
@@ -408,9 +410,10 @@ ALL_DTYPE_TRIPLES = tuple(itertools.product((np.float32, np.float64), repeat=3))
 
 
 class TestConv1x1PoolOracle:
-    """The training path is pixel-outer; it must give the bits of the block
-    layout form it replaced, ties included, for the operands the network
-    hands it from patches, weights and bias of any dtypes."""
+    """Training and inference share the pixel-outer layout; both must give
+    the bits of the block layout form it replaced, ties included, for the
+    operands the network hands it from patches, weights and bias of any
+    dtypes."""
 
     @pytest.mark.parametrize("k", [1, 2, 4, 17, 32, 240])
     @pytest.mark.parametrize("xd,wd,bd", ALL_DTYPE_TRIPLES)
@@ -445,6 +448,8 @@ class TestConv1x1PoolOracle:
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     assert got_cache[1].tobytes() == want_cache[1].tobytes()
+                    lean, _ = conv1x1_pool_forward(*ops, pool, need_cache=False)
+                    assert lean.tobytes() == want.tobytes()
                     grad = rng.standard_normal(got.shape).astype(got.dtype)
                     for a, c in zip(conv1x1_pool_backward(grad, got_cache),
                                     block_conv1x1_pool_backward(grad, want_cache)):
