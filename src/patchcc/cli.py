@@ -34,7 +34,7 @@ from .localmap import (
     save_map_ppm,
 )
 from .minkowski import ESTIMATORS
-from .network import HyperParams, gradient_check, init_params, load_params, save_params
+from .network import HyperParams, gradient_check, init_params, load_params, save_params, usable_cpus
 
 GRADCHECK_TOLERANCE = 1e-3
 
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--finetuned-dir")
     p.add_argument("--out-prefix")
     p.add_argument("--patch-size", type=int, default=32)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=usable_cpus())
 
     p = sub("sweep", cmd_sweep, help="hyperparameter sweep, median error per value")
     p.add_argument("--manifest")

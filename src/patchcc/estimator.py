@@ -45,7 +45,7 @@ from .network import (
     sgd_step,
     zero_momentum,
 )
-from .patches import PatchBatch, extract_grid_patches, histogram_stretch, resize_max_side, sample_random_patches
+from .patches import PatchBatch, histogram_stretch, resize_max_side, sample_random_patches, stretched_grid_patches
 
 RESIZE_TARGET = 1200
 DIRECTION_FREE_NORM = 1e-9  # a shorter rectified network output has no direction
@@ -135,7 +135,7 @@ def prepared_patches(
     """
     if resize_target is not None:
         img = resize_max_side(img, resize_target)
-    batch = histogram_stretch(extract_grid_patches(img, patch_size))
+    batch = stretched_grid_patches(img, patch_size)
     if not len(batch):
         raise EstimationImpossibleError("no usable patches in image")
     return batch

@@ -32,12 +32,22 @@ The reference layers `conv_forward`, `maxpool_forward`, `maxpool_backward`
 and `conv_backward` take one loop over the kernel taps for every width.
 They run the wider kernels (k x k, for the width sweep) and are the tests'
 reference for the fused layer.
+
+`forward` splits a large batch into `FORWARD_CHUNK`-patch chunks and runs
+their conv-pool stages at once, on the calling thread and a module-level
+pool of one thread fewer than the CPUs this process may run on
+(`usable_cpus`). The FC and output layers follow in the calling thread,
+chunk by chunk, once every stage is done; the `forward` docstring says why
+the heads wait and why the caller takes a share. Every chunk's matrices keep
+their shapes, so the outputs are the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -423,11 +433,26 @@ def linear_backward(grad_out: np.ndarray, cache):
 # full network
 
 
-def _forward_impl(params: NetworkParams, x: np.ndarray, need_cache: bool = True):
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (so `taskset` and cpusets count), else all of the
+    machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the threads that share a large `forward` batch's conv-pool stages with the
+# calling thread; they start on first use, so a one-CPU process makes none
+_STAGE_POOL = ThreadPoolExecutor(max_workers=max(1, usable_cpus() - 1),
+                                 thread_name_prefix="patchcc-forward")
+
+
+def _conv_pool(params: NetworkParams, x: np.ndarray, need_cache: bool):
+    """Cast (B, S, S, 3) patches to the weights' dtype and run the
+    convolution and max pooling: (pooled (B, G, G, K), conv cache, pool
+    cache)."""
     x = np.asarray(x, dtype=params.dtype)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     if x.ndim != 4 or x.shape[-1] != 3 or x.shape[1] != x.shape[2]:
         raise ShapeMismatchError(f"expected (B, S, S, 3) or (S, S, 3) patches, got {x.shape}")
     side = x.shape[1]
@@ -440,26 +465,26 @@ def _forward_impl(params: NetworkParams, x: np.ndarray, need_cache: bool = True)
     if params.kernel_width == 1:
         pool_out, conv_cache = conv1x1_pool_forward(
             x, params.conv_w, params.conv_b, pool, need_cache=need_cache)
-        pool_cache = None
-    else:
-        conv_out, conv_cache = conv_forward(x, params.conv_w, params.conv_b)
-        pool_out, pool_cache = maxpool_forward(conv_out, pool, need_cache=need_cache)
+        return pool_out, conv_cache, None
+    conv_out, conv_cache = conv_forward(x, params.conv_w, params.conv_b)
+    pool_out, pool_cache = maxpool_forward(conv_out, pool, need_cache=need_cache)
+    return pool_out, conv_cache, pool_cache
+
+
+def _pooled(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """The pooled maps of `_conv_pool` for inference, without its caches."""
+    return _conv_pool(params, x, need_cache=False)[0]
+
+
+def _head(params: NetworkParams, pool_out: np.ndarray):
+    """The FC ReLU and linear layers over pooled maps, checked finite:
+    (estimates (B, 3), fc cache, out cache)."""
     flat = pool_out.reshape(pool_out.shape[0], -1)
     fc_out, fc_cache = fc_relu_forward(flat, params.fc_w, params.fc_b)
     est, out_cache = linear_forward(fc_out, params.out_w, params.out_b)
     if not np.all(np.isfinite(est)):
         raise NumericFaultError("non-finite network output")
-    if not need_cache:
-        return est[0] if single else est, None
-    cache = {
-        "single": single,
-        "conv": conv_cache,
-        "pool": pool_cache,
-        "pool_shape": pool_out.shape,
-        "fc": fc_cache,
-        "out": out_cache,
-    }
-    return est[0] if single else est, cache
+    return est, fc_cache, out_cache
 
 
 def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
@@ -472,21 +497,58 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     cache-sized block at a time; for wider kernels it also bounds the
     full-resolution convolution output. The chunk size is a constant because
     it fixes the FC layer's matrix shapes, and so the last bit of its sums.
+
+    The chunks are independent, so their casts and conv-pool stages run at
+    once on the CPUs this process may use (`usable_cpus`): the calling
+    thread takes every chunk j with j % cpus == 0, and the module's pool of
+    threads the others. The caller works rather than waits because under
+    glibc each thread that allocates gets its own malloc arena, which costs
+    resident memory; cpus - 1 helpers are the fewest threads that fill the
+    CPUs. The FC and output layers then run in the caller, chunk by chunk in
+    order, after every stage has finished: the FC matrix product is large
+    enough for OpenBLAS to use its own threads, which keep spinning after
+    the call and would slow the conv-pool stages that followed it. Each
+    chunk goes through the same operations on matrices of the same shapes
+    as in one thread, so the output is the same bits for any CPU count; the
+    pooled maps of every chunk are held until the heads run.
     """
     patch = np.asarray(patch)
-    if patch.ndim == 4 and patch.shape[0] > FORWARD_CHUNK:
-        return np.concatenate(
-            [_forward_impl(params, patch[i : i + FORWARD_CHUNK], need_cache=False)[0]
-             for i in range(0, patch.shape[0], FORWARD_CHUNK)]
-        )
-    est, _ = _forward_impl(params, patch, need_cache=False)
-    return est
+    if patch.ndim == 3:
+        return forward(params, patch[None])[0]
+    if patch.ndim != 4 or patch.shape[0] <= FORWARD_CHUNK:
+        return _head(params, _pooled(params, patch))[0]
+    chunks = [patch[i : i + FORWARD_CHUNK] for i in range(0, patch.shape[0], FORWARD_CHUNK)]
+    cpus = usable_cpus()
+    helped = {j: _STAGE_POOL.submit(_pooled, params, chunk)
+              for j, chunk in enumerate(chunks) if j % cpus}
+    try:
+        own = {j: _pooled(params, chunk) for j, chunk in enumerate(chunks) if j % cpus == 0}
+        pooled = [own[j] if j in own else helped[j].result() for j in range(len(chunks))]
+    except BaseException:
+        # the helpers' chunks that have not started are not needed any more
+        for future in helped.values():
+            future.cancel()
+        raise
+    return np.concatenate([_head(params, pool_out)[0] for pool_out in pooled])
 
 
 def forward_cache(params: NetworkParams, patch: np.ndarray):
     """Forward pass keeping the intermediates needed by `backward`; the
     patches are cast to the weights' dtype, as in `forward`."""
-    return _forward_impl(params, patch)
+    patch = np.asarray(patch)
+    single = patch.ndim == 3
+    pool_out, conv_cache, pool_cache = _conv_pool(
+        params, patch[None] if single else patch, need_cache=True)
+    est, fc_cache, out_cache = _head(params, pool_out)
+    cache = {
+        "single": single,
+        "conv": conv_cache,
+        "pool": pool_cache,
+        "pool_shape": pool_out.shape,
+        "fc": fc_cache,
+        "out": out_cache,
+    }
+    return est[0] if single else est, cache
 
 
 def backward(params: NetworkParams, cache, grad_est: np.ndarray) -> NetworkGrads:

@@ -248,6 +248,12 @@ class TestEvaluateCommand:
                                 for suffix in (".txt", ".csv", "_per_image.csv")]
         assert outputs["1"] == outputs["2"]
 
+    def test_threads_default_to_the_cpus_the_process_may_use(self, monkeypatch):
+        # under taskset or a cpuset the machine's CPU count would oversubscribe
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert parse_args(["evaluate"]).threads == 1
+
 
 MALFORMED_MANIFESTS = {
     "invalid_json": '{"version": 1, "entries": [',

@@ -1,8 +1,11 @@
 import itertools
 import math
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +407,126 @@ class TestConv1x1PoolBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestChunkedForward:
+    """`forward` runs a large batch's conv-pool stages on the calling thread
+    and the module's pool, then the heads in chunk order: the same bits as
+    one chunk after another, on any number of CPUs."""
+
+    SHAPE = SMALL
+
+    @staticmethod
+    def serial(params, x):
+        return np.concatenate([forward(params, x[i : i + network.FORWARD_CHUNK])
+                               for i in range(0, len(x), network.FORWARD_CHUNK)])
+
+    @staticmethod
+    def recording_stages(monkeypatch):
+        threads = []
+        fused = network.conv1x1_pool_forward
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fused(*args, **kwargs)
+
+        monkeypatch.setattr(network, "conv1x1_pool_forward", recorded)
+        return threads
+
+    @pytest.mark.parametrize("n", [1, 512, 513, 2072])
+    @pytest.mark.parametrize("kernel_width", [1, 3])
+    @pytest.mark.parametrize("wdtype,xdtype", [
+        ("float32", np.float32), ("float32", np.float64), ("float64", np.float64)])
+    def test_equals_serial_chunk_loop(self, n, kernel_width, wdtype, xdtype, monkeypatch):
+        params = init_params(replace(self.SHAPE, kernel_width=kernel_width, dtype=wdtype), n)
+        rng = np.random.default_rng(n)
+        params = replace(params, conv_b=rng.standard_normal(params.kernel_count),
+                         fc_b=rng.standard_normal(params.fc_units) * 0.1)
+        x = rng.uniform(0, 1, (n, 16, 16, 3)).astype(xdtype)
+        want = self.serial(params, x).tobytes()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+            got = forward(params, x)
+            assert got.dtype == params.dtype and got.shape == (n, 3)
+            assert got.tobytes() == want
+
+    def test_paper_shape_float32_local_map_batch(self, monkeypatch):
+        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        params = init_params(replace(HyperParams(), dtype="float32"), 74)
+        x = np.random.default_rng(74).uniform(0, 1, (2072, 32, 32, 3))
+        assert forward(params, x).tobytes() == self.serial(params, x).tobytes()
+
+    def test_stages_run_on_two_threads(self, monkeypatch):
+        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        threads = self.recording_stages(monkeypatch)
+        params = init_params(self.SHAPE, 75)
+        forward(params, np.random.default_rng(75).uniform(0, 1, (2072, 16, 16, 3)))
+        assert len(threads) == 5
+        assert threads.count(threading.get_ident()) == 3  # chunks 0, 2 and 4
+        assert len(set(threads)) == 2
+
+    def test_one_cpu_uses_no_pool_thread(self, monkeypatch):
+        monkeypatch.setattr(network, "usable_cpus", lambda: 1)
+        threads = self.recording_stages(monkeypatch)
+        params = init_params(self.SHAPE, 76)
+        forward(params, np.random.default_rng(76).uniform(0, 1, (2072, 16, 16, 3)))
+        assert threads == [threading.get_ident()] * 5
+
+    @pytest.mark.parametrize("n", [513, 1025, 2072])
+    def test_nonfinite_output_in_the_last_chunk_raises(self, n, monkeypatch):
+        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        params = init_params(self.SHAPE, 77)
+        x = np.random.default_rng(77).uniform(0, 1, (n, 16, 16, 3))
+        x[-1, 5, 5, 1] = np.nan
+        with pytest.raises(NumericFaultError):
+            forward(params, x)
+
+    def test_misshapen_large_batch_raises_the_typed_error(self, monkeypatch):
+        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        with pytest.raises(ShapeMismatchError):
+            forward(init_params(self.SHAPE, 78), np.zeros((1100, 18, 18, 3)))
+
+    def test_concurrent_calls_share_the_pool(self, monkeypatch):
+        # evaluate's image workers call forward at once; their chunks queue
+        # on the same pool threads and must not mix
+        monkeypatch.setattr(network, "usable_cpus", lambda: 3)
+        params = init_params(self.SHAPE, 79)
+        xs = [np.random.default_rng(s).uniform(0, 1, (1300, 16, 16, 3)) for s in range(4)]
+        want = [self.serial(params, x).tobytes() for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(xs)) as callers:
+                calls = [callers.submit(forward, params, x) for x in xs]
+                got = [call.result(timeout=120).tobytes() for call in calls]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_local_map_batch_memory_is_bounded(self, monkeypatch):
+        # every chunk's pooled maps wait for the heads; the stages in flight
+        # (one per CPU) add their pixel-outer copies and response blocks, but
+        # no chunk's response array (480 MiB) is built
+        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        params = init_params(HyperParams(), 8)
+        x = np.random.default_rng(73).uniform(0, 1, (2072, 32, 32, 3))
+        pooled = x.shape[0] * params.fc_w.shape[1] * params.dtype.itemsize
+        tracemalloc.start()
+        try:
+            forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pooled + 48 * 2**20
+
+    def test_usable_cpus_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert network.usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert network.usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert network.usable_cpus() == 1
 
 
 ALL_DTYPE_TRIPLES = tuple(itertools.product((np.float32, np.float64), repeat=3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from patchcc.patches import (
     histogram_stretch,
     resize_max_side,
     sample_random_patches,
+    stretched_grid_patches,
 )
 
 import oracles
@@ -305,3 +308,40 @@ class TestOnePassFormsMatchParentForms:
         assert np.array_equal(out.origins, batch.origins[keep])
         assert out.degenerate == len(data) - keep.sum() == {"none": 0, "some": 4, "all": 12}[flat]
         assert np.array_equal(batch.data, before)  # the input batch is left alone
+
+    @pytest.mark.parametrize("flat", ["none", "some", "all"])
+    def test_grid_stretch_matches_two_temporaries(self, flat):
+        # 45x70 leaves partial border tiles on both axes
+        rng = np.random.default_rng(32)
+        data = rng.uniform(0.0, 3.0, size=(45, 70, 3))
+        if flat == "some":
+            data[0:8, 8:16] = 0.4
+            data[16:24, 56:64] = 0.5 + 1e-13 * rng.uniform(size=(8, 8, 3))
+        elif flat == "all":
+            data[:] = 0.7
+        img = LinearImage(data)
+        before = img.data.copy()
+        out = stretched_grid_patches(img, 8)
+        tiles = extract_grid_patches(img, 8)
+        expected, keep = oracles.two_temporary_histogram_stretch(tiles.data)
+        assert out.data.shape == expected.shape and out.data.flags.c_contiguous
+        assert out.data.tobytes() == expected.tobytes()
+        assert np.array_equal(out.origins, tiles.origins[keep])
+        assert out.degenerate == len(keep) - keep.sum() == {"none": 0, "some": 2, "all": 40}[flat]
+        assert np.array_equal(img.data, before)  # the image is left alone
+
+    def test_grid_stretch_smaller_than_patch_is_empty(self):
+        out = stretched_grid_patches(random_image((10, 40, 3)), 16)
+        assert out.data.shape == (0, 16, 16, 3) and out.origins.shape == (0, 2)
+        assert out.degenerate == 0
+
+    def test_grid_stretch_copies_the_tiles_once(self):
+        img = random_image((400, 600, 3), seed=4)
+        tracemalloc.start()
+        try:
+            out = stretched_grid_patches(img, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 12 * 18
+        assert peak < 1.25 * out.data.nbytes
