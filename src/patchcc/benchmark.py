@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ParameterError
 from .estimator import estimate_image, pool_average, pool_median, prepared_patches, unit_estimates
 from .evaluation import STAT_NAMES, angular_error, summarize
 from .minkowski import ESTIMATORS
+from .network import spread
 
 STAT_ALGOS = tuple(ESTIMATORS)
 SHARED_FORWARD_ALGOS = ("cnn-patch", "cnn-average", "cnn-median")
@@ -68,7 +68,13 @@ def benchmark(
     with the model of its own fold. The cnn-patch, cnn-average and
     cnn-median rows share one `unit_estimates` call per image. The cnn-patch
     row pools the errors of every patch of every image into one sample.
+
+    The images go through `network.spread` in `threads` lanes, so `threads`
+    caps the images in flight, and the CPUs cap the threads; the results and
+    the error raised are those of one image after another.
     """
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     samples = list(samples)
     if not samples:
         raise ParameterError("benchmark needs at least one image")
@@ -97,11 +103,7 @@ def benchmark(
             errors[algo] = [angular_error(e, s.illuminant) for e in estimates]
         return errors
 
-    if threads <= 1:
-        results = [image_errors(s) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(image_errors, samples))
+    results = spread(image_errors, samples, threads)
     per_image = {
         algo: [(s.image_id, err) for s, errors in zip(samples, results) for err in errors[algo]]
         for algo in algos

@@ -33,13 +33,19 @@ and `conv_backward` take one loop over the kernel taps for every width.
 They run the wider kernels (k x k, for the width sweep) and are the tests'
 reference for the fused layer.
 
-`forward` splits a large batch into `FORWARD_CHUNK`-patch chunks and runs
-their conv-pool stages at once, on the calling thread and a module-level
-pool of one thread fewer than the CPUs this process may run on
-(`usable_cpus`). The FC and output layers follow in the calling thread,
-chunk by chunk, once every stage is done; the `forward` docstring says why
-the heads wait and why the caller takes a share. Every chunk's matrices keep
-their shapes, so the outputs are the same bits on any number of CPUs.
+The package has one thread pool, of one thread fewer than the CPUs this
+process may run on (`usable_cpus`), used through `spread(fn, items, width)`:
+[fn(item) for item in items] in `width` lanes, lane j taking items j,
+j + width, ..., lane 0 on the calling thread and each other lane one task on
+the pool. A caller runs itself the lanes that have not started before it
+waits on the running ones, so a lane that calls `spread` again cannot
+deadlock; a lane stops at its first exception, and `spread` raises that of
+the lowest failing item, as a serial loop would. `evaluate`'s images
+(`--threads` lanes) and `forward`'s `FORWARD_CHUNK`-patch chunks
+(`usable_cpus` lanes) both go through it, so no more threads run than the
+process has CPUs. `forward` then runs the FC and output layers in the
+calling thread, chunk by chunk. Every chunk's matrices keep their shapes,
+so the outputs are the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -74,6 +80,13 @@ FUSED_BLOCK_BYTES = 2 << 20
 # patches per `forward` pass over a large batch; it fixes the FC layer's
 # matrix shapes, and so the last bit of its sums
 FORWARD_CHUNK = 512
+
+# patches per piece of the FC weight gradient, which is summed piece by piece
+# in order: OpenBLAS splits a long inner dimension across its threads, and so
+# rounds by the CPU count. 512-row pieces are too long; OpenBLAS 0.3.31 split
+# a 413-row one (925 = 512 + 413 patches differed between 1 and 2 threads),
+# while 256-row pieces gave the same bits at every size tried, 1 to 3,000
+BACKWARD_CHUNK = 256
 
 # central-difference step of `gradient_check`
 GRADCHECK_STEP = 1e-4
@@ -407,13 +420,18 @@ def fc_relu_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def fc_relu_backward(grad_out: np.ndarray, cache):
-    """Gradient is zeroed wherever the pre-activation was <= 0."""
+    """Gradient is zeroed wherever the pre-activation was <= 0. The weight
+    gradient sums over the patches `BACKWARD_CHUNK` rows at a time, in order,
+    so its bits do not depend on the CPU count."""
     x, w, pre = cache
     grad_pre = np.asarray(grad_out) * (pre > 0)
     grad_x = grad_pre @ w
     flat_g = grad_pre.reshape(-1, w.shape[0])
     flat_x = x.reshape(-1, w.shape[1])
-    return grad_x, flat_g.T @ flat_x, flat_g.sum(axis=0)
+    grad_w = flat_g[:BACKWARD_CHUNK].T @ flat_x[:BACKWARD_CHUNK]
+    for i in range(BACKWARD_CHUNK, len(flat_g), BACKWARD_CHUNK):
+        grad_w += flat_g[i : i + BACKWARD_CHUNK].T @ flat_x[i : i + BACKWARD_CHUNK]
+    return grad_x, grad_w, flat_g.sum(axis=0)
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -442,10 +460,55 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the threads that share a large `forward` batch's conv-pool stages with the
-# calling thread; they start on first use, so a one-CPU process makes none
-_STAGE_POOL = ThreadPoolExecutor(max_workers=max(1, usable_cpus() - 1),
-                                 thread_name_prefix="patchcc-forward")
+# the threads that run `spread`'s lanes beside the calling thread, which
+# works rather than waits: under glibc each thread that allocates gets its own
+# malloc arena, which costs resident memory, so cpus - 1 threads are the
+# fewest that fill the CPUs. They start on first use, so a one-CPU process
+# makes none.
+_POOL = ThreadPoolExecutor(max_workers=max(1, usable_cpus() - 1), thread_name_prefix="patchcc")
+
+
+def _lane(fn, items):
+    """fn over items in order up to the first exception: (results, that
+    exception or None)."""
+    results = []
+    for item in items:
+        try:
+            results.append(fn(item))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def spread(fn, items, width: int | None = None) -> list:
+    """[fn(item) for item in items], computed in `width` lanes (by default
+    `usable_cpus()`; one lane on one CPU). Item j goes to lane j % width;
+    lane 0 runs on the calling thread and each other lane is one task on the
+    package's pool. The caller then cancels and runs itself, one by one, the
+    lanes that have not started, and only then waits on those running, so
+    nested calls cannot deadlock. A lane stops at its first exception, and
+    the one of the lowest failing item is raised, as in a serial loop.
+    """
+    items = list(items)
+    cpus = usable_cpus()
+    # on one CPU the pool's one thread would only take turns with the caller
+    width = 1 if cpus == 1 else max(1, min(cpus if width is None else width, len(items)))
+    lanes = [items[j::width] for j in range(width)]
+    futures = [_POOL.submit(_lane, fn, lane) for lane in lanes[1:]]
+    try:
+        done = [_lane(fn, lanes[0])]
+        ran = [_lane(fn, lane) if future.cancel() else None
+               for future, lane in zip(futures, lanes[1:])]
+        done += [mine or future.result() for mine, future in zip(ran, futures)]
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
+    failures = [(j + len(results) * width, exc)
+                for j, (results, exc) in enumerate(done) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [done[i % width][0][i // width] for i in range(len(items))]
 
 
 def _conv_pool(params: NetworkParams, x: np.ndarray, need_cache: bool):
@@ -498,19 +561,18 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     full-resolution convolution output. The chunk size is a constant because
     it fixes the FC layer's matrix shapes, and so the last bit of its sums.
 
-    The chunks are independent, so their casts and conv-pool stages run at
-    once on the CPUs this process may use (`usable_cpus`): the calling
-    thread takes every chunk j with j % cpus == 0, and the module's pool of
-    threads the others. The caller works rather than waits because under
-    glibc each thread that allocates gets its own malloc arena, which costs
-    resident memory; cpus - 1 helpers are the fewest threads that fill the
-    CPUs. The FC and output layers then run in the caller, chunk by chunk in
-    order, after every stage has finished: the FC matrix product is large
-    enough for OpenBLAS to use its own threads, which keep spinning after
-    the call and would slow the conv-pool stages that followed it. Each
-    chunk goes through the same operations on matrices of the same shapes
-    as in one thread, so the output is the same bits for any CPU count; the
-    pooled maps of every chunk are held until the heads run.
+    The chunks are independent, so their casts and conv-pool stages go
+    through `spread` in `usable_cpus` lanes: the calling thread takes every
+    chunk j with j % cpus == 0, and the package's pool the others, unless
+    they are busy with other lanes, such as `evaluate`'s images, in which
+    case the caller runs the chunks itself. The FC and output layers then
+    run in the caller, chunk by chunk in order, after every stage has
+    finished: the FC matrix product is large enough for OpenBLAS to use its
+    own threads, which keep spinning after the call and would slow the
+    conv-pool stages that followed it. Each chunk goes through the same
+    operations on matrices of the same shapes as in one thread, so the
+    output is the same bits for any CPU count; the pooled maps of every
+    chunk are held until the heads run.
     """
     patch = np.asarray(patch)
     if patch.ndim == 3:
@@ -518,17 +580,7 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     if patch.ndim != 4 or patch.shape[0] <= FORWARD_CHUNK:
         return _head(params, _pooled(params, patch))[0]
     chunks = [patch[i : i + FORWARD_CHUNK] for i in range(0, patch.shape[0], FORWARD_CHUNK)]
-    cpus = usable_cpus()
-    helped = {j: _STAGE_POOL.submit(_pooled, params, chunk)
-              for j, chunk in enumerate(chunks) if j % cpus}
-    try:
-        own = {j: _pooled(params, chunk) for j, chunk in enumerate(chunks) if j % cpus == 0}
-        pooled = [own[j] if j in own else helped[j].result() for j in range(len(chunks))]
-    except BaseException:
-        # the helpers' chunks that have not started are not needed any more
-        for future in helped.values():
-            future.cancel()
-        raise
+    pooled = spread(lambda chunk: _pooled(params, chunk), chunks)
     return np.concatenate([_head(params, pool_out)[0] for pool_out in pooled])
 
 

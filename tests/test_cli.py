@@ -224,12 +224,17 @@ class TestEvaluateCommand:
         assert os.path.exists(per_image)
 
     def test_cnn_rows_with_models(self, dataset_dir, model_dir, tmp_path, capsys):
-        # fold0 model only: asking for all three folds must fail cleanly
-        assert run(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
-                    "--algos", "cnn-median", "--model-dir", str(model_dir),
-                    "--patch-size", "16"]) == 1
-        err = capsys.readouterr().err
-        assert "fold" in err
+        # fold0 model only: asking for all three folds must fail cleanly, and
+        # with the error of the first failing image (fold 1, then fold 2) on
+        # any number of threads
+        lines = {}
+        for threads in ("1", "2", "3"):
+            assert run(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
+                        "--algos", "cnn-median", "--model-dir", str(model_dir),
+                        "--patch-size", "16", "--threads", threads]) == 1
+            lines[threads] = capsys.readouterr().err.strip().splitlines()
+        assert lines["1"] == lines["2"] == lines["3"]
+        assert len(lines["1"]) == 1 and "no fold-1 model" in lines["1"][0]
 
 
     def test_results_independent_of_threads(self, dataset_dir, model_dir, tmp_path):
@@ -238,7 +243,9 @@ class TestEvaluateCommand:
         for k in range(3):
             shutil.copy(model_dir / "fold0.ccnn", models / f"fold{k}.ccnn")
         outputs = {}
-        for threads in ("1", "2"):
+        # 7 lanes are more than a small machine's pool has threads, so some
+        # queue; 10 are more than the 9 images
+        for threads in ("1", "2", "3", "7", "10"):
             prefix = str(tmp_path / f"threads{threads}")
             assert run(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
                         "--algos", "DN,GW,WP,SoG,gGW,GE1,GE2,cnn-patch,cnn-average,cnn-median",
@@ -246,7 +253,7 @@ class TestEvaluateCommand:
                         "--threads", threads, "--out-prefix", prefix]) == 0
             outputs[threads] = [open(prefix + suffix, "rb").read()
                                 for suffix in (".txt", ".csv", "_per_image.csv")]
-        assert outputs["1"] == outputs["2"]
+        assert all(output == outputs["1"] for output in outputs.values())
 
     def test_threads_default_to_the_cpus_the_process_may_use(self, monkeypatch):
         # under taskset or a cpuset the machine's CPU count would oversubscribe
@@ -322,6 +329,10 @@ MALFORMED_INPUTS = {
                                  None, "ParameterError"),
     "manifest_rect_string": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
                              "ParameterError"),
+    "threads_zero": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN",
+                      "--threads", "0"], None, "ParameterError"),
+    "threads_negative": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN",
+                          "--threads", "-3"], None, "ParameterError"),
     "size_not_integers": (["synth", "--out", "{tmp}/set", "--size", "64xq"], None,
                           "ParameterError"),
     "ill_not_numbers": (["correct", "--image", "{tmp}/a.ppm", "--out", "{tmp}/b.ppm",
@@ -350,6 +361,9 @@ MALFORMED_INPUTS = {
     "config_loss_gradcheck": (["gradcheck"], '{"loss": "huber"}', "ParameterError"),
 }
 
+VALID_MANIFEST = (b'{"version": 1, "entries": [{"image_path": "a.ppm", '
+                  b'"ground_truth_illuminant": [1, 1, 1], "fold": 0}]}')
+
 # case -> the files, by name in the test's directory, that its argv reads
 MALFORMED_FILES = {
     "weights_header_truncated": {"w.ccnn": b"CCNN\x01"},
@@ -368,6 +382,8 @@ MALFORMED_FILES = {
     "manifest_rect_overflow": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
                                          b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, '
                                          b'"exclusion_rects": [[0, 0, 1e999, 4]]}]}'},
+    "threads_zero": {"m.json": VALID_MANIFEST},
+    "threads_negative": {"m.json": VALID_MANIFEST},
     # int() and float() would read these as 2, (1, 1, 1) and (1, 2, 3, 4)
     "manifest_fold_string": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
                                        b'"ground_truth_illuminant": [1, 1, 1], "fold": "2"}]}'},

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -275,7 +279,46 @@ class TestTrain:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
+# prints a digest of `image_level_loss`'s gradients over n random patches, for
+# each n in argv and each dtype. Average pooling gives every patch a gradient;
+# median pooling routes it to a few patches, whose sum no thread split reorders.
+GRADIENT_DIGESTS = """
+import hashlib, sys
+from dataclasses import replace
+import numpy as np
+from patchcc.estimator import image_level_loss
+from patchcc.image import normalize
+from patchcc.network import PARAM_LAYERS, HyperParams, init_params
+from patchcc.patches import PatchBatch
+for n in map(int, sys.argv[1:]):
+    for dtype in ("float64", "float32"):
+        hyper = HyperParams(patch_size=16, kernel_count=16, pool_size=4, fc_units=16,
+                            dtype=dtype)
+        rng = np.random.default_rng(n)
+        # biases that keep most estimates positive, so few are dropped
+        params = replace(init_params(hyper, n), fc_b=np.full(16, 0.1, dtype),
+                         out_b=np.ones(3, dtype))
+        batch = PatchBatch(rng.uniform(0, 1, (n, 16, 16, 3)), np.zeros((n, 2), dtype=int))
+        _, grads = image_level_loss(params, batch, normalize((0.8, 1.0, 0.6)), "average")
+        data = b"".join(getattr(grads, name).tobytes() for name in PARAM_LAYERS)
+        print(n, dtype, hashlib.sha1(data).hexdigest())
+"""
+
+
 class TestFineTune:
+    def test_gradients_are_the_same_bytes_on_one_and_two_blas_threads(self):
+        # the FC weight gradient sums over an image's patches, and OpenBLAS
+        # splits a long sum over its threads, rounding by their number
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(estimator.__file__))}
+        digests = {}
+        for threads in ("1", "2"):
+            digests[threads] = subprocess.run(
+                [sys.executable, "-c", GRADIENT_DIGESTS, "413", "925", "2072"],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True).stdout.splitlines()
+        assert len(digests["1"]) == 6
+        assert digests["1"] == digests["2"]
+
     def test_zero_learning_rate_identity(self):
         from dataclasses import replace
 

@@ -23,3 +23,12 @@ def test_no_module_imports_another_modules_private_names():
     assert len(paths) > 10
     offenders = {p.name: private_imports(p) for p in paths}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_package_has_one_thread_pool():
+    # every thread goes through `network.spread`, so the CPUs cap the threads
+    calls = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ThreadPoolExecutor"]
+    assert [name for name, _ in calls] == ["network.py"], calls

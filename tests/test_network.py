@@ -4,8 +4,9 @@ import os
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,7 @@ from patchcc.network import (
     maxpool_forward,
     save_params,
     sgd_step,
+    spread,
     zero_momentum,
 )
 
@@ -410,9 +412,9 @@ class TestConv1x1PoolBlocks:
 
 
 class TestChunkedForward:
-    """`forward` runs a large batch's conv-pool stages on the calling thread
-    and the module's pool, then the heads in chunk order: the same bits as
-    one chunk after another, on any number of CPUs."""
+    """`forward` spreads a large batch's conv-pool stages over the calling
+    thread and the package's pool, then runs the heads in chunk order: the
+    same bits as one chunk after another, on any number of CPUs."""
 
     SHAPE = SMALL
 
@@ -428,6 +430,9 @@ class TestChunkedForward:
 
         def recorded(*args, **kwargs):
             threads.append(threading.get_ident())
+            # time for the pool thread to take its lane before the caller,
+            # done with its own, would run that lane itself
+            time.sleep(0.01)
             return fused(*args, **kwargs)
 
         monkeypatch.setattr(network, "conv1x1_pool_forward", recorded)
@@ -529,6 +534,67 @@ class TestChunkedForward:
         assert network.usable_cpus() == 1
 
 
+
+class TestSpread:
+    """`spread` computes [fn(item) for item in items] in lanes on the calling
+    thread and the package's pool."""
+
+    # more lanes than the pool, sized from the CPUs at import, has threads
+    WIDE = (os.cpu_count() or 1) + 1
+
+    @pytest.mark.parametrize("width", [None, 1, 2, 3, 7, 40])
+    def test_results_come_back_in_item_order(self, width):
+        assert spread(lambda i: i * i, range(11), width) == [i * i for i in range(11)]
+        assert spread(abs, [], width) == []
+
+    def test_nested_calls_finish(self):
+        # the outer lanes fill the pool and queue; a lane's inner lanes queue
+        # behind them, so a waiter that did not run those itself would hang
+        def inner(i):
+            time.sleep(0.001)
+            return spread(lambda j: (i, j), range(2 * self.WIDE), self.WIDE)
+
+        finished = Future()
+
+        def outer():
+            try:
+                finished.set_result(spread(inner, range(2 * self.WIDE), self.WIDE))
+            except BaseException as exc:
+                finished.set_exception(exc)
+
+        threading.Thread(target=outer, daemon=True).start()
+        n = 2 * self.WIDE
+        assert finished.result(timeout=60) == [[(i, j) for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("width,ran", [(1, {0, 1}), (2, {0, 1, 2}), (3, {0, 1, 2, 3})])
+    def test_the_lowest_failing_item_raises(self, width, ran, monkeypatch):
+        # lanes even on one CPU, where `spread` is a serial loop
+        monkeypatch.setattr(network, "usable_cpus", lambda: 3)
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            if i == 1:
+                time.sleep(0.05)  # item 2 fails first
+                raise KeyError(i)
+            if i == 2:
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            spread(fn, range(6), width)
+        # each lane stops at its first exception
+        assert set(calls) == ran
+
+    def test_threads_never_outnumber_the_cpus(self, monkeypatch):
+        def ident(_):
+            time.sleep(0.001)
+            return threading.get_ident()
+
+        assert len(set(spread(ident, range(40), 40))) <= network.usable_cpus()
+        monkeypatch.setattr(network, "usable_cpus", lambda: 1)
+        assert set(spread(ident, range(40), 40)) == {threading.get_ident()}
+
 ALL_DTYPE_TRIPLES = tuple(itertools.product((np.float32, np.float64), repeat=3))
 
 
@@ -624,6 +690,23 @@ class TestFcRelu:
         gx, gw, gb = fc_relu_backward(grad_out, cache)
         err = layer_fd(lambda: fc_relu_forward(x, w, b), [x, w, b], grad_out, [gx, gw, gb])
         assert err < 1e-4
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 925])
+    def test_batched_weight_gradient_sums_pieces_in_order(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 6))
+        w = rng.standard_normal((4, 6))
+        grad_out = rng.standard_normal((n, 4))
+        _, cache = fc_relu_forward(x, w, np.full(4, 0.1))
+        gx, gw, gb = fc_relu_backward(grad_out, cache)
+        g = grad_out * (cache[2] > 0)
+        piece = network.BACKWARD_CHUNK
+        want = g[:piece].T @ x[:piece]
+        for i in range(piece, n, piece):
+            want += g[i : i + piece].T @ x[i : i + piece]
+        assert gw.tobytes() == want.tobytes()
+        assert np.allclose(gw, g.T @ x, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(gx, g @ w) and np.array_equal(gb, g.sum(axis=0))
 
     def test_gradient_zero_at_kink(self):
         x = np.zeros(2)
