@@ -54,6 +54,13 @@ def _model_for(sample, fold_models, algo):
     return fold_models[sample.fold]
 
 
+def check_threads(threads: int):
+    """Raise `ParameterError` unless `threads` is a lane count `benchmark`
+    takes, so that a caller can reject it before decoding any image."""
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+
+
 def benchmark(
     samples,
     algos=ALL_ALGOS,
@@ -73,8 +80,7 @@ def benchmark(
     caps the images in flight, and the CPUs cap the threads; the results and
     the error raised are those of one image after another.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     samples = list(samples)
     if not samples:
         raise ParameterError("benchmark needs at least one image")

@@ -28,6 +28,11 @@ PPM_MAXVAL = 65535
 # largest possible component (1.0) still fits below maxval.
 ILLUMINANT_MAP_SCALE = 1.0 / math.sqrt(3.0)
 
+# rows per strip of `load_illuminant_map_ppm`'s norm: 16 rows of an
+# 1800-px map are 0.7 MB of float64 samples, which stay in cache while the
+# strip is unscaled, normed and divided
+NORM_STRIP_ROWS = 16
+
 
 @dataclass(frozen=True, eq=False)
 class Illuminant:
@@ -275,19 +280,25 @@ def save_illuminant_map_ppm(gt_map: np.ndarray, path, cell_size: int = 1):
 def load_illuminant_map_ppm(path) -> np.ndarray:
     """Read a map written by `save_illuminant_map_ppm`, renormalizing each pixel.
 
-    Works in place on the decoded samples. Each norm adds the squared
-    channels in order, (r*r + g*g) + b*b, which gives the bits of
-    `np.linalg.norm(data, axis=2)` without its full-size temporaries.
+    Works in place on the decoded samples, `NORM_STRIP_ROWS` rows at a time,
+    so each strip is unscaled, normed and divided while it is in cache. Each
+    norm adds the squared channels in order, (r*r + g*g) + b*b, which gives
+    the bits of `np.linalg.norm(data, axis=2)` without its full-size
+    temporaries.
     """
     data = _read_ppm16(path)
-    data /= ILLUMINANT_MAP_SCALE
-    norms = np.square(data[..., 0])
-    squared = np.square(data[..., 1])
-    norms += squared
-    np.square(data[..., 2], out=squared)
-    norms += squared
-    np.sqrt(norms, out=norms)
-    if np.any(norms == 0):
-        raise FormatError("illuminant map contains zero vectors")
-    data /= norms[..., None]
+    squared = np.empty((min(NORM_STRIP_ROWS, len(data)), data.shape[1]))
+    for first in range(0, len(data), NORM_STRIP_ROWS):
+        rows = data[first : first + NORM_STRIP_ROWS]
+        rows /= ILLUMINANT_MAP_SCALE
+        part = squared[: len(rows)]
+        norms = np.square(rows[..., 0])
+        np.square(rows[..., 1], out=part)
+        norms += part
+        np.square(rows[..., 2], out=part)
+        norms += part
+        np.sqrt(norms, out=norms)
+        if np.any(norms == 0):
+            raise FormatError("illuminant map contains zero vectors")
+        rows /= norms[..., None]
     return data

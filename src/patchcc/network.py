@@ -41,11 +41,12 @@ the pool. A caller runs itself the lanes that have not started before it
 waits on the running ones, so a lane that calls `spread` again cannot
 deadlock; a lane stops at its first exception, and `spread` raises that of
 the lowest failing item, as a serial loop would. `evaluate`'s images
-(`--threads` lanes) and `forward`'s `FORWARD_CHUNK`-patch chunks
-(`usable_cpus` lanes) both go through it, so no more threads run than the
-process has CPUs. `forward` then runs the FC and output layers in the
-calling thread, chunk by chunk. Every chunk's matrices keep their shapes,
-so the outputs are the same bits on any number of CPUs.
+(`--threads` lanes), `forward`'s `FORWARD_CHUNK`-patch chunks and the row
+strips of `patches.resize_max_side` (both `usable_cpus` lanes) all go
+through it, so no more threads run than the process has CPUs. `forward`
+then runs the FC and output layers in the calling thread, chunk by chunk.
+Every chunk's matrices keep their shapes, so the outputs are the same bits
+on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -488,6 +489,11 @@ def spread(fn, items, width: int | None = None) -> list:
     lanes that have not started, and only then waits on those running, so
     nested calls cannot deadlock. A lane stops at its first exception, and
     the one of the lowest failing item is raised, as in a serial loop.
+
+    Its callers are `benchmark`'s images, `forward`'s chunks and the row
+    strips of `patches.resize_max_side`. While the pool's threads are busy,
+    as inside `benchmark`'s image lanes, a nested call runs all its lanes on
+    the calling thread.
     """
     items = list(items)
     cpus = usable_cpus()

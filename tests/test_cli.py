@@ -412,6 +412,14 @@ class TestMalformedInput:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), err
 
+    def test_threads_checked_before_the_manifest_is_read(self, tmp_path, capsys):
+        # the manifest names a missing image, which would fail as well
+        (tmp_path / "m.json").write_bytes(VALID_MANIFEST.replace(b"a.ppm", b"missing.ppm"))
+        assert run(["evaluate", "--manifest", str(tmp_path / "m.json"), "--algos", "DN",
+                    "--threads", "0"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: ParameterError: threads must be >= 1, got 0"]
+
     def test_config_choice_error_names_key_and_choices(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"pooling": "bogus"}')

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from patchcc import network
 from patchcc.errors import ParameterError, SamplingImpossibleError
 from patchcc.image import LinearImage
 from patchcc.patches import (
+    RESIZE_STRIP_ROWS,
     PatchBatch,
     ExclusionMask,
     extract_grid_patches,
@@ -289,6 +291,23 @@ class TestOnePassFormsMatchParentForms:
         out = resize_max_side(img, target)
         assert max(out.width, out.height) == target
         expected = oracles.row_gather_bilinear(img.data, out.height, out.width)
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("shape, target, out_shape", [
+        # the paper's downscale of an 1800x1200 image
+        ((1200, 1800), 1200, (800, 1200)),
+        # 37 output rows: two whole strips and a short one
+        ((57, 80), 52, (2 * RESIZE_STRIP_ROWS + 5, 52)),
+    ])
+    def test_strips_match_row_gathers_on_any_cpu_count(self, monkeypatch, cpus, shape, target,
+                                                       out_shape):
+        # `spread` runs the strips in one lane on one CPU and in several on four
+        monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+        img = random_image(shape + (3,), seed=shape[1])
+        out = resize_max_side(img, target)
+        assert out.data.shape[:2] == out_shape
+        expected = oracles.row_gather_bilinear(img.data, *out_shape)
         assert out.data.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("flat", ["none", "some", "all"])
