@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from oracles import (
     wrapped_minkowski_response,
 )
 
+import patchcc.minkowski
 from patchcc.minkowski import (
+    MAX_SIGMA,
+    STRIP_ROWS,
     EdgeFrameworkParams,
     derivative_magnitude,
     do_nothing,
@@ -54,6 +58,12 @@ SIDES = (1, 2, 3, 7, 30, 60)
 SIGMAS = (0.5, 1.0, 3.0, 6.0, 9.0)
 
 
+def smooth(data, sigma):
+    """Both smoothing passes over the whole array, then the clamp at 0."""
+    out = gaussian_smooth(gaussian_smooth(data, sigma, 0), sigma, 1)
+    return np.maximum(out, 0.0, out=out)
+
+
 # --------------------------------------------------------------------------
 
 
@@ -76,22 +86,45 @@ class TestParams:
         dict(n=0, p=float("nan"), sigma=0.0),
         dict(n=0, p=1.0, sigma=-1.0),
         dict(n=1, p=1.0, sigma=0.0),
+        dict(n=0, p=1.0, sigma=math.inf),
+        dict(n=0, p=1.0, sigma=float("nan")),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
             EdgeFrameworkParams(**kwargs)
 
+    # numpy raised MemoryError (a 43.7 TiB kernel) and ValueError for these
+    @pytest.mark.parametrize("sigma", [1e12, 1e300, np.nextafter(MAX_SIGMA, math.inf)])
+    def test_sigma_whose_kernel_cannot_be_built(self, sigma):
+        with pytest.raises(ParameterError, match="sigma"):
+            EdgeFrameworkParams(0, 1.0, sigma)
+        with pytest.raises(ParameterError, match="sigma"):
+            gaussian_kernel(sigma)
+
+    def test_largest_sigma_builds(self):
+        assert EdgeFrameworkParams(1, 1.0, MAX_SIGMA).sigma == MAX_SIGMA
+        assert len(gaussian_kernel(MAX_SIGMA)) == 2 * math.ceil(3 * MAX_SIGMA) + 1
+
 
 class TestGaussianSmooth:
-    def test_sigma_zero_identity(self):
-        data = random_data((6, 6, 3))
-        assert gaussian_smooth(data, 0.0) is data
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, 2 * MAX_SIGMA])
+    def test_sigma_outside_range(self, sigma):
+        with pytest.raises(ParameterError):
+            gaussian_smooth(random_data((6, 6, 3)), sigma, 0)
 
     def test_constant_preserved(self):
         data = np.full((10, 12, 3), 0.37)
         for sigma in (0.5, 1.0, 3.0):
-            out = gaussian_smooth(data, sigma)
+            out = smooth(data, sigma)
             assert np.max(np.abs(out - 0.37)) < 1e-9
+
+    @pytest.mark.parametrize("sigma", [1.0, 9.0])
+    def test_row_strip_is_rows_of_whole_pass(self, sigma):
+        data = random_data((11, 20, 3), seed=1)
+        whole = gaussian_smooth(data, sigma, 1)
+        for first, last in ((0, 1), (0, 11), (3, 7), (10, 11)):
+            strip = gaussian_smooth(data[first:last], sigma, 1)
+            assert strip.tobytes() == whole[first:last].tobytes()
 
     def test_kernel_normalized(self):
         for sigma in (0.5, 1.0, 6.0, 9.0):
@@ -102,14 +135,14 @@ class TestGaussianSmooth:
     def test_single_bright_pixel_matches_dense_oracle(self):
         data = np.zeros((9, 9, 3))
         data[4, 4] = 1.0
-        out = gaussian_smooth(data, 1.0)
+        out = smooth(data, 1.0)
         expected = dense_gaussian_2d(data, 1.0)
         assert np.max(np.abs(out - expected)) < 1e-9
 
     def test_matches_dense_oracle_with_large_radius(self):
         # radius exceeds the image size, exercising multi-bounce reflection
         data = random_data((6, 5, 3), seed=2)
-        out = gaussian_smooth(data, 3.0)
+        out = smooth(data, 3.0)
         expected = dense_gaussian_2d(data, 3.0)
         assert np.max(np.abs(out - expected)) < 1e-9
 
@@ -118,7 +151,7 @@ class TestGaussianSmooth:
         for h in SIDES:
             for w in SIDES:
                 data = random_data((h, w, 3), seed=10 * h + w)
-                got = gaussian_smooth(data, sigma)
+                got = smooth(data, sigma)
                 want = padded_gaussian_smooth(data, sigma)
                 assert got.tobytes() == want.tobytes(), (h, w)
 
@@ -155,6 +188,19 @@ class TestDerivativeMagnitude:
     def test_invalid_order(self):
         with pytest.raises(ParameterError):
             derivative_magnitude(random_data((4, 4, 3)), 5)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("height", [1, 2, 5])
+    def test_halo_strips_are_rows_of_whole_image(self, n, height):
+        # a strip carries one neighbour row on each side that has one; the
+        # image's own top and bottom rows are replicated
+        data = random_data((height, 4, 3), seed=height)
+        whole = derivative_magnitude(data, n)
+        for top in range(height):
+            for bottom in range(top + 1, height + 1):
+                first, last = max(top - 1, 0), min(bottom + 1, height)
+                got = derivative_magnitude(data[first:last], n, (top - first, last - bottom))
+                assert got.tobytes() == whole[top:bottom].tobytes(), (top, bottom)
 
 
 class TestMinkowskiEstimate:
@@ -214,6 +260,60 @@ class TestMatchesWrappedStages:
         got = minkowski_response(img, preset(name))
         assert got.tobytes() == wrapped_minkowski_response(img, preset(name)).tobytes()
         assert not np.signbit(got[1])
+
+
+class TestStrips:
+    """The strip path against the whole-image stages of tests/oracles.py."""
+
+    # strip boundaries: a one-row image, a two-row one (both rows are image
+    # borders), one row short of a strip, a full one, one row over, and a
+    # last strip of one row; widths 1, 3 and 26 are below the sigma-9 radius
+    HEIGHTS = (1, 2, STRIP_ROWS - 1, STRIP_ROWS, STRIP_ROWS + 1, 2 * STRIP_ROWS + 1)
+    WIDTHS = (1, 3, 26, 41)
+
+    @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
+    @pytest.mark.parametrize("height", HEIGHTS)
+    def test_bytes_at_strip_boundaries(self, name, height):
+        for w in self.WIDTHS:
+            img = random_image((height, w, 3), seed=1000 * height + w)
+            got = minkowski_response(img, preset(name))
+            want = wrapped_minkowski_response(img, preset(name))
+            assert got.tobytes() == want.tobytes(), w
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
+    def test_bytes_with_any_strip_height(self, monkeypatch, rows, name):
+        monkeypatch.setattr(patchcc.minkowski, "STRIP_ROWS", rows)
+        for h, w in ((1, 7), (2, 2), (3, 5), (4, 30), (10, 9), (29, 17)):
+            img = random_image((h, w, 3), seed=10 * h + w)
+            got = minkowski_response(img, preset(name))
+            want = wrapped_minkowski_response(img, preset(name))
+            assert got.tobytes() == want.tobytes(), (h, w)
+
+    @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
+    def test_bytes_at_full_size(self, name):
+        # 2.16 million rows per channel sum, where a changed summation order
+        # would show in the last bits
+        img = random_image((1200, 1800, 3), seed=18)
+        got = minkowski_response(img, preset(name))
+        assert got.tobytes() == wrapped_minkowski_response(img, preset(name)).tobytes()
+
+    @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
+    def test_allocation_peak(self, name):
+        # at most the axis-0 smoothing pass over the whole image plus a fixed
+        # number of strip-sized arrays; the whole-image stages took up to
+        # 5x the image's bytes (GE2)
+        h, w = 600, 900
+        img = random_image((h, w, 3), seed=19)
+        strip_bytes = (STRIP_ROWS + 2) * (w + 2) * 3 * 8
+        tracemalloc.start()
+        try:
+            minkowski_response(img, preset(name))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full_size = img.data.nbytes if preset(name).sigma > 0 else 0
+        assert peak <= full_size + 8 * strip_bytes, peak / img.data.nbytes
 
 
 class TestDoNothing:
