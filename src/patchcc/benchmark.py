@@ -6,7 +6,7 @@ import csv
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .estimator import estimate_image, pool_average, pool_median, prepared_patches, unit_estimates
+from .estimator import pool_average, pool_median, prepared_patches, unit_estimates
 from .evaluation import STAT_NAMES, angular_error, summarize
 from .minkowski import ESTIMATORS
 from .network import spread
@@ -49,7 +49,7 @@ class BenchmarkReport:
 
 
 def _model_for(sample, fold_models, algo):
-    if fold_models is None or sample.fold not in fold_models:
+    if sample.fold not in fold_models:
         raise ParameterError(f"no fold-{sample.fold} model available for {algo}")
     return fold_models[sample.fold]
 
@@ -59,6 +59,19 @@ def check_threads(threads: int):
     takes, so that a caller can reject it before decoding any image."""
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
+
+
+def check_algos(algos, fold_models, finetuned_models):
+    """Raise `ParameterError` unless `algos` is a nonempty list of known
+    estimators whose cnn rows have models, before any image is decoded."""
+    if not algos:
+        raise ParameterError("no estimator named")
+    for algo in algos:
+        if algo not in ALL_ALGOS:
+            raise ParameterError(f"unknown estimator {algo!r}; valid: {', '.join(ALL_ALGOS)}")
+        tuned = algo == "cnn-finetuned"
+        if algo in CNN_ALGOS and not (finetuned_models if tuned else fold_models):
+            raise ParameterError(f"{algo} needs --{'finetuned' if tuned else 'model'}-dir models")
 
 
 def benchmark(
@@ -71,28 +84,29 @@ def benchmark(
 ) -> BenchmarkReport:
     """Evaluate estimators over a labeled dataset.
 
-    Statistical rows run on every image; network rows evaluate each image
-    with the model of its own fold. The cnn-patch, cnn-average and
-    cnn-median rows share one `unit_estimates` call per image. The cnn-patch
-    row pools the errors of every patch of every image into one sample.
+    Statistical rows run on every image. Network rows read one float64
+    batch per image with the model of the image's fold, the shared rows
+    through one `unit_estimates` call; cnn-patch pools every patch's error.
 
     The images go through `network.spread` in `threads` lanes, so `threads`
     caps the images in flight, and the CPUs cap the threads; the results and
     the error raised are those of one image after another.
     """
     check_threads(threads)
+    check_algos(algos, fold_models, finetuned_models)
     samples = list(samples)
     if not samples:
         raise ParameterError("benchmark needs at least one image")
-    for algo in algos:
-        if algo not in ALL_ALGOS:
-            raise ParameterError(f"unknown estimator {algo!r}; valid: {', '.join(ALL_ALGOS)}")
     shared = [a for a in algos if a in SHARED_FORWARD_ALGOS]
 
     def image_errors(s) -> dict[str, list[float]]:
+        if shared or "cnn-finetuned" in algos:
+            batch = prepared_patches(s.image, patch_size)
         if shared:
-            model = _model_for(s, fold_models, shared[0])
-            _, _, units = unit_estimates(model, prepared_patches(s.image, patch_size))
+            _, _, units = unit_estimates(_model_for(s, fold_models, shared[0]), batch)
+        if "cnn-finetuned" in algos:
+            tuned = unit_estimates(_model_for(s, finetuned_models, "cnn-finetuned"), batch)[2]
+        batch = None  # not held while the statistical rows run
         errors = {}
         for algo in algos:
             if algo in ESTIMATORS:
@@ -104,8 +118,7 @@ def benchmark(
             elif algo == "cnn-median":
                 estimates = [pool_median(units)]
             else:
-                model = _model_for(s, finetuned_models, algo)
-                estimates = [estimate_image(model, s.image, "median", patch_size).illuminant]
+                estimates = [pool_median(tuned)]
             errors[algo] = [angular_error(e, s.illuminant) for e in estimates]
         return errors
 

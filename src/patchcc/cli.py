@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import dataset as dataset_mod
-from .benchmark import STAT_ALGOS, benchmark as run_benchmark, check_threads
+from .benchmark import STAT_ALGOS, benchmark as run_benchmark, check_algos, check_threads
 from .errors import FormatError, ParameterError, PipelineError
 from .estimator import POOLINGS, estimate_image, fine_tune, fold_samples, fold_split, train
 from .evaluation import angular_error, summarize
@@ -245,10 +245,11 @@ def cmd_evaluate(args) -> int:
     if not args.manifest:
         raise ParameterError("evaluate needs --manifest")
     check_threads(args.threads)
-    samples = dataset_mod.load_samples(dataset_mod.load_manifest(args.manifest))
     algos = tuple(a for a in args.algos.split(",") if a)
     fold_models = _load_fold_models(args.model_dir) if args.model_dir else None
     finetuned = _load_fold_models(args.finetuned_dir) if args.finetuned_dir else None
+    check_algos(algos, fold_models, finetuned)
+    samples = dataset_mod.load_samples(dataset_mod.load_manifest(args.manifest))
     report = run_benchmark(
         samples, algos, fold_models=fold_models, finetuned_models=finetuned,
         patch_size=args.patch_size, threads=args.threads,

@@ -25,7 +25,6 @@ from .image import (
     LinearImage,
     cast_illuminant,
     compose_two_illuminants,
-    load_illuminant_map_ppm,
     load_ppm16,
     normalize,
     save_illuminant_map_ppm,
@@ -66,14 +65,13 @@ class DatasetManifest:
 @dataclass(frozen=True, eq=False)
 class LabeledImage:
     """One dataset sample: an image, its unit ground-truth illuminant, a CV
-    fold, an optional exclusion mask, and an optional per-pixel gt map."""
+    fold and an optional exclusion mask; per-pixel gt maps are not decoded."""
 
     image_id: str
     image: LinearImage
     illuminant: Illuminant
     fold: int
     mask: ExclusionMask = field(default_factory=ExclusionMask)
-    gt_map: np.ndarray | None = None
 
 
 def save_manifest(manifest: DatasetManifest, path):
@@ -165,22 +163,16 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def load_samples(manifest: DatasetManifest) -> list[LabeledImage]:
-    samples = []
-    for e in manifest.entries:
-        gt_map = None
-        if e.gt_map_path:
-            gt_map = load_illuminant_map_ppm(manifest.resolve(e.gt_map_path))
-        samples.append(
-            LabeledImage(
-                image_id=e.image_path,
-                image=load_ppm16(manifest.resolve(e.image_path)),
-                illuminant=normalize(e.ground_truth_illuminant),
-                fold=e.fold,
-                mask=ExclusionMask.from_rects(e.exclusion_rects),
-                gt_map=gt_map,
-            )
+    return [
+        LabeledImage(
+            image_id=e.image_path,
+            image=load_ppm16(manifest.resolve(e.image_path)),
+            illuminant=normalize(e.ground_truth_illuminant),
+            fold=e.fold,
+            mask=ExclusionMask.from_rects(e.exclusion_rects),
         )
-    return samples
+        for e in manifest.entries
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -11,15 +11,15 @@ Image estimation, fine-tuning, local maps and the benchmark's cnn rows take
 their patches from `prepared_patches` (tile, then stretch) and make each
 raw network output a unit estimate with `rectified_units` (through
 `unit_estimates` for all but fine-tuning's steps, which keep the forward
-cache). The network casts the patches to the dtype of its weights; the raw
-outputs are widened to float64, and everything after them is float64.
-Training takes its patches from `training_patch_arrays` (sample, then
-stretch). `fold_split` holds the cross-validation convention.
+cache). Training takes its patches from `training_patch_arrays` (sample,
+then stretch). The stretch writes them in `hyper.dtype` for training and
+fine-tuning, in float64 for inference; raw outputs are widened to float64,
+and so is all after them. `fold_split` holds the cross-validation convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,16 +126,16 @@ def _pooling_function(pooling: str):
 
 
 def prepared_patches(
-    img: LinearImage, patch_size: int, resize_target: int | None = RESIZE_TARGET
+    img: LinearImage, patch_size: int, resize_target: int | None = RESIZE_TARGET, dtype=np.float64
 ) -> PatchBatch:
-    """Resize (unless `resize_target` is None), tile, and contrast-normalize.
+    """Resize (unless `resize_target` is None), tile, and contrast-normalize to `dtype`.
 
     The batch holds the usable patches; its `degenerate` counts the flat
     ones that were dropped. Raises when no patch is usable.
     """
     if resize_target is not None:
         img = resize_max_side(img, resize_target)
-    batch = stretched_grid_patches(img, patch_size)
+    batch = stretched_grid_patches(img, patch_size, dtype)
     if not len(batch):
         raise EstimationImpossibleError("no usable patches in image")
     return batch
@@ -149,8 +149,7 @@ def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray
     widened to float64 before they are rectified, so everything downstream
     is float64 whatever the weights' precision.
     """
-    raw = forward(params, batch.data)
-    raw = raw.astype(np.float64, copy=False)
+    raw = forward(params, batch.data).astype(np.float64, copy=False)
     keep, _, units = rectified_units(raw)
     return keep, raw[keep], units
 
@@ -189,7 +188,7 @@ def fold_samples(samples, fold: int) -> list[LabeledImage]:
 
 
 def training_patch_arrays(samples, hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
-    """Random stretched patches and their per-image illuminant labels.
+    """Random stretched patches in `hyper.dtype` and their float64 labels.
 
     Every patch of an image carries that image's ground truth. Each image
     gets its own generator seeded by (seed, position in the full list), so
@@ -201,7 +200,7 @@ def training_patch_arrays(samples, hyper: HyperParams) -> tuple[np.ndarray, np.n
         batch = histogram_stretch(sample_random_patches(
             img, hyper.patch_size, hyper.patches_per_image,
             mask=sample.mask, seed=[hyper.seed, idx],
-        ))
+        ), hyper.dtype)
         xs.append(batch.data)
         ys.append(np.broadcast_to(sample.illuminant.rgb, (len(batch), 3)))
     if not any(len(x) for x in xs):
@@ -231,16 +230,12 @@ def train(dataset, folds, hyper: HyperParams) -> TrainResult:
         for f in (k, train_fold, val_fold):
             if f not in present:
                 raise ParameterError(f"dataset has no images in fold {f}")
-        dtype = np.dtype(hyper.dtype)
         x_tr, y_tr = training_patch_arrays(fold_samples(samples, train_fold), hyper)
         x_val, y_val = training_patch_arrays(fold_samples(samples, val_fold), hyper)
-        x_tr, y_tr = x_tr.astype(dtype), y_tr.astype(dtype)
         if len(x_val) > VAL_PATCH_CAP:
-            keep = np.random.default_rng([hyper.seed, k, 2]).choice(
-                len(x_val), size=VAL_PATCH_CAP, replace=False
-            )
+            rng = np.random.default_rng([hyper.seed, k, 2])
+            keep = rng.choice(len(x_val), size=VAL_PATCH_CAP, replace=False)
             x_val, y_val = x_val[keep], y_val[keep]
-        x_val = x_val.astype(dtype)
         params = init_params(hyper, seed=[hyper.seed, k])
         state = zero_momentum(params)
         shuffle_rng = np.random.default_rng([hyper.seed, k, 1])
@@ -341,8 +336,8 @@ def fine_tune(
     """Continue training on the image-level angular loss, one image per step.
 
     The weights are cast to `hyper.dtype` first, and the result has that
-    dtype. Each image's patches are prepared once per call and held in that
-    dtype too, the one the network computes in.
+    dtype. Each image's patches are prepared once per call, stretched into
+    that dtype too, the one the network computes in.
 
     When a validation set is given, the checkpoint with the lowest pooled
     median error is returned; a checkpoint only displaces the current best
@@ -358,13 +353,9 @@ def fine_tune(
         **{name: getattr(params, name).astype(hyper.dtype) for name in PARAM_LAYERS})
     state = zero_momentum(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 7])
-
-    def prepared(img: LinearImage) -> PatchBatch:
-        batch = prepared_patches(img, hyper.patch_size)
-        return replace(batch, data=batch.data.astype(hyper.dtype, copy=False))
-
-    batches = [prepared(s.image) for s in samples]
-    val_batches = [(prepared(s.image), s.illuminant) for s in val_dataset or ()]
+    batches = [prepared_patches(s.image, hyper.patch_size, dtype=hyper.dtype) for s in samples]
+    val_batches = [(prepared_patches(s.image, hyper.patch_size, dtype=hyper.dtype), s.illuminant)
+                   for s in val_dataset or ()]
 
     def val_median(p: NetworkParams) -> float:
         errs = [angular_error(pool(unit_estimates(p, batch)[2]), gt) for batch, gt in val_batches]

@@ -142,12 +142,12 @@ def extract_grid_patches(img: LinearImage, size: int) -> PatchBatch:
     return PatchBatch(tiles.reshape(-1, size, size, tiles.shape[-1]), _grid_origins(tiles, size))
 
 
-def stretched_grid_patches(img: LinearImage, size: int) -> PatchBatch:
-    """`histogram_stretch(extract_grid_patches(img, size))`, the same bits,
-    without a copy of every tile: the min and max are read through the
+def stretched_grid_patches(img: LinearImage, size: int, dtype=np.float64) -> PatchBatch:
+    """`histogram_stretch(extract_grid_patches(img, size), dtype)`, the same
+    bits, without a copy of every tile: the min and max are read through the
     `grid_tiles` view and only the kept tiles are copied, once."""
     tiles = grid_tiles(img.data, size)
-    return _stretched(tiles, _grid_origins(tiles, size))
+    return _stretched(tiles, _grid_origins(tiles, size), dtype)
 
 
 def grid_tiles(data: np.ndarray, size: int) -> np.ndarray:
@@ -218,22 +218,23 @@ def sample_random_patches(
     return PatchBatch(data, origins)
 
 
-def histogram_stretch(batch: PatchBatch) -> PatchBatch:
+def histogram_stretch(batch: PatchBatch, dtype=np.float64) -> PatchBatch:
     """Affinely rescale each patch to [0, 1] using the joint min/max of its
-    three channels.
+    three channels, into patches of `dtype`.
 
     One global affine map per patch keeps the relative contributions of the
     channels intact; per-channel stretching would destroy the chromatic
     signal. Patches with joint range below 1e-12 are dropped and counted in
     `degenerate`.
     """
-    return _stretched(batch.data, batch.origins)
+    return _stretched(batch.data, batch.origins, dtype)
 
 
-def _stretched(tiles: np.ndarray, origins: np.ndarray) -> PatchBatch:
+def _stretched(tiles: np.ndarray, origins: np.ndarray, dtype=np.float64) -> PatchBatch:
     """`histogram_stretch` of patches on the last three axes of `tiles`,
     whose leading axes run over `origins` in row-major order. The kept
-    patches are copied once, then stretched in place."""
+    patches are copied once and stretched in place; another `dtype` gets one
+    array of its own, with the bits of `astype` after the stretch."""
     # each tile row is contiguous, also in the tile view: over (rows, row)
     # numpy reduces the view about twice as fast as over the three axes
     tile_rows = tiles.reshape(tiles.shape[:-2] + (tiles.shape[-2] * tiles.shape[-1],))
@@ -242,5 +243,6 @@ def _stretched(tiles: np.ndarray, origins: np.ndarray) -> PatchBatch:
     keep = span[..., 0, 0, 0] >= DEGENERATE_RANGE
     data = tiles[keep]
     data -= lo[keep]
-    data /= span[keep]
-    return PatchBatch(data, origins[keep.reshape(-1)], degenerate=int(keep.size - keep.sum()))
+    out = data if data.dtype == dtype else np.empty(data.shape, dtype)
+    np.divide(data, span[keep], out=out)
+    return PatchBatch(out, origins[keep.reshape(-1)], degenerate=int(keep.size - keep.sum()))

@@ -11,8 +11,9 @@ fused layer had before its training and inference went pixel-outer, and
 and the full-resolution forms of the pixel path before each stage made one
 pass with one new array (`row_gather_bilinear`, `repeat_then_quantize_map`,
 `linear_image_illuminant_map`, `tile_copy_grid_ground_truth`,
-`two_temporary_histogram_stretch`): kept so the tests can check that each
-rewrite changed no bit.
+`two_temporary_histogram_stretch`), and `concatenate_then_cast_training_patches`,
+the form training's patch arrays had before the stretch wrote them in the
+network's dtype: kept so the tests can check that each rewrite changed no bit.
 """
 
 import math
@@ -20,10 +21,10 @@ import math
 import numpy as np
 
 from patchcc.errors import EstimationImpossibleError, FormatError, SamplingImpossibleError
-from patchcc.estimator import DIRECTION_FREE_NORM
+from patchcc.estimator import DIRECTION_FREE_NORM, RESIZE_TARGET
 from patchcc.image import ILLUMINANT_MAP_SCALE, LinearImage, load_ppm16
 from patchcc.minkowski import EdgeFrameworkParams, gaussian_kernel
-from patchcc.patches import grid_tiles
+from patchcc.patches import grid_tiles, resize_max_side, sample_random_patches
 
 
 def dense_gaussian_2d(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -327,3 +328,18 @@ def two_temporary_histogram_stretch(data):
     span = data.max(axis=(1, 2, 3), keepdims=True) - lo
     keep = span.reshape(-1) >= 1e-12
     return (data[keep] - lo[keep]) / span[keep], keep
+
+
+def concatenate_then_cast_training_patches(samples, hyper):
+    """(x, y) of training: each image resized, sampled and stretched in
+    float64, the float64 arrays concatenated, then x cast to `hyper.dtype`;
+    y stays float64."""
+    xs, ys = [], []
+    for idx, sample in enumerate(samples):
+        img = resize_max_side(sample.image, RESIZE_TARGET)
+        batch = sample_random_patches(img, hyper.patch_size, hyper.patches_per_image,
+                                      mask=sample.mask, seed=[hyper.seed, idx])
+        data, _ = two_temporary_histogram_stretch(batch.data)
+        xs.append(data)
+        ys.append(np.broadcast_to(sample.illuminant.rgb, (len(data), 3)))
+    return np.concatenate(xs).astype(hyper.dtype), np.concatenate(ys)

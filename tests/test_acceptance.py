@@ -14,7 +14,7 @@ import patchcc as cc
 from patchcc.dataset import SynthConfig, generate_dataset, load_manifest, load_samples
 from patchcc.estimator import estimate_image, fine_tune, train
 from patchcc.evaluation import angular_error, angular_error_many, summarize
-from patchcc.image import LinearImage, load_ppm16, normalize, save_ppm16
+from patchcc.image import LinearImage, load_illuminant_map_ppm, load_ppm16, normalize, save_ppm16
 from patchcc.localmap import (
     angular_error_map,
     estimate_local_map,
@@ -77,8 +77,11 @@ def trained_model(learning_samples):
 
 @pytest.fixture(scope="module")
 def two_ill_samples(tmp_path_factory):
+    """(sample, per-pixel ground-truth map) pairs."""
     out = tmp_path_factory.mktemp("accept2") / "two"
-    return load_samples(load_manifest(generate_dataset(out, TWO_ILL_CONFIG)))
+    manifest = load_manifest(generate_dataset(out, TWO_ILL_CONFIG))
+    maps = [load_illuminant_map_ppm(manifest.resolve(e.gt_map_path)) for e in manifest.entries]
+    return list(zip(load_samples(manifest), maps))
 
 
 def pooled_median(model, samples):
@@ -235,14 +238,14 @@ def test_criterion_7_local_estimation(trained_model, two_ill_samples):
     dn = do_nothing()
     cnn_errs, dn_errs, filtered_errs = [], [], []
     left_closer, left_total = 0, 0
-    for s in two_ill_samples:
-        gt_grid = grid_ground_truth(s.gt_map, 32)
+    for s, gt_map in two_ill_samples:
+        gt_grid = grid_ground_truth(gt_map, 32)
         est_map = estimate_local_map(trained_model, s.image, 32)
         cnn_errs += angular_error_map(est_map, gt_grid)[1]
         filtered_errs += angular_error_map(filter_median_3x3(est_map), gt_grid)[1]
         cells = gt_grid.estimates.reshape(-1, 3)
         dn_errs += list(angular_error_many(np.broadcast_to(dn.rgb, cells.shape), cells))
-        left, right = s.gt_map[0, 0], s.gt_map[0, -1]
+        left, right = gt_map[0, 0], gt_map[0, -1]
         for gy in range(est_map.grid_h):
             for gx in range(est_map.grid_w // 2):  # strictly left of the split
                 est = est_map.estimates[gy, gx]

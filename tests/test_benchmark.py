@@ -60,6 +60,21 @@ class TestSharedForward:
                 (s.image_id, angular_error(median.illuminant, s.illuminant)))
         assert report.per_image == expected
 
+    def test_each_image_prepared_once(self, samples, models, monkeypatch):
+        # the cnn-finetuned row reads the batch of the shared rows
+        stretched = []
+        stretch = patchcc.estimator.stretched_grid_patches
+
+        def counted(img, *args):
+            stretched.append(img)
+            return stretch(img, *args)
+
+        monkeypatch.setattr(patchcc.estimator, "stretched_grid_patches", counted)
+        tuned = {k: init_params(HYPER, [9, k]) for k in range(3)}
+        benchmark(samples, ("cnn-median", "cnn-finetuned"), fold_models=models,
+                  finetuned_models=tuned, patch_size=16)
+        assert [id(img) for img in stretched] == [id(s.image) for s in samples]
+
     def test_finetuned_row_uses_its_own_models(self, samples, models):
         tuned = {k: init_params(HYPER, [9, k]) for k in range(3)}
         report = benchmark(samples, ("cnn-median", "cnn-finetuned"), fold_models=models,
@@ -75,6 +90,15 @@ class TestDispatch:
     def test_statistical_names_come_from_the_table(self):
         assert STAT_ALGOS == ("DN", "GW", "WP", "SoG", "gGW", "GE1", "GE2")
         assert tuple(ESTIMATORS) == STAT_ALGOS
+
+    @pytest.mark.parametrize("algos, message", [
+        ((), "no estimator named"),
+        (("GW", "cnn-patch"), "cnn-patch needs --model-dir models"),
+        (("cnn-median", "cnn-finetuned"), "cnn-finetuned needs --finetuned-dir models"),
+    ], ids=["empty", "cnn_without_models", "finetuned_without_models"])
+    def test_empty_list_and_rows_without_models_rejected(self, samples, models, algos, message):
+        with pytest.raises(ParameterError, match=message):
+            benchmark(samples, algos, fold_models=models if "cnn-median" in algos else None)
 
     def test_unknown_name_lists_valid_names(self, samples):
         with pytest.raises(ParameterError) as info:

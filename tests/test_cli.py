@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import patchcc
+from patchcc.benchmark import ALL_ALGOS
 from patchcc.cli import CONFIG_TYPES, build_parser, main, parse_args
 from patchcc.errors import PipelineError
 from patchcc.image import LinearImage, load_ppm16, save_ppm16, normalize
@@ -333,6 +334,14 @@ MALFORMED_INPUTS = {
                       "--threads", "0"], None, "ParameterError"),
     "threads_negative": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN",
                           "--threads", "-3"], None, "ParameterError"),
+    # the manifest's image is a truncated PPM, so decoding it would fail
+    # with a FormatError
+    "algos_unknown": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "XX"], None,
+                      "ParameterError"),
+    "algos_empty": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", ","], None,
+                    "ParameterError"),
+    "algos_finetuned_without_dir": (["evaluate", "--manifest", "{tmp}/m.json", "--algos",
+                                     "GW,cnn-finetuned"], None, "ParameterError"),
     "size_not_integers": (["synth", "--out", "{tmp}/set", "--size", "64xq"], None,
                           "ParameterError"),
     "ill_not_numbers": (["correct", "--image", "{tmp}/a.ppm", "--out", "{tmp}/b.ppm",
@@ -363,6 +372,8 @@ MALFORMED_INPUTS = {
 
 VALID_MANIFEST = (b'{"version": 1, "entries": [{"image_path": "a.ppm", '
                   b'"ground_truth_illuminant": [1, 1, 1], "fold": 0}]}')
+# an 8x8 16-bit PPM header with 2 of its 384 sample bytes
+TRUNCATED_PPM = b"P6\n8 8\n65535\n\x00\x01"
 
 # case -> the files, by name in the test's directory, that its argv reads
 MALFORMED_FILES = {
@@ -383,6 +394,9 @@ MALFORMED_FILES = {
                                          b'"ground_truth_illuminant": [1, 1, 1], "fold": 0, '
                                          b'"exclusion_rects": [[0, 0, 1e999, 4]]}]}'},
     "threads_zero": {"m.json": VALID_MANIFEST},
+    "algos_unknown": {"m.json": VALID_MANIFEST, "a.ppm": TRUNCATED_PPM},
+    "algos_empty": {"m.json": VALID_MANIFEST, "a.ppm": TRUNCATED_PPM},
+    "algos_finetuned_without_dir": {"m.json": VALID_MANIFEST, "a.ppm": TRUNCATED_PPM},
     "threads_negative": {"m.json": VALID_MANIFEST},
     # int() and float() would read these as 2, (1, 1, 1) and (1, 2, 3, 4)
     "manifest_fold_string": {"m.json": b'{"version": 1, "entries": [{"image_path": "a.ppm", '
@@ -419,6 +433,18 @@ class TestMalformedInput:
                     "--threads", "0"]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == ["error: ParameterError: threads must be >= 1, got 0"]
+
+    @pytest.mark.parametrize("algos, message", [
+        ("XX", "unknown estimator 'XX'; valid: " + ", ".join(ALL_ALGOS)),
+        (",", "no estimator named"),
+        ("GW,cnn-finetuned", "cnn-finetuned needs --finetuned-dir models"),
+    ], ids=["unknown", "empty", "finetuned_without_dir"])
+    def test_algos_checked_before_the_manifest_is_read(self, tmp_path, capsys, algos, message):
+        # the manifest names a missing image, which would fail as well
+        (tmp_path / "m.json").write_bytes(VALID_MANIFEST.replace(b"a.ppm", b"missing.ppm"))
+        assert run(["evaluate", "--manifest", str(tmp_path / "m.json"), "--algos", algos]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"error: ParameterError: {message}"]
 
     def test_config_choice_error_names_key_and_choices(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

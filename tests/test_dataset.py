@@ -17,7 +17,7 @@ from patchcc.dataset import (
 )
 from patchcc.errors import ParameterError, PipelineError
 from patchcc.evaluation import angular_error
-from patchcc.image import save_ppm16, LinearImage
+from patchcc.image import load_illuminant_map_ppm, save_ppm16, LinearImage
 from patchcc.minkowski import minkowski_estimate, preset
 
 from helpers import JSON_VALUES
@@ -240,13 +240,14 @@ class TestSynth:
 
     def test_two_illuminant_maps(self, tmp_path):
         cfg = SynthConfig(count=4, width=64, height=32, seed=8, two_illuminant=True)
-        samples = load_samples(load_manifest(generate_dataset(tmp_path / "d", cfg)))
-        for s in samples:
-            assert s.gt_map is not None
-            assert s.gt_map.shape == (32, 64, 3)
+        manifest = load_manifest(generate_dataset(tmp_path / "d", cfg))
+        for s, entry in zip(load_samples(manifest), manifest.entries):
+            assert entry.gt_map_path is not None
+            gt_map = load_illuminant_map_ppm(manifest.resolve(entry.gt_map_path))
+            assert gt_map.shape == (32, 64, 3)
             half = 32
-            left = s.gt_map[:, :half].reshape(-1, 3)
-            right = s.gt_map[:, half:].reshape(-1, 3)
+            left = gt_map[:, :half].reshape(-1, 3)
+            right = gt_map[:, half:].reshape(-1, 3)
             assert np.allclose(left, left[0], atol=1e-12)
             assert np.allclose(right, right[0], atol=1e-12)
             # manifest ground truth is the left-half illuminant

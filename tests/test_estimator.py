@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from patchcc import estimator, network
+from patchcc.dataset import LabeledImage
 from patchcc.errors import EstimationImpossibleError, ParameterError
 from patchcc.estimator import (
     POOLINGS,
@@ -23,6 +25,7 @@ from patchcc.evaluation import angular_error, angular_error_many
 from patchcc.image import LinearImage, normalize
 from patchcc.localmap import estimate_local_map, filter_gaussian_3x3, filter_median_3x3
 from patchcc.network import PARAM_LAYERS, HyperParams, NetworkParams, forward, init_params
+from patchcc.patches import ExclusionMask
 
 import oracles
 from helpers import (
@@ -277,6 +280,56 @@ class TestTrain:
         b = train(samples, [0], SMALL).models[0]
         for name in ("conv_w", "conv_b", "fc_w", "fc_b", "out_w", "out_b"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def training_samples():
+    """Three images for the patch sampler: one half flat, so that some of
+    its patches are dropped; one with its left part masked out; and one
+    1300 px wide, which is resized to 1200 px first."""
+    rng = np.random.default_rng(41)
+    half_flat = rng.uniform(0.05, 0.9, size=(48, 64, 3))
+    half_flat[:, :40] = 0.3
+    masked = rng.uniform(0.05, 0.9, size=(48, 48, 3))
+    wide = rng.uniform(0.05, 0.9, size=(40, 1300, 3))
+    return [
+        LabeledImage("half_flat", LinearImage(half_flat), normalize((0.8, 1.0, 0.6)), 0),
+        LabeledImage("masked", LinearImage(masked), normalize((0.5, 1.0, 0.9)), 0,
+                     mask=ExclusionMask.from_rects([(0, 0, 30, 48)])),
+        LabeledImage("wide", LinearImage(wide), normalize((1.0, 1.0, 0.7)), 0),
+    ]
+
+
+class TestTrainingPatchArrays:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_equals_float64_concatenation_then_cast(self, dtype):
+        from dataclasses import replace
+
+        hyper = replace(SMALL, dtype=dtype, patches_per_image=40)
+        samples = training_samples()
+        x, y = estimator.training_patch_arrays(samples, hyper)
+        expected_x, expected_y = oracles.concatenate_then_cast_training_patches(samples, hyper)
+        assert x.dtype == np.dtype(dtype) and y.dtype == np.float64
+        assert x.shape == expected_x.shape and x.tobytes() == expected_x.tobytes()
+        assert y.tobytes() == expected_y.tobytes()
+        assert len(x) < 3 * 40  # the half-flat image lost some patches
+
+    def test_float32_peak_is_twice_the_patches(self):
+        # two float64 copies of all the patches would be four times the
+        # float32 result
+        from dataclasses import replace
+
+        hyper = replace(SMALL, dtype="float32", patches_per_image=200)
+        samples = make_synthetic_samples(count=12, size=64, seed=42)
+        tracemalloc.start()
+        try:
+            x, _ = estimator.training_patch_arrays(samples, hyper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(x) == 12 * 200
+        patch_bytes = x.size * 4  # the float32 patches the network reads
+        one_image_float64 = hyper.patches_per_image * x[0].size * 8
+        assert peak <= 2 * patch_bytes + 2 * one_image_float64
 
 
 # prints a digest of `image_level_loss`'s gradients over n random patches, for

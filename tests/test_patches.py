@@ -321,11 +321,14 @@ class TestOnePassFormsMatchParentForms:
             data[:] = rng.uniform(size=(12, 1, 1, 1))
         before = data.copy()
         batch = PatchBatch(data, rng.integers(0, 100, size=(12, 2)))
-        out = histogram_stretch(batch)
         expected, keep = oracles.two_temporary_histogram_stretch(data)
-        assert out.data.tobytes() == expected.tobytes()
-        assert np.array_equal(out.origins, batch.origins[keep])
-        assert out.degenerate == len(data) - keep.sum() == {"none": 0, "some": 4, "all": 12}[flat]
+        for dtype in (np.float64, np.float32):
+            out = histogram_stretch(batch, dtype)
+            assert out.data.dtype == dtype
+            assert out.data.tobytes() == expected.astype(dtype).tobytes()
+            assert np.array_equal(out.origins, batch.origins[keep])
+            assert out.degenerate == len(data) - keep.sum() == {"none": 0, "some": 4,
+                                                                "all": 12}[flat]
         assert np.array_equal(batch.data, before)  # the input batch is left alone
 
     @pytest.mark.parametrize("flat", ["none", "some", "all"])
@@ -340,13 +343,16 @@ class TestOnePassFormsMatchParentForms:
             data[:] = 0.7
         img = LinearImage(data)
         before = img.data.copy()
-        out = stretched_grid_patches(img, 8)
         tiles = extract_grid_patches(img, 8)
         expected, keep = oracles.two_temporary_histogram_stretch(tiles.data)
-        assert out.data.shape == expected.shape and out.data.flags.c_contiguous
-        assert out.data.tobytes() == expected.tobytes()
-        assert np.array_equal(out.origins, tiles.origins[keep])
-        assert out.degenerate == len(keep) - keep.sum() == {"none": 0, "some": 2, "all": 40}[flat]
+        for dtype in (np.float64, np.float32):
+            out = stretched_grid_patches(img, 8, dtype)
+            assert out.data.dtype == dtype
+            assert out.data.shape == expected.shape and out.data.flags.c_contiguous
+            assert out.data.tobytes() == expected.astype(dtype).tobytes()
+            assert np.array_equal(out.origins, tiles.origins[keep])
+            assert out.degenerate == len(keep) - keep.sum() == {"none": 0, "some": 2,
+                                                                "all": 40}[flat]
         assert np.array_equal(img.data, before)  # the image is left alone
 
     def test_grid_stretch_smaller_than_patch_is_empty(self):
