@@ -62,11 +62,13 @@ def check_threads(threads: int):
 
 
 def check_algos(algos, fold_models, finetuned_models):
-    """Raise `ParameterError` unless `algos` is a nonempty list of known
-    estimators whose cnn rows have models, before any image is decoded."""
+    """Raise `ParameterError` unless `algos` is a nonempty list of distinct
+    known estimators whose cnn rows have models, before any image is decoded."""
     if not algos:
         raise ParameterError("no estimator named")
-    for algo in algos:
+    for i, algo in enumerate(algos):
+        if algo in algos[:i]:
+            raise ParameterError(f"estimator {algo!r} named twice")
         if algo not in ALL_ALGOS:
             raise ParameterError(f"unknown estimator {algo!r}; valid: {', '.join(ALL_ALGOS)}")
         tuned = algo == "cnn-finetuned"

@@ -11,10 +11,12 @@ Image estimation, fine-tuning, local maps and the benchmark's cnn rows take
 their patches from `prepared_patches` (tile, then stretch) and make each
 raw network output a unit estimate with `rectified_units` (through
 `unit_estimates` for all but fine-tuning's steps, which keep the forward
-cache). Training takes its patches from `training_patch_arrays` (sample,
-then stretch). The stretch writes them in `hyper.dtype` for training and
-fine-tuning, in float64 for inference; raw outputs are widened to float64,
-and so is all after them. `fold_split` holds the cross-validation convention.
+cache). Training takes its patches from `training_patch_arrays`, which
+samples each image and stretches the fresh samples in place, straight into
+their rows of one array allocated for the whole fold. The stretch writes
+patches in `hyper.dtype` for training and fine-tuning, in float64 for
+inference; raw outputs are widened to float64, and so is all after them.
+`fold_split` holds the cross-validation convention.
 """
 
 from __future__ import annotations
@@ -45,7 +47,13 @@ from .network import (
     sgd_step,
     zero_momentum,
 )
-from .patches import PatchBatch, histogram_stretch, resize_max_side, sample_random_patches, stretched_grid_patches
+from .patches import (
+    PatchBatch,
+    resize_max_side,
+    sample_random_patches,
+    stretch_into,
+    stretched_grid_patches,
+)
 
 RESIZE_TARGET = 1200
 DIRECTION_FREE_NORM = 1e-9  # a shorter rectified network output has no direction
@@ -192,20 +200,26 @@ def training_patch_arrays(samples, hyper: HyperParams) -> tuple[np.ndarray, np.n
 
     Every patch of an image carries that image's ground truth. Each image
     gets its own generator seeded by (seed, position in the full list), so
-    the extraction is order-stable and reproducible.
+    the extraction is order-stable and reproducible. Both arrays are
+    allocated once, with a row for every patch drawn; each image's fresh
+    samples are stretched straight into their rows, and the rows that flat
+    patches leave unused are cut off the end.
     """
-    xs, ys = [], []
+    size = hyper.patch_size
+    x = np.empty((len(samples) * hyper.patches_per_image, size, size, 3), hyper.dtype)
+    y = np.empty((len(x), 3))
+    n = 0
     for idx, sample in enumerate(samples):
         img = resize_max_side(sample.image, RESIZE_TARGET)
-        batch = histogram_stretch(sample_random_patches(
-            img, hyper.patch_size, hyper.patches_per_image,
-            mask=sample.mask, seed=[hyper.seed, idx],
-        ), hyper.dtype)
-        xs.append(batch.data)
-        ys.append(np.broadcast_to(sample.illuminant.rgb, (len(batch), 3)))
-    if not any(len(x) for x in xs):
+        # no name holds the samples, so they are freed before the next gather
+        kept = stretch_into(sample_random_patches(
+            img, size, hyper.patches_per_image, mask=sample.mask, seed=[hyper.seed, idx],
+        ).data, x[n:])
+        y[n : n + kept] = sample.illuminant.rgb
+        n += kept
+    if not n:
         raise EstimationImpossibleError("no usable training patches")
-    return np.concatenate(xs), np.concatenate(ys)
+    return x[:n], y[:n]
 
 
 @dataclass

@@ -22,7 +22,8 @@ overflow in any stage ends up, and raises `NumericFaultError`.
 
 The strips change no byte of the whole-image form (tests/oracles.py
 `wrapped_minkowski_response`), whatever `STRIP_ROWS` is: every stage is
-elementwise or works on single rows or columns, the maximum is exact, and the
+elementwise or works on single rows or columns, the maximum is exact in any
+order (a strip reduces its contiguous (rows, W*3) view first), and the
 channel sums go on row by row across strips. Numpy reduces axis 0 of an
 (N, 3) array row by row, so each strip's reduction starts from the running
 total as its first row and gives the bits of one `mean(axis=0)` over the
@@ -194,10 +195,14 @@ def minkowski_response(img: LinearImage, params: EdgeFrameworkParams) -> np.ndar
             rows = gaussian_smooth(rows, sigma, axis=1)
             # Gaussian taps are nonnegative, so any negative output is roundoff noise.
             np.maximum(rows, 0.0, out=rows)
-        values = derivative_magnitude(rows, n, (top - first, last - bottom)).reshape(-1, 3)
+        values = derivative_magnitude(rows, n, (top - first, last - bottom))
         if math.isinf(p):
-            np.maximum(total, values.max(axis=0), out=total)
+            # a max is exact in any order: down the contiguous (rows, W*3)
+            # view first, then over the one row of (W, 3) that is left
+            column_max = values.reshape(len(values), -1).max(axis=0)
+            np.maximum(total, column_max.reshape(-1, 3).max(axis=0), out=total)
             continue
+        values = values.reshape(-1, 3)
         # the running total heads the strip's rows, so the reduction goes on
         # adding row by row, as one reduction over the whole image would
         block = np.empty((len(values) + 1, 3))

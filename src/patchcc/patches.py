@@ -2,7 +2,10 @@
 
 Patches travel as one `PatchBatch` per image: an (N, S, S, 3) data array
 with the (N, 2) origins, so tiling, sampling and stretching are array
-operations rather than per-patch Python loops.
+operations rather than per-patch Python loops. Grid tiles are read through
+a view of the image and random samples copied out of a window view, each
+patch once; `stretch_into` stretches fresh samples in place into a
+caller's array, for training.
 
 Resizing runs in strips of output rows, spread over the CPUs with
 `network.spread`, so its temporaries stay in cache. Each output element
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, SamplingImpossibleError
 from .image import LinearImage
@@ -211,11 +215,9 @@ def sample_random_patches(
                 f"no mask-free {size}x{size} origin found after "
                 f"{MAX_REJECTIONS_PER_PATCH} rejections"
             )
-    offsets = np.arange(size)
-    data = img.data[
-        origins[:, 1, None, None] + offsets[:, None], origins[:, 0, None, None] + offsets
-    ]
-    return PatchBatch(data, origins)
+    # one copy per patch, row by row: each window row is S*3 contiguous values
+    windows = sliding_window_view(img.data, (size, size, 3))
+    return PatchBatch(windows[origins[:, 1], origins[:, 0], 0], origins)
 
 
 def histogram_stretch(batch: PatchBatch, dtype=np.float64) -> PatchBatch:
@@ -235,14 +237,37 @@ def _stretched(tiles: np.ndarray, origins: np.ndarray, dtype=np.float64) -> Patc
     whose leading axes run over `origins` in row-major order. The kept
     patches are copied once and stretched in place; another `dtype` gets one
     array of its own, with the bits of `astype` after the stretch."""
-    # each tile row is contiguous, also in the tile view: over (rows, row)
-    # numpy reduces the view about twice as fast as over the three axes
-    tile_rows = tiles.reshape(tiles.shape[:-2] + (tiles.shape[-2] * tiles.shape[-1],))
-    lo = tile_rows.min(axis=(-2, -1))[..., None, None, None]
-    span = tile_rows.max(axis=(-2, -1))[..., None, None, None] - lo
-    keep = span[..., 0, 0, 0] >= DEGENERATE_RANGE
+    lo, span, keep = _joint_ranges(tiles)
     data = tiles[keep]
     data -= lo[keep]
     out = data if data.dtype == dtype else np.empty(data.shape, dtype)
     np.divide(data, span[keep], out=out)
     return PatchBatch(out, origins[keep.reshape(-1)], degenerate=int(keep.size - keep.sum()))
+
+
+def stretch_into(data: np.ndarray, out: np.ndarray) -> int:
+    """`histogram_stretch` of the patches of a fresh (N, S, S, 3) float64
+    array, written into the first rows of `out` in its dtype; returns how
+    many were kept.
+
+    `data` is overwritten: the stretch subtracts in place and divides
+    into `out`, with the bits of `histogram_stretch` and `astype`. Only
+    when some patches are flat are the kept ones copied first.
+    """
+    lo, span, keep = _joint_ranges(data)
+    if not keep.all():
+        data, lo, span = data[keep], lo[keep], span[keep]
+    data -= lo
+    np.divide(data, span, out=out[: len(data)])
+    return len(data)
+
+
+def _joint_ranges(tiles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each patch's joint min and its range (max - min), shaped to broadcast
+    against `tiles`, and the mask of the patches with contrast."""
+    # each tile row is contiguous, also in the tile view: over (rows, row)
+    # numpy reduces the view about twice as fast as over the three axes
+    tile_rows = tiles.reshape(tiles.shape[:-2] + (tiles.shape[-2] * tiles.shape[-1],))
+    lo = tile_rows.min(axis=(-2, -1))[..., None, None, None]
+    span = tile_rows.max(axis=(-2, -1))[..., None, None, None] - lo
+    return lo, span, span[..., 0, 0, 0] >= DEGENERATE_RANGE

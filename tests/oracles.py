@@ -13,7 +13,9 @@ pass with one new array (`row_gather_bilinear`, `repeat_then_quantize_map`,
 `linear_image_illuminant_map`, `tile_copy_grid_ground_truth`,
 `two_temporary_histogram_stretch`), and `concatenate_then_cast_training_patches`,
 the form training's patch arrays had before the stretch wrote them in the
-network's dtype: kept so the tests can check that each rewrite changed no bit.
+network's dtype, with `fancy_index_patches`, the gather random sampling had
+before it read a window view: kept so the tests can check that each rewrite
+changed no bit.
 """
 
 import math
@@ -330,16 +332,25 @@ def two_temporary_histogram_stretch(data):
     return (data[keep] - lo[keep]) / span[keep], keep
 
 
+def fancy_index_patches(data, origins, size):
+    """The size x size windows of an (H, W, C) array at the (x, y) rows of
+    `origins`, gathered through (N, size, size) row and column index arrays."""
+    offsets = np.arange(size)
+    return data[origins[:, 1, None, None] + offsets[:, None], origins[:, 0, None, None] + offsets]
+
+
 def concatenate_then_cast_training_patches(samples, hyper):
-    """(x, y) of training: each image resized, sampled and stretched in
-    float64, the float64 arrays concatenated, then x cast to `hyper.dtype`;
-    y stays float64."""
+    """(x, y) of training: each image resized, sampled (the library's
+    origins, gathered by `fancy_index_patches`) and stretched in float64, the
+    float64 arrays concatenated, then x cast to `hyper.dtype`; y stays
+    float64."""
     xs, ys = [], []
     for idx, sample in enumerate(samples):
         img = resize_max_side(sample.image, RESIZE_TARGET)
-        batch = sample_random_patches(img, hyper.patch_size, hyper.patches_per_image,
-                                      mask=sample.mask, seed=[hyper.seed, idx])
-        data, _ = two_temporary_histogram_stretch(batch.data)
+        origins = sample_random_patches(img, hyper.patch_size, hyper.patches_per_image,
+                                        mask=sample.mask, seed=[hyper.seed, idx]).origins
+        patches = fancy_index_patches(img.data, origins, hyper.patch_size)
+        data, _ = two_temporary_histogram_stretch(patches)
         xs.append(data)
         ys.append(np.broadcast_to(sample.illuminant.rgb, (len(data), 3)))
     return np.concatenate(xs).astype(hyper.dtype), np.concatenate(ys)

@@ -100,6 +100,11 @@ class TestDispatch:
         with pytest.raises(ParameterError, match=message):
             benchmark(samples, algos, fold_models=models if "cnn-median" in algos else None)
 
+    def test_repeated_name_rejected(self, samples):
+        # a repeated row would be computed twice and reported once
+        with pytest.raises(ParameterError, match="estimator 'GW' named twice"):
+            benchmark(samples, ("GW", "WP", "GW"))
+
     def test_unknown_name_lists_valid_names(self, samples):
         with pytest.raises(ParameterError) as info:
             benchmark(samples, ("GW", "nope"))

@@ -438,7 +438,8 @@ class TestMalformedInput:
         ("XX", "unknown estimator 'XX'; valid: " + ", ".join(ALL_ALGOS)),
         (",", "no estimator named"),
         ("GW,cnn-finetuned", "cnn-finetuned needs --finetuned-dir models"),
-    ], ids=["unknown", "empty", "finetuned_without_dir"])
+        ("GW,WP,GW", "estimator 'GW' named twice"),
+    ], ids=["unknown", "empty", "finetuned_without_dir", "repeated"])
     def test_algos_checked_before_the_manifest_is_read(self, tmp_path, capsys, algos, message):
         # the manifest names a missing image, which would fail as well
         (tmp_path / "m.json").write_bytes(VALID_MANIFEST.replace(b"a.ppm", b"missing.ppm"))

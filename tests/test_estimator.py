@@ -331,6 +331,29 @@ class TestTrainingPatchArrays:
         one_image_float64 = hyper.patches_per_image * x[0].size * 8
         assert peak <= 2 * patch_bytes + 2 * one_image_float64
 
+    def test_float32_peak_is_the_result_and_one_image(self):
+        # the float32 rows and float64 labels allocated for every sample,
+        # plus one image's float64 samples twice: the gather, and a copy of
+        # its kept patches when some are flat. Concatenating per-image arrays
+        # would hold the result twice.
+        from dataclasses import replace
+
+        hyper = replace(SMALL, dtype="float32", patches_per_image=200)
+        samples = make_synthetic_samples(count=12, size=64, seed=42)
+        half_flat = samples[0].image.data.copy()
+        half_flat[:, :40] = 0.3
+        samples.append(LabeledImage("half_flat", LinearImage(half_flat), samples[0].illuminant, 0))
+        tracemalloc.start()
+        try:
+            x, y = estimator.training_patch_arrays(samples, hyper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = len(samples) * hyper.patches_per_image
+        assert 12 * 200 < len(x) < rows  # the half-flat image lost some patches
+        one_image_float64 = hyper.patches_per_image * x[0].size * 8
+        assert peak <= rows * (x[0].nbytes + y[0].nbytes) + 2 * one_image_float64
+
 
 # prints a digest of `image_level_loss`'s gradients over n random patches, for
 # each n in argv and each dtype. Average pooling gives every patch a gradient;

@@ -290,6 +290,22 @@ class TestStrips:
             want = wrapped_minkowski_response(img, preset(name))
             assert got.tobytes() == want.tobytes(), (h, w)
 
+    @pytest.mark.parametrize("rows", [1, STRIP_ROWS])
+    @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
+    def test_bytes_with_signed_zeros(self, monkeypatch, rows, name):
+        # a channel of -0.0 only, one of +0.0 and -0.0 mixed, and one with
+        # values: a reordered maximum of the mixed plane may be either zero,
+        # and `+ 0.0` must make it the +0.0 that np.abs gives
+        monkeypatch.setattr(patchcc.minkowski, "STRIP_ROWS", rows)
+        for h, w in ((1, 1), (3, 5), (2 * STRIP_ROWS + 1, 9)):
+            data = random_data((h, w, 3), seed=h + w)
+            data[:, :, 0] = -0.0
+            data[:, :, 1] = np.where(np.random.default_rng(h).random((h, w)) < 0.5, -0.0, 0.0)
+            img = LinearImage(data)
+            got = minkowski_response(img, preset(name))
+            want = wrapped_minkowski_response(img, preset(name))
+            assert got.tobytes() == want.tobytes(), (h, w)
+
     @pytest.mark.parametrize("name", list(PRESET_TRIPLES))
     def test_bytes_at_full_size(self, name):
         # 2.16 million rows per channel sum, where a changed summation order

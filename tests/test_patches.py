@@ -15,6 +15,7 @@ from patchcc.patches import (
     histogram_stretch,
     resize_max_side,
     sample_random_patches,
+    stretch_into,
     stretched_grid_patches,
 )
 
@@ -278,6 +279,18 @@ class TestArrayPipelineMatchesLoops:
         assert np.array_equal(out.data, np.stack([p for _, p in expected]))
 
 
+# (height, width), patch size, count, exclusion rectangles, seed; every case
+# draws origins at x = W - S and y = H - S
+GATHER_CASES = {
+    "non_square": ((37, 61), 8, 400, (), 1),
+    "tall": ((70, 20), 5, 400, (), 2),
+    "size_one": ((9, 13), 1, 400, (), 3),
+    "size_is_the_width": ((30, 12), 12, 100, (), 4),
+    "size_is_both_sides": ((16, 16), 16, 5, (), 5),
+    "masked": ((60, 80), 10, 600, ((5, 5, 20, 12), (40, 30, 25, 20)), 6),
+}
+
+
 class TestOnePassFormsMatchParentForms:
     """Resizing and stretching against their earlier full-resolution forms
     in tests/oracles.py, bit for bit."""
@@ -310,6 +323,16 @@ class TestOnePassFormsMatchParentForms:
         expected = oracles.row_gather_bilinear(img.data, *out_shape)
         assert out.data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("case", list(GATHER_CASES))
+    def test_gather_matches_fancy_index(self, case):
+        (h, w), size, count, rects, seed = GATHER_CASES[case]
+        img = random_image((h, w, 3), seed=seed)
+        batch = sample_random_patches(img, size, count, ExclusionMask.from_rects(rects), seed)
+        assert (batch.origins[:, 0] == w - size).any() and (batch.origins[:, 1] == h - size).any()
+        expected = oracles.fancy_index_patches(img.data, batch.origins, size)
+        assert batch.data.shape == expected.shape == (count, size, size, 3)
+        assert batch.data.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("flat", ["none", "some", "all"])
     def test_stretch_matches_two_temporaries(self, flat):
         rng = np.random.default_rng(31)
@@ -330,6 +353,22 @@ class TestOnePassFormsMatchParentForms:
             assert out.degenerate == len(data) - keep.sum() == {"none": 0, "some": 4,
                                                                 "all": 12}[flat]
         assert np.array_equal(batch.data, before)  # the input batch is left alone
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("flat", ["none", "some", "all"])
+    def test_stretch_into_matches_histogram_stretch(self, flat, dtype):
+        rng = np.random.default_rng(33)
+        data = rng.uniform(0.0, 3.0, size=(12, 5, 5, 3))
+        if flat == "some":
+            data[[0, 5, 11]] = 0.4
+        elif flat == "all":
+            data[:] = 0.6
+        expected = histogram_stretch(PatchBatch(data.copy(), np.zeros((12, 2), int)), dtype)
+        out = np.full((14, 5, 5, 3), 7.0, dtype)
+        kept = stretch_into(data, out[1:])
+        assert kept == len(expected) == {"none": 12, "some": 9, "all": 0}[flat]
+        assert out[1 : kept + 1].tobytes() == expected.data.tobytes()
+        assert (out[0] == 7.0).all() and (out[kept + 1 :] == 7.0).all()
 
     @pytest.mark.parametrize("flat", ["none", "some", "all"])
     def test_grid_stretch_matches_two_temporaries(self, flat):
