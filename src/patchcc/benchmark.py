@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .estimator import pool_average, pool_median, prepared_patches, unit_estimates
-from .evaluation import STAT_NAMES, angular_error, summarize
+from .evaluation import STAT_NAMES, angular_error_many, summarize
 from .minkowski import ESTIMATORS
 from .network import spread
 
@@ -112,16 +112,16 @@ def benchmark(
         errors = {}
         for algo in algos:
             if algo in ESTIMATORS:
-                estimates = [ESTIMATORS[algo](s.image)]
+                estimates = ESTIMATORS[algo](s.image).rgb
             elif algo == "cnn-patch":
                 estimates = units
             elif algo == "cnn-average":
-                estimates = [pool_average(units)]
+                estimates = pool_average(units).rgb
             elif algo == "cnn-median":
-                estimates = [pool_median(units)]
+                estimates = pool_median(units).rgb
             else:
-                estimates = [pool_median(tuned)]
-            errors[algo] = [angular_error(e, s.illuminant) for e in estimates]
+                estimates = pool_median(tuned).rgb
+            errors[algo] = angular_error_many(estimates.reshape(-1, 3), s.illuminant.rgb).tolist()
         return errors
 
     results = spread(image_errors, samples, threads)

@@ -22,7 +22,7 @@ from . import dataset as dataset_mod
 from .benchmark import STAT_ALGOS, benchmark as run_benchmark, check_algos, check_threads
 from .errors import FormatError, ParameterError, PipelineError
 from .estimator import POOLINGS, estimate_image, fine_tune, fold_samples, fold_split, train
-from .evaluation import angular_error, summarize
+from .evaluation import angular_error_many, summarize
 from .image import correct_von_kries, load_illuminant_map_ppm, load_ppm16, normalize, save_ppm16
 from .localmap import (
     angular_error_map,
@@ -276,17 +276,14 @@ def cmd_sweep(args) -> int:
         except ParameterError as exc:
             raise ParameterError(f"sweep value {value} invalid: {exc}") from exc
     samples = dataset_mod.load_samples(dataset_mod.load_manifest(args.manifest))
+    test_samples = fold_samples(samples, args.fold)
+    truths = [s.illuminant.rgb for s in test_samples]
     rows = []
     for value, hyper in zip(values, hypers):
         model = train(samples, [args.fold], hyper).models[args.fold]
-        errors = [
-            angular_error(
-                estimate_image(model, s.image, "median", hyper.patch_size).illuminant,
-                s.illuminant,
-            )
-            for s in fold_samples(samples, args.fold)
-        ]
-        rows.append((value, float(np.median(errors))))
+        estimates = [estimate_image(model, s.image, "median", hyper.patch_size).illuminant.rgb
+                     for s in test_samples]
+        rows.append((value, float(np.median(angular_error_many(estimates, truths)))))
         print(f"{args.parameter}={value}: median {rows[-1][1]:.2f} deg")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{args.parameter},median_angular_error_deg\n")

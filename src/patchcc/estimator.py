@@ -31,8 +31,8 @@ from .errors import (
     EstimationImpossibleError,
     ParameterError,
 )
-from .evaluation import angular_error, angular_error_many
-from .image import Illuminant, LinearImage, normalize
+from .evaluation import angular_error_many
+from .image import Illuminant, LinearImage, normalize, vector_norms
 from .network import (
     PARAM_LAYERS,
     HyperParams,
@@ -88,12 +88,10 @@ def rectified_units(raw: np.ndarray) -> tuple[np.ndarray, ...]:
     length: a light color has no negative component.
 
     Returns the mask of the rows whose rectified output has a direction, and
-    those rows' norms (M,) and unit estimates (M, 3). Raises when no row has
-    one. Each norm is one row's dot product, as `np.linalg.norm` of a single
-    vector computes it.
+    those rows' norms (M,) and unit estimates (M, 3); raises if there are none.
     """
     clamped = np.maximum(raw, 0.0)
-    norms = np.sqrt(np.vecdot(clamped, clamped))
+    norms = vector_norms(clamped)
     keep = norms >= DIRECTION_FREE_NORM
     if not keep.any():
         raise EstimationImpossibleError("every patch estimate is direction-free")
@@ -186,7 +184,9 @@ def estimate_image(
 
 
 def fold_split(k: int) -> tuple[int, int]:
-    """The (training, validation) folds for test fold k."""
+    """The (training, validation) folds for test fold k, one of 0, 1 and 2."""
+    if k not in (0, 1, 2):
+        raise ParameterError(f"fold must be 0, 1 or 2, got {k}")
     return (k + 1) % 3, (k + 2) % 3
 
 
@@ -233,17 +233,20 @@ def train(dataset, folds, hyper: HyperParams) -> TrainResult:
 
     For each requested test fold k the model trains on the first fold of
     `fold_split(k)` and early-stops on the patch-level angular error of the
-    second, keeping the best validation checkpoint.
+    second, keeping the best validation checkpoint. Repeated folds raise.
     """
     samples = list(dataset)
     present = {s.fold for s in samples}
+    for i, k in enumerate(folds):
+        if k in folds[:i]:
+            raise ParameterError(f"fold {k} named twice")
+        for f in (k, *fold_split(k)):
+            if f not in present:
+                raise ParameterError(f"dataset has no images in fold {f}")
     log: list[dict] = []
     models: dict[int, NetworkParams] = {}
     for k in folds:
         train_fold, val_fold = fold_split(k)
-        for f in (k, train_fold, val_fold):
-            if f not in present:
-                raise ParameterError(f"dataset has no images in fold {f}")
         x_tr, y_tr = training_patch_arrays(fold_samples(samples, train_fold), hyper)
         x_val, y_val = training_patch_arrays(fold_samples(samples, val_fold), hyper)
         if len(x_val) > VAL_PATCH_CAP:
@@ -372,8 +375,8 @@ def fine_tune(
                    for s in val_dataset or ()]
 
     def val_median(p: NetworkParams) -> float:
-        errs = [angular_error(pool(unit_estimates(p, batch)[2]), gt) for batch, gt in val_batches]
-        return float(np.median(errs))
+        pooled = [pool(unit_estimates(p, batch)[2]).rgb for batch, _ in val_batches]
+        return float(np.median(angular_error_many(pooled, [gt.rgb for _, gt in val_batches])))
 
     best_params, best_err = params, val_median(params) if val_batches else float("inf")
     for epoch in range(hyper.epochs):

@@ -7,36 +7,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidIlluminantError, ParameterError
+from .image import vector_norms
 
 # the summary's fields, in the column order of every report
 STAT_NAMES = ("min", "prc10", "median", "mean", "prc90", "max")
 
 
-def angular_error(a, b) -> float:
-    """Angle in degrees between two light-color vectors.
+def angular_error_many(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Angle in degrees between matching light-color vectors along the last
+    axis of two arrays, such as (N, 3) rows against (N, 3) or (3,) truths.
 
     Symmetric and invariant to positive rescaling of either argument. The
-    angle is atan2(|a x b|, a . b): arccos of the cosine would lose about
-    half the digits of a small angle, whose cosine is near 1.
+    angle is atan2(|e x t|, e . t), as arccos would lose half the digits of a
+    small angle; each norm, and e . t, is one dot product per vector
+    (`vector_norms`), so row i has the bits of `angular_error(e[i], t[i])`.
     """
-    a = np.asarray(getattr(a, "rgb", a), dtype=np.float64).reshape(3)
-    b = np.asarray(getattr(b, "rgb", b), dtype=np.float64).reshape(3)
-    if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
-        raise InvalidIlluminantError("angular error undefined for the zero vector")
-    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(a, b)), a @ b)))
-
-
-def angular_error_many(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
-    """Row-wise angular error in degrees between two (N, 3) arrays, computed
-    as in `angular_error`."""
     estimates = np.asarray(estimates, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
-    ne = np.linalg.norm(estimates, axis=-1)
-    nt = np.linalg.norm(truths, axis=-1)
-    if np.any(ne == 0) or np.any(nt == 0):
+    if np.any(vector_norms(estimates) == 0) or np.any(vector_norms(truths) == 0):
         raise InvalidIlluminantError("angular error undefined for the zero vector")
-    sines = np.linalg.norm(np.cross(estimates, truths), axis=-1)
-    return np.degrees(np.arctan2(sines, (estimates * truths).sum(axis=-1)))
+    sines = vector_norms(np.cross(estimates, truths))
+    return np.degrees(np.arctan2(sines, np.vecdot(estimates, truths)))
+
+
+def angular_error(a, b) -> float:
+    """`angular_error_many` of one pair of 3-vectors or `.rgb` illuminants."""
+    a, b = (np.reshape(getattr(v, "rgb", v), (1, 3)) for v in (a, b))
+    return float(angular_error_many(a, b)[0])
 
 
 @dataclass(frozen=True)

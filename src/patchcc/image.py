@@ -34,6 +34,12 @@ ILLUMINANT_MAP_SCALE = 1.0 / math.sqrt(3.0)
 NORM_STRIP_ROWS = 16
 
 
+def vector_norms(v) -> np.ndarray:
+    """Length of each vector along the last axis: one dot product per vector,
+    with the bits of `np.linalg.norm` of that vector alone."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 @dataclass(frozen=True, eq=False)
 class Illuminant:
     """An RGB light color, nonnegative with at least one positive component.
@@ -53,10 +59,9 @@ class Illuminant:
             raise InvalidIlluminantError(f"negative illuminant components: {rgb}")
         if not np.any(rgb > 0):
             raise InvalidIlluminantError("illuminant is the zero vector")
-        if self.normalized and abs(float(np.linalg.norm(rgb)) - 1.0) > 1e-9:
-            raise InvalidIlluminantError(
-                f"illuminant tagged normalized but |v|={np.linalg.norm(rgb)}"
-            )
+        norm = vector_norms(rgb)
+        if self.normalized and abs(norm - 1.0) > 1e-9:
+            raise InvalidIlluminantError(f"illuminant tagged normalized but |v|={norm}")
         rgb.setflags(write=False)
         object.__setattr__(self, "rgb", rgb)
 
@@ -74,7 +79,7 @@ def normalize(v) -> Illuminant:
         raise InvalidIlluminantError(f"non-finite vector: {arr}")
     if np.any(arr < 0):
         raise InvalidIlluminantError(f"negative components: {arr}")
-    norm = float(np.linalg.norm(arr))
+    norm = float(vector_norms(arr))
     if norm == 0.0:
         raise InvalidIlluminantError("cannot normalize the zero vector")
     return Illuminant(arr / norm, normalized=True)

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .estimator import prepared_patches, unit_estimates
 from .evaluation import angular_error_many
-from .image import LinearImage, save_illuminant_map_ppm
+from .image import LinearImage, save_illuminant_map_ppm, vector_norms
 from .network import NetworkParams
 
 # sigma, in cells, of the 3x3 Gaussian map filter
@@ -30,13 +30,11 @@ class IlluminantMap:
     patch_size: int
 
     def __post_init__(self):
-        est = np.asarray(self.estimates, dtype=np.float64)
+        est = np.array(self.estimates, dtype=np.float64)
         if est.ndim != 3 or est.shape[2] != 3:
             raise ShapeMismatchError(f"estimates must be (gh, gw, 3), got {est.shape}")
-        norms = np.linalg.norm(est, axis=2)
-        if not np.allclose(norms, 1.0, atol=1e-9):
+        if not np.allclose(vector_norms(est), 1.0, atol=1e-9):
             raise ShapeMismatchError("all map estimates must be unit length")
-        est = est.copy()
         est.setflags(write=False)
         object.__setattr__(self, "estimates", est)
 
@@ -76,6 +74,7 @@ def estimate_local_map(params: NetworkParams, img: LinearImage, patch_size: int)
 
 
 def _renormalize(cells: np.ndarray) -> np.ndarray:
+    """Unit cells by an add-reduce norm, not `vector_norms`: map files hold its bits."""
     return cells / np.linalg.norm(cells, axis=2, keepdims=True)
 
 
@@ -116,11 +115,8 @@ def angular_error_map(est: IlluminantMap, gt: IlluminantMap) -> tuple[np.ndarray
         raise ShapeMismatchError(
             f"grid shapes differ: {est.estimates.shape} vs {gt.estimates.shape}"
         )
-    flat = angular_error_many(
-        est.estimates.reshape(-1, 3), gt.estimates.reshape(-1, 3)
-    )
-    grid = flat.reshape(est.estimates.shape[:2])
-    return grid, [float(v) for v in flat]
+    grid = angular_error_many(est.estimates, gt.estimates)
+    return grid, grid.ravel().tolist()
 
 
 def grid_ground_truth(gt_pixels: np.ndarray, patch_size: int) -> IlluminantMap:

@@ -66,6 +66,7 @@ from .errors import (
     ParameterError,
     ShapeMismatchError,
 )
+from .image import vector_norms
 
 WEIGHTS_MAGIC = b"CCNN"
 WEIGHTS_VERSION = 1
@@ -654,7 +655,7 @@ def angular_loss(est: np.ndarray, gt) -> tuple[float, np.ndarray]:
     """
     est = np.asarray(est, dtype=np.float64).reshape(3)
     gt = np.asarray(getattr(gt, "rgb", gt), dtype=np.float64).reshape(3)
-    norm = float(np.linalg.norm(est))
+    norm = float(vector_norms(est))
     if norm < 1e-9:
         raise DegenerateEstimateError("estimate is (near) zero; no direction defined")
     cos = float(est @ gt) / norm

@@ -6,7 +6,7 @@ import pytest
 import patchcc.estimator
 from patchcc.benchmark import ALL_ALGOS, STAT_ALGOS, BenchmarkReport, benchmark
 from patchcc.errors import ParameterError
-from patchcc.estimator import estimate_image
+from patchcc.estimator import estimate_image, prepared_patches, unit_estimates
 from patchcc.evaluation import STAT_NAMES, angular_error, summarize
 from patchcc.minkowski import ESTIMATORS, minkowski_estimate, preset
 from patchcc.network import HyperParams, init_params
@@ -59,6 +59,21 @@ class TestSharedForward:
             expected["cnn-median"].append(
                 (s.image_id, angular_error(median.illuminant, s.illuminant)))
         assert report.per_image == expected
+
+    def test_error_lists_are_the_per_estimate_errors(self, samples, models):
+        # one angular_error_many call per row and image has the bits of one
+        # angular_error call per estimate
+        report = benchmark(samples, STAT_ALGOS + ("cnn-patch",), fold_models=models,
+                           patch_size=16)
+        for algo in STAT_ALGOS:
+            assert report.per_image[algo] == [
+                (s.image_id, angular_error(ESTIMATORS[algo](s.image), s.illuminant))
+                for s in samples]
+        expected = []
+        for s in samples:
+            units = unit_estimates(models[s.fold], prepared_patches(s.image, 16))[2]
+            expected += [(s.image_id, angular_error(u, s.illuminant)) for u in units]
+        assert report.per_image["cnn-patch"] == expected
 
     def test_each_image_prepared_once(self, samples, models, monkeypatch):
         # the cnn-finetuned row reads the batch of the shared rows

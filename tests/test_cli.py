@@ -191,6 +191,27 @@ class TestTrainedPipeline:
         assert lines == [json.dumps(rec, sort_keys=True) for rec in log]
 
 
+class TestFoldArguments:
+    @pytest.mark.parametrize("argv, message", [
+        (["finetune", "--fold", "3"], "fold must be 0, 1 or 2, got 3"),
+        (["finetune", "--fold", "-1"], "fold must be 0, 1 or 2, got -1"),
+        (["train", "--folds", "0,0"], "fold 0 named twice"),
+    ], ids=["finetune_3", "finetune_negative", "train_repeated"])
+    def test_exits_one_with_one_line(self, argv, message, dataset_dir, model_dir, tmp_path,
+                                     capsys):
+        out = tmp_path / "out"
+        argv = argv + ["--manifest", str(dataset_dir / "manifest.json"), "--patch-size", "16"]
+        if argv[0] == "finetune":
+            argv += ["--model", str(model_dir / "fold0.ccnn"), "--out", str(out)]
+        else:
+            argv += ["--out-dir", str(out), "--epochs", "1", "--patches-per-image", "10"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: ParameterError: {message}"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEvaluateCommand:
     def test_dn_row_matches_closed_form(self, tmp_path, capsys):
         # all images cast with one fixed illuminant: the DN row is constant

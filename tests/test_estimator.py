@@ -13,6 +13,7 @@ from patchcc.estimator import (
     POOLINGS,
     estimate_image,
     fine_tune,
+    fold_split,
     image_level_loss,
     pool_average,
     pool_median,
@@ -273,6 +274,21 @@ class TestTrain:
         samples = [s for s in make_synthetic_samples() if s.fold != 2]
         with pytest.raises(ParameterError):
             train(samples, [0], SMALL)
+
+    @pytest.mark.parametrize("k", [-1, 3, 5])
+    def test_fold_split_rejects_a_fold_outside_0_to_2(self, k):
+        with pytest.raises(ParameterError, match=f"got {k}"):
+            fold_split(k)
+
+    def test_fold_split_is_the_next_two_folds(self):
+        assert [fold_split(k) for k in range(3)] == [(1, 2), (2, 0), (0, 1)]
+
+    @pytest.mark.parametrize("folds", [[0, 0], [0, 3]])
+    def test_folds_checked_before_training(self, folds, monkeypatch):
+        # neither a repeated fold nor one outside 0-2 trains the folds before it
+        monkeypatch.setattr(estimator, "training_patch_arrays", None)
+        with pytest.raises(ParameterError):
+            train(make_synthetic_samples(), folds, SMALL)
 
     def test_deterministic_given_seed(self):
         samples = make_synthetic_samples()

@@ -43,14 +43,19 @@ class TestAngularError:
     def test_rejects_zero_vector(self):
         with pytest.raises(InvalidIlluminantError):
             angular_error((0, 0, 0), (1, 0, 0))
+        with pytest.raises(InvalidIlluminantError):
+            angular_error_many([[0.2, 0.5, 0.9], [0.0, 0.0, 0.0]], (1.0, 1.0, 1.0))
 
     def test_vectorized_matches_scalar(self):
+        # the scalar error is one row of the array form, bit for bit, on
+        # random and on near-equal pairs; an add-reduce norm or dot in either
+        # form would differ on about 20% of them
         rng = np.random.default_rng(1)
-        a = rng.uniform(0.1, 1.0, (20, 3))
-        b = rng.uniform(0.1, 1.0, (20, 3))
-        batch = angular_error_many(a, b)
-        for i in range(20):
-            assert batch[i] == pytest.approx(angular_error(a[i], b[i]), abs=1e-12)
+        a = rng.uniform(0.1, 1.0, (2000, 3))
+        for b in (rng.uniform(0.1, 1.0, a.shape), a + rng.normal(0.0, 1e-6, a.shape)):
+            batch = angular_error_many(a, b)
+            assert batch.tolist() == [angular_error(x, y) for x, y in zip(a, b)]
+            assert angular_error_many(a, b[0]).tolist() == [angular_error(x, b[0]) for x in a]
 
 
 class TestSummarize:
