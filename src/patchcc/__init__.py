@@ -59,7 +59,6 @@ from .network import (
 )
 from .evaluation import ErrorStats, angular_error, summarize
 from .estimator import (
-    PooledEstimate,
     estimate_image,
     fine_tune,
     pool_average,

@@ -6,15 +6,21 @@ import csv
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .estimator import pool_average, pool_median, prepared_patches, unit_estimates
+from .estimator import POOLINGS, prepared_patches, unit_estimates
 from .evaluation import STAT_NAMES, angular_error_many, summarize
 from .minkowski import ESTIMATORS
 from .network import spread
 
 STAT_ALGOS = tuple(ESTIMATORS)
-SHARED_FORWARD_ALGOS = ("cnn-patch", "cnn-average", "cnn-median")
-CNN_ALGOS = SHARED_FORWARD_ALGOS + ("cnn-finetuned",)
-ALL_ALGOS = STAT_ALGOS + CNN_ALGOS
+# cnn row -> (model set, pooling); a set is named by its flag, --model-dir or
+# --finetuned-dir, and cnn-patch, unpooled, scores every patch's estimate
+CNN_ROWS = {
+    "cnn-patch": ("model", None),
+    "cnn-average": ("model", "average"),
+    "cnn-median": ("model", "median"),
+    "cnn-finetuned": ("finetuned", "median"),
+}
+ALL_ALGOS = STAT_ALGOS + tuple(CNN_ROWS)
 
 
 @dataclass
@@ -71,9 +77,9 @@ def check_algos(algos, fold_models, finetuned_models):
             raise ParameterError(f"estimator {algo!r} named twice")
         if algo not in ALL_ALGOS:
             raise ParameterError(f"unknown estimator {algo!r}; valid: {', '.join(ALL_ALGOS)}")
-        tuned = algo == "cnn-finetuned"
-        if algo in CNN_ALGOS and not (finetuned_models if tuned else fold_models):
-            raise ParameterError(f"{algo} needs --{'finetuned' if tuned else 'model'}-dir models")
+        name = CNN_ROWS.get(algo, (None,))[0]
+        if name and not {"model": fold_models, "finetuned": finetuned_models}[name]:
+            raise ParameterError(f"{algo} needs --{name}-dir models")
 
 
 def benchmark(
@@ -87,8 +93,8 @@ def benchmark(
     """Evaluate estimators over a labeled dataset.
 
     Statistical rows run on every image. Network rows read one float64
-    batch per image with the model of the image's fold, the shared rows
-    through one `unit_estimates` call; cnn-patch pools every patch's error.
+    batch per image and one `unit_estimates` call per model set the rows
+    use, with the model of the image's fold; cnn-patch scores every patch.
 
     The images go through `network.spread` in `threads` lanes, so `threads`
     caps the images in flight, and the CPUs cap the threads; the results and
@@ -99,28 +105,26 @@ def benchmark(
     samples = list(samples)
     if not samples:
         raise ParameterError("benchmark needs at least one image")
-    shared = [a for a in algos if a in SHARED_FORWARD_ALGOS]
+    sets = {"model": fold_models, "finetuned": finetuned_models}
+    # the first row that reads each set names it in a missing-fold error
+    readers = {}
+    for algo in algos:
+        if algo in CNN_ROWS:
+            readers.setdefault(CNN_ROWS[algo][0], algo)
 
     def image_errors(s) -> dict[str, list[float]]:
-        if shared or "cnn-finetuned" in algos:
+        if readers:
             batch = prepared_patches(s.image, patch_size)
-        if shared:
-            _, _, units = unit_estimates(_model_for(s, fold_models, shared[0]), batch)
-        if "cnn-finetuned" in algos:
-            tuned = unit_estimates(_model_for(s, finetuned_models, "cnn-finetuned"), batch)[2]
-        batch = None  # not held while the statistical rows run
+            units = {name: unit_estimates(_model_for(s, models, readers[name]), batch)[1]
+                     for name, models in sets.items() if name in readers}
+            batch = None  # not held while the statistical rows run
         errors = {}
         for algo in algos:
             if algo in ESTIMATORS:
                 estimates = ESTIMATORS[algo](s.image).rgb
-            elif algo == "cnn-patch":
-                estimates = units
-            elif algo == "cnn-average":
-                estimates = pool_average(units).rgb
-            elif algo == "cnn-median":
-                estimates = pool_median(units).rgb
             else:
-                estimates = pool_median(tuned).rgb
+                name, pooling = CNN_ROWS[algo]
+                estimates = units[name] if pooling is None else POOLINGS[pooling](units[name]).rgb
             errors[algo] = angular_error_many(estimates.reshape(-1, 3), s.illuminant.rgb).tolist()
         return errors
 

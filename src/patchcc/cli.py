@@ -188,7 +188,7 @@ def _estimator(args):
         if not args.model:
             raise ParameterError("--algo cnn needs --model")
         params = load_params(args.model)
-        return lambda img: estimate_image(params, img, args.pooling, args.patch_size).illuminant
+        return lambda img: estimate_image(params, img, args.pooling, args.patch_size)
     if args.algo not in ESTIMATORS:
         raise ParameterError(
             f"unknown algorithm {args.algo!r}; valid: {', '.join(ESTIMATORS)}, cnn"
@@ -281,7 +281,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for value, hyper in zip(values, hypers):
         model = train(samples, [args.fold], hyper).models[args.fold]
-        estimates = [estimate_image(model, s.image, "median", hyper.patch_size).illuminant.rgb
+        estimates = [estimate_image(model, s.image, "median", hyper.patch_size).rgb
                      for s in test_samples]
         rows.append((value, float(np.median(angular_error_many(estimates, truths)))))
         print(f"{args.parameter}={value}: median {rows[-1][1]:.2f} deg")
@@ -293,7 +293,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    hyper = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5)
+    hyper = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5, seed=args.seed)
     params = init_params(hyper, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     patch = rng.uniform(0.0, 1.0, size=(8, 8, 3))

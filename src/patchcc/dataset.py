@@ -207,6 +207,15 @@ class SynthConfig:
             raise ParameterError("synthetic images must be at least 2x2")
         if not 0.0 <= self.saturation <= 1.0:
             raise ParameterError("saturation must be in [0, 1]")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        # a light has no negative component
+        for name in ("ill_red_range", "ill_blue_range"):
+            if not all(0.0 <= v < np.inf for v in getattr(self, name)):
+                raise ParameterError(
+                    f"{name} bounds must be finite and >= 0, got {getattr(self, name)}")
 
 
 def _random_color(rng, saturation: float) -> np.ndarray:

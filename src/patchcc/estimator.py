@@ -11,11 +11,14 @@ Image estimation, fine-tuning, local maps and the benchmark's cnn rows take
 their patches from `prepared_patches` (tile, then stretch) and make each
 raw network output a unit estimate with `rectified_units` (through
 `unit_estimates` for all but fine-tuning's steps, which keep the forward
-cache). Training takes its patches from `training_patch_arrays`, which
-samples each image and stretches the fresh samples in place, straight into
-their rows of one array allocated for the whole fold. The stretch writes
-patches in `hyper.dtype` for training and fine-tuning, in float64 for
-inference; raw outputs are widened to float64, and so is all after them.
+cache). `estimate_image` pools them into an `Illuminant`, the type every
+statistical estimator returns; the mask from `unit_estimates` picks the
+batch rows, and so the `origins`, of the estimates. Training takes its
+patches from `training_patch_arrays`, which samples each image and
+stretches the fresh samples in place, straight into their rows of one
+array allocated for the whole fold. The stretch writes patches in
+`hyper.dtype` for training and fine-tuning, in float64 for inference; raw
+outputs are widened to float64, and so is all after them.
 `fold_split` holds the cross-validation convention.
 """
 
@@ -64,23 +67,6 @@ VAL_PATCH_CAP = 1024
 # a fine-tuning checkpoint must beat the best validation median by more than
 # this many degrees to displace it
 MIN_IMPROVEMENT_DEG = 0.1
-
-
-@dataclass(frozen=True, eq=False)
-class PooledEstimate:
-    """An image-level estimate with its per-patch provenance.
-
-    Row i of `origins` (M, 2), `raw` (M, 3) and `units` (M, 3) holds a
-    patch's origin (x, y), raw network output and normalized estimate, for
-    every patch that was neither flat nor direction-free;
-    `degenerate_skipped` counts the patches that were left out.
-    """
-
-    illuminant: Illuminant
-    origins: np.ndarray
-    raw: np.ndarray
-    units: np.ndarray
-    degenerate_skipped: int = 0
 
 
 def rectified_units(raw: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -147,17 +133,16 @@ def prepared_patches(
     return batch
 
 
-def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray, ...]:
+def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray, np.ndarray]:
     """The mask of the batch rows whose rectified network output has a
-    direction, and those rows' raw outputs and unit estimates, each (M, 3).
+    direction, and those rows' unit estimates (M, 3).
 
     The forward pass runs in the weights' dtype; the raw outputs are
     widened to float64 before they are rectified, so everything downstream
     is float64 whatever the weights' precision.
     """
-    raw = forward(params, batch.data).astype(np.float64, copy=False)
-    keep, _, units = rectified_units(raw)
-    return keep, raw[keep], units
+    keep, _, units = rectified_units(forward(params, batch.data).astype(np.float64, copy=False))
+    return keep, units
 
 
 def estimate_image(
@@ -165,18 +150,10 @@ def estimate_image(
     img: LinearImage,
     pooling: str = "median",
     patch_size: int = 32,
-) -> PooledEstimate:
+) -> Illuminant:
     """Grid-patch the image and pool the per-patch network estimates."""
     pool = _pooling_function(pooling)
-    batch = prepared_patches(img, patch_size)
-    keep, raw, units = unit_estimates(params, batch)
-    return PooledEstimate(
-        illuminant=pool(units),
-        origins=batch.origins[keep],
-        raw=raw,
-        units=units,
-        degenerate_skipped=batch.degenerate + int(len(keep) - keep.sum()),
-    )
+    return pool(unit_estimates(params, prepared_patches(img, patch_size))[1])
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +352,7 @@ def fine_tune(
                    for s in val_dataset or ()]
 
     def val_median(p: NetworkParams) -> float:
-        pooled = [pool(unit_estimates(p, batch)[2]).rgb for batch, _ in val_batches]
+        pooled = [pool(unit_estimates(p, batch)[1]).rgb for batch, _ in val_batches]
         return float(np.median(angular_error_many(pooled, [gt.rgb for _, gt in val_batches])))
 
     best_params, best_err = params, val_median(params) if val_batches else float("inf")

@@ -57,7 +57,7 @@ def estimate_local_map(params: NetworkParams, img: LinearImage, patch_size: int)
     """
     # the cells must stay aligned with the source pixels, so no resize
     batch = prepared_patches(img, patch_size, resize_target=None)
-    keep, _, units = unit_estimates(params, batch)
+    keep, units = unit_estimates(params, batch)
     cells = np.zeros((img.height // patch_size, img.width // patch_size, 3))
     filled = np.zeros(cells.shape[:2], dtype=bool)
     gx, gy = (batch.origins[keep] // patch_size).T

@@ -118,10 +118,11 @@ class HyperParams:
     dtype: str = "float64"
 
     def __post_init__(self):
-        for name in ("patch_size", "kernel_count", "kernel_width", "pool_size",
-                     "fc_units", "batch_size", "epochs", "patches_per_image"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("patch_size", "kernel_count", "kernel_width", "pool_size", "fc_units",
+                     "batch_size", "epochs", "patches_per_image", "patience", "seed"):
+            low = 0 if name in ("patience", "seed") else 1
+            if getattr(self, name) < low:
+                raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.patch_size % self.pool_size != 0:
             raise ParameterError(
                 f"patch_size {self.patch_size} not divisible by pool_size {self.pool_size}"

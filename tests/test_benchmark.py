@@ -50,14 +50,13 @@ class TestSharedForward:
             model = models[s.fold]
             median = estimate_image(model, s.image, "median", 16)
             average = estimate_image(model, s.image, "average", 16)
+            units = unit_estimates(model, prepared_patches(s.image, 16))[1]
             expected["GW"].append((s.image_id, angular_error(
                 minkowski_estimate(s.image, preset("GW")), s.illuminant)))
             expected["cnn-patch"] += [(s.image_id, angular_error(u, s.illuminant))
-                                      for u in median.units]
-            expected["cnn-average"].append(
-                (s.image_id, angular_error(average.illuminant, s.illuminant)))
-            expected["cnn-median"].append(
-                (s.image_id, angular_error(median.illuminant, s.illuminant)))
+                                      for u in units]
+            expected["cnn-average"].append((s.image_id, angular_error(average, s.illuminant)))
+            expected["cnn-median"].append((s.image_id, angular_error(median, s.illuminant)))
         assert report.per_image == expected
 
     def test_error_lists_are_the_per_estimate_errors(self, samples, models):
@@ -71,7 +70,7 @@ class TestSharedForward:
                 for s in samples]
         expected = []
         for s in samples:
-            units = unit_estimates(models[s.fold], prepared_patches(s.image, 16))[2]
+            units = unit_estimates(models[s.fold], prepared_patches(s.image, 16))[1]
             expected += [(s.image_id, angular_error(u, s.illuminant)) for u in units]
         assert report.per_image["cnn-patch"] == expected
 
@@ -95,7 +94,7 @@ class TestSharedForward:
         report = benchmark(samples, ("cnn-median", "cnn-finetuned"), fold_models=models,
                            finetuned_models=tuned, patch_size=16)
         expected = [(s.image_id, angular_error(
-            estimate_image(tuned[s.fold], s.image, "median", 16).illuminant, s.illuminant))
+            estimate_image(tuned[s.fold], s.image, "median", 16), s.illuminant))
             for s in samples]
         assert report.per_image["cnn-finetuned"] == expected
         assert report.per_image["cnn-median"] != expected
@@ -114,6 +113,17 @@ class TestDispatch:
     def test_empty_list_and_rows_without_models_rejected(self, samples, models, algos, message):
         with pytest.raises(ParameterError, match=message):
             benchmark(samples, algos, fold_models=models if "cnn-median" in algos else None)
+
+    @pytest.mark.parametrize("fold_models_for, named", [
+        ((0, 1), "cnn-average"), ((0, 1, 2), "cnn-finetuned"),
+    ], ids=["both_sets_missing", "finetuned_missing"])
+    def test_missing_fold_names_the_first_row_of_the_first_set_read(
+            self, samples, models, fold_models_for, named):
+        # the --model-dir set is read first, whatever order the rows are in
+        with pytest.raises(ParameterError, match=f"^no fold-2 model available for {named}$"):
+            benchmark(samples, ("cnn-finetuned", "cnn-average", "cnn-median"),
+                      fold_models={k: models[k] for k in fold_models_for},
+                      finetuned_models={k: models[k] for k in (0, 1)}, patch_size=16)
 
     def test_repeated_name_rejected(self, samples):
         # a repeated row would be computed twice and reported once

@@ -212,6 +212,50 @@ class TestFoldArguments:
         assert not out.exists()
 
 
+class TestSeedsAndSynthValues:
+    """A negative seed or patience, and a synth value no scene can have, are
+    rejected by the config dataclasses before anything is read or written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["synth", "--noise-sigma", "-0.5"], "noise_sigma must be finite and >= 0, got -0.5"),
+        (["synth", "--noise-sigma", "nan"], "noise_sigma must be finite and >= 0, got nan"),
+        (["synth", "--ill-red", "1:nan"],
+         "ill_red_range bounds must be finite and >= 0, got (1.0, nan)"),
+        (["synth", "--ill-blue", "0:inf"],
+         "ill_blue_range bounds must be finite and >= 0, got (0.0, inf)"),
+        (["synth", "--ill-red=-0.5:1"],
+         "ill_red_range bounds must be finite and >= 0, got (-0.5, 1.0)"),
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--patience", "-3"], "patience must be >= 0, got -3"),
+        (["finetune", "--seed", "-2"], "seed must be >= 0, got -2"),
+        (["sweep", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["synth_seed", "synth_noise_negative", "synth_noise_nan", "synth_red_nan",
+            "synth_blue_inf", "synth_red_negative", "train_seed", "train_patience",
+            "finetune_seed", "sweep_seed", "gradcheck_seed"])
+    def test_exits_one_with_one_line(self, argv, message, dataset_dir, model_dir, tmp_path,
+                                     capsys):
+        out = tmp_path / "out"
+        manifest = str(dataset_dir / "manifest.json")
+        small = ["--patch-size", "16", "--kernel-count", "8", "--pool-size", "4",
+                 "--fc-units", "8", "--epochs", "1", "--patches-per-image", "10"]
+        argv = argv + {
+            "synth": ["--out", str(out), "--count", "1", "--size", "8x8"],
+            "train": ["--manifest", manifest, "--out-dir", str(out), *small],
+            "finetune": ["--manifest", manifest, "--model", str(model_dir / "fold0.ccnn"),
+                         "--out", str(out), *small],
+            "sweep": ["--manifest", manifest, "--parameter", "fc_units", "--values", "4",
+                      "--out", str(out), *small],
+            "gradcheck": [],
+        }[argv[0]]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: ParameterError: {message}"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEvaluateCommand:
     def test_dn_row_matches_closed_form(self, tmp_path, capsys):
         # all images cast with one fixed illuminant: the DN row is constant

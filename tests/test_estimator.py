@@ -23,7 +23,7 @@ from patchcc.estimator import (
     unit_estimates,
 )
 from patchcc.evaluation import angular_error, angular_error_many
-from patchcc.image import LinearImage, normalize
+from patchcc.image import Illuminant, LinearImage, normalize
 from patchcc.localmap import estimate_local_map, filter_gaussian_3x3, filter_median_3x3
 from patchcc.network import PARAM_LAYERS, HyperParams, NetworkParams, forward, init_params
 from patchcc.patches import ExclusionMask
@@ -48,15 +48,14 @@ class TestUnitEstimates:
         img = LinearImage(np.random.default_rng(0).uniform(0.05, 1.0, (64, 96, 3)))
         params = replace(init_params(SMALL, 0), out_b=np.array([0.4, -0.5, 0.45]))
         batch = prepared_patches(img, 16)
-        keep, raw, units = unit_estimates(params, batch)
+        keep, units = unit_estimates(params, batch)
         all_raw = forward(params, batch.data)
-        assert np.array_equal(raw, all_raw[keep])
         oracle_keep, oracle_norms, oracle_units = oracles.loop_rectified_units(all_raw)
         assert np.array_equal(keep, oracle_keep)
         assert np.array_equal(units, oracle_units)
         assert np.array_equal(rectified_units(all_raw)[1], oracle_norms)
         # a norm over axis 1 gives other last bits on some rows of this batch
-        clamped = np.maximum(raw, 0.0)
+        clamped = np.maximum(all_raw[keep], 0.0)
         assert not np.array_equal(units, clamped / np.linalg.norm(clamped, axis=1, keepdims=True))
 
     def test_row_at_the_threshold_is_dropped_not_fatal(self, monkeypatch):
@@ -67,14 +66,13 @@ class TestUnitEstimates:
         assert oracle_keep.tolist() == [True, False]
         img = LinearImage(np.random.default_rng(14).uniform(0.1, 1.0, (8, 16, 3)))
         batch = prepared_patches(img, 8)
-        keep, kept_raw, units = unit_estimates(bias_net(), batch)
+        keep, units = unit_estimates(bias_net(), batch)
         assert keep.tolist() == [True, False]
-        assert np.array_equal(kept_raw, raw[:1])
         assert np.array_equal(units, oracle_units)
+        assert batch.origins[keep].tolist() == [[0, 0]]
+        assert batch.degenerate + (~keep).sum() == 1
         pooled = estimate_image(bias_net(), img, patch_size=8)
-        assert np.array_equal(pooled.units, oracle_units)
-        assert pooled.degenerate_skipped == 1
-        assert pooled.origins.tolist() == [[0, 0]]
+        assert np.array_equal(pooled.rgb, pool_median(oracle_units).rgb)
 
     def test_rectified_units_matches_loop_oracle(self):
         rng = np.random.default_rng(15)
@@ -84,33 +82,39 @@ class TestUnitEstimates:
             assert np.array_equal(got, want)
 
 
+def patch_units(params, img, patch_size):
+    """The unit estimates that `estimate_image` pools for `img`."""
+    return unit_estimates(params, prepared_patches(img, patch_size))[1]
+
+
 class TestEstimatePatch:
-    """Per-patch estimates: the `units` rows of `estimate_image` on
-    one-patch images."""
+    """Per-patch estimates: the `unit_estimates` rows of one-patch images."""
 
     def test_bias_network_gives_neutral(self):
         img = textured_patch(np.random.default_rng(0), (0.5, 0.7, 0.3))
-        est = estimate_image(bias_net(), img, patch_size=8)
-        assert est.units.shape == (1, 3)
-        assert np.allclose(est.units, 1 / np.sqrt(3), atol=1e-12)
+        units = patch_units(bias_net(), img, 8)
+        assert units.shape == (1, 3)
+        assert np.allclose(units, 1 / np.sqrt(3), atol=1e-12)
+        assert np.allclose(estimate_image(bias_net(), img, patch_size=8).rgb, units[0],
+                           atol=1e-12)
 
     def test_scale_of_prestretch_patch_is_absorbed(self):
         rng = np.random.default_rng(1)
         params = init_params(TOY, 2)
         raw = textured_patch(rng, (0.6, 0.5, 0.8))
         scaled = LinearImage(raw.data * 0.3)
-        a = estimate_image(params, raw, patch_size=8)
-        b = estimate_image(params, scaled, patch_size=8)
-        assert np.allclose(a.units, b.units, atol=1e-12)
+        a = patch_units(params, raw, 8)
+        b = patch_units(params, scaled, 8)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_equals_normalized_forward(self):
         rng = np.random.default_rng(3)
         params = bias_net((0.2, 0.4, 0.9))  # positive outputs, rectification inert
         img = textured_patch(rng, (0.5, 0.5, 0.5))
-        est = estimate_image(params, img, patch_size=8)
-        oracle = normalize(forward(params, prepared_patches(img, 8).data[0]))
-        assert np.array_equal(est.units[0], oracle.rgb)
-        assert np.array_equal(est.raw[0], [0.2, 0.4, 0.9])
+        data = prepared_patches(img, 8).data
+        oracle = normalize(forward(params, data[0]))
+        assert np.array_equal(patch_units(params, img, 8)[0], oracle.rgb)
+        assert np.array_equal(forward(params, data)[0], [0.2, 0.4, 0.9])
 
     def test_degenerate_patch_rejected(self):
         flat = LinearImage(np.full((8, 8, 3), 0.5))
@@ -121,10 +125,11 @@ class TestEstimatePatch:
 
     def test_negative_output_rectified(self):
         img = textured_patch(np.random.default_rng(4), (0.5, 0.6, 0.7))
-        est = estimate_image(bias_net((-0.5, 0.8, 0.6)), img, patch_size=8)
-        assert est.units[0, 0] == 0.0
-        assert np.linalg.norm(est.units[0]) == pytest.approx(1.0, abs=1e-12)
-        assert est.raw[0, 0] == -0.5
+        params = bias_net((-0.5, 0.8, 0.6))
+        units = patch_units(params, img, 8)
+        assert units[0, 0] == 0.0
+        assert np.linalg.norm(units[0]) == pytest.approx(1.0, abs=1e-12)
+        assert forward(params, prepared_patches(img, 8).data)[0, 0] == -0.5
 
     def test_all_negative_output_degenerate(self):
         img = textured_patch(np.random.default_rng(5), (0.5, 0.6, 0.7))
@@ -190,17 +195,20 @@ class TestEstimateImage:
         texture = rng.uniform(0.3, 1.0, size=(32, 32))
         img = tiled_image(texture, (0.7, 0.5, 0.9))
         params = channel_max_net()
+        units = patch_units(params, img, 32)
+        assert len(units) == 9
+        assert np.allclose(units, units[0], atol=1e-12)
         pooled = estimate_image(params, img, pooling="median", patch_size=32)
-        assert len(pooled.units) == 9
-        assert np.allclose(pooled.units, pooled.units[0], atol=1e-12)
-        assert np.allclose(pooled.illuminant.rgb, pooled.units[0], atol=1e-12)
+        assert np.allclose(pooled.rgb, units[0], atol=1e-12)
 
     def test_patch_count_1200x800(self):
         rng = np.random.default_rng(10)
         img = LinearImage(rng.uniform(0.1, 1.0, size=(800, 1200, 3)))
-        pooled = estimate_image(bias_net((1, 1, 1), TOY), img, patch_size=32)
-        assert pooled.units.shape == pooled.raw.shape == (37 * 25, 3)
-        assert pooled.origins.shape == (37 * 25, 2)
+        params = bias_net((1, 1, 1), TOY)
+        batch = prepared_patches(img, 32)
+        keep, units = unit_estimates(params, batch)
+        assert units.shape == forward(params, batch.data).shape == (37 * 25, 3)
+        assert batch.origins[keep].shape == (37 * 25, 2)
 
     def test_crafted_outlier_median_vs_average(self):
         rng = np.random.default_rng(11)
@@ -211,9 +219,9 @@ class TestEstimateImage:
         corrupted[32:64, 32:64, :] = texture[:, :, None] * np.array([0.05, 0.9, 0.1])
         corrupted = LinearImage(corrupted)
         params = channel_max_net()
-        clean_est = estimate_image(params, clean, "median", 32).illuminant
-        med = estimate_image(params, corrupted, "median", 32).illuminant
-        avg = estimate_image(params, corrupted, "average", 32).illuminant
+        clean_est = estimate_image(params, clean, "median", 32)
+        med = estimate_image(params, corrupted, "median", 32)
+        avg = estimate_image(params, corrupted, "average", 32)
         assert angular_error(med, clean_est) < 0.5
         assert angular_error(avg, clean_est) > angular_error(med, clean_est)
 
@@ -224,9 +232,12 @@ class TestEstimateImage:
                                          fc_units=6), 1)
         a = estimate_image(params, img, "median", 32)
         b = estimate_image(params, img, "median", 32)
-        assert np.array_equal(a.illuminant.rgb, b.illuminant.rgb)
-        assert np.array_equal(a.origins, b.origins)
-        assert np.array_equal(a.units, b.units)
+        assert isinstance(a, Illuminant) and np.array_equal(a.rgb, b.rgb)
+        batch_a, batch_b = prepared_patches(img, 32), prepared_patches(img, 32)
+        (keep_a, units_a), (keep_b, units_b) = (
+            unit_estimates(params, batch_a), unit_estimates(params, batch_b))
+        assert np.array_equal(batch_a.origins[keep_a], batch_b.origins[keep_b])
+        assert np.array_equal(units_a, units_b)
 
     def test_all_flat_image_impossible(self):
         img = LinearImage(np.full((64, 64, 3), 0.5))
@@ -237,9 +248,10 @@ class TestEstimateImage:
         rng = np.random.default_rng(13)
         data = rng.uniform(0.2, 0.8, (32, 64, 3))
         data[:, 32:, :] = 0.5  # right patch is flat
-        pooled = estimate_image(bias_net((1, 1, 1), TOY), LinearImage(data), patch_size=32)
-        assert pooled.degenerate_skipped == 1
-        assert pooled.origins.tolist() == [[0, 0]]
+        batch = prepared_patches(LinearImage(data), 32)
+        keep, _ = unit_estimates(bias_net((1, 1, 1), TOY), batch)
+        assert batch.degenerate + (~keep).sum() == 1
+        assert batch.origins[keep].tolist() == [[0, 0]]
 
 
 class TestTrain:
@@ -458,7 +470,7 @@ class TestFineTune:
         )
         logged = [r for r in log if "loss_deg" in r][0]["loss_deg"]
         pooled = estimate_image(params, sample.image, "median", SMALL.patch_size)
-        reference = angular_error(pooled.illuminant, sample.illuminant)
+        reference = angular_error(pooled, sample.illuminant)
         assert logged == pytest.approx(reference, abs=1e-9)
 
     def test_image_loss_rejects_unknown_pooling_first(self):
@@ -611,11 +623,13 @@ class TestWeightsPrecision:
         seen = recorded_conv_dtypes(monkeypatch)
         img = make_synthetic_samples(count=1, size=64, seed=21)[0].image
         batch = prepared_patches(img, SMALL.patch_size)
-        keep, raw, units = unit_estimates(p32, batch)
+        keep, units = unit_estimates(p32, batch)
         assert seen == [(np.float32,) * 3]
-        assert raw.dtype == np.float64 and units.dtype == np.float64
+        assert units.dtype == np.float64
+        # the float32 outputs are widened before they are rectified
         want = forward(p32, batch.data.astype(np.float32)).astype(np.float64)
-        assert np.array_equal(raw, want[keep])
+        want_keep, _, want_units = rectified_units(want)
+        assert np.array_equal(keep, want_keep) and np.array_equal(units, want_units)
 
     @pytest.mark.parametrize("seed", [22, 23])
     def test_float32_model_agrees_with_its_float64_copy(self, seed):
@@ -624,12 +638,15 @@ class TestWeightsPrecision:
         for pooling in POOLINGS:
             e32 = estimate_image(p32, img, pooling, SMALL.patch_size)
             e64 = estimate_image(p64, img, pooling, SMALL.patch_size)
-            assert angular_error(e32.illuminant, e64.illuminant) < 0.01
-            assert np.array_equal(e32.origins, e64.origins)
-            assert e32.degenerate_skipped == e64.degenerate_skipped
-            assert np.max(angular_error_many(e32.units, e64.units)) < 0.01
-            # the float32 pass did run: its estimates are not the float64 bits
-            assert not np.array_equal(e32.units, e64.units)
+            assert angular_error(e32, e64) < 0.01
+        batch = prepared_patches(img, SMALL.patch_size)
+        keep32, units32 = unit_estimates(p32, batch)
+        keep64, units64 = unit_estimates(p64, batch)
+        # so the same origins and the same count of skipped patches
+        assert np.array_equal(keep32, keep64)
+        assert np.max(angular_error_many(units32, units64)) < 0.01
+        # the float32 pass did run: its estimates are not the float64 bits
+        assert not np.array_equal(units32, units64)
         full = prepared_patches(img, SMALL.patch_size, resize_target=None)
         assert np.array_equal(unit_estimates(p32, full)[0], unit_estimates(p64, full)[0])
         m32 = estimate_local_map(p32, img, SMALL.patch_size)
@@ -647,5 +664,5 @@ class TestWeightsPrecision:
         assert seen == [(np.float32,) * 3]
         assert all(getattr(grads, name).dtype == np.float32 for name in PARAM_LAYERS)
         # the loss is the angular error of the float64 estimate `estimate_image` pools
-        pooled = estimate_image(p32, sample.image, "median", SMALL.patch_size).illuminant
+        pooled = estimate_image(p32, sample.image, "median", SMALL.patch_size)
         assert np.degrees(loss) == pytest.approx(angular_error(pooled, sample.illuminant), abs=1e-9)
