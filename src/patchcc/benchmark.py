@@ -67,19 +67,30 @@ def check_threads(threads: int):
         raise ParameterError(f"threads must be >= 1, got {threads}")
 
 
-def check_algos(algos, fold_models, finetuned_models):
+def check_algos(algos, fold_models, finetuned_models) -> int | None:
     """Raise `ParameterError` unless `algos` is a nonempty list of distinct
-    known estimators whose cnn rows have models, before any image is decoded."""
+    known estimators whose cnn rows have models, all of one patch size,
+    before any image is decoded. Returns that patch size, or None when no
+    cnn row is named."""
     if not algos:
         raise ParameterError("no estimator named")
+    sizes = {}
     for i, algo in enumerate(algos):
         if algo in algos[:i]:
             raise ParameterError(f"estimator {algo!r} named twice")
         if algo not in ALL_ALGOS:
             raise ParameterError(f"unknown estimator {algo!r}; valid: {', '.join(ALL_ALGOS)}")
         name = CNN_ROWS.get(algo, (None,))[0]
-        if name and not {"model": fold_models, "finetuned": finetuned_models}[name]:
-            raise ParameterError(f"{algo} needs --{name}-dir models")
+        if name:
+            models = {"model": fold_models, "finetuned": finetuned_models}[name]
+            if not models:
+                raise ParameterError(f"{algo} needs --{name}-dir models")
+            for model in models.values():
+                sizes.setdefault(model.patch_size, name)
+    if len(sizes) > 1:
+        raise ParameterError("the cnn rows' models differ in patch size: " + ", ".join(
+            f"{size} px (--{name}-dir)" for size, name in sizes.items()))
+    return next(iter(sizes), None)
 
 
 def benchmark(
@@ -87,21 +98,21 @@ def benchmark(
     algos=ALL_ALGOS,
     fold_models=None,
     finetuned_models=None,
-    patch_size: int = 32,
     threads: int = 1,
 ) -> BenchmarkReport:
     """Evaluate estimators over a labeled dataset.
 
     Statistical rows run on every image. Network rows read one float64
-    batch per image and one `unit_estimates` call per model set the rows
-    use, with the model of the image's fold; cnn-patch scores every patch.
+    batch per image, at the patch size all their models share, and one
+    `unit_estimates` call per model set the rows use, with the model of the
+    image's fold; cnn-patch scores every patch.
 
     The images go through `network.spread` in `threads` lanes, so `threads`
     caps the images in flight, and the CPUs cap the threads; the results and
     the error raised are those of one image after another.
     """
     check_threads(threads)
-    check_algos(algos, fold_models, finetuned_models)
+    patch_size = check_algos(algos, fold_models, finetuned_models)
     samples = list(samples)
     if not samples:
         raise ParameterError("benchmark needs at least one image")

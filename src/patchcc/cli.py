@@ -3,8 +3,11 @@ local maps, benchmarking, the parameter sweep, and gradient checking.
 
 Each option, with its built-in default, is declared once, on its command's
 subparser in `build_parser`; the hyperparameter flags take their defaults
-from `network.HyperParams`. A JSON config file (--config) replaces built-in
-defaults: its keys are the options' dest names, and explicit flags win.
+from `network.HyperParams`, and a command declares only those it reads. A
+weights file holds its model's pool size, and so its patch size, so no
+command that runs a trained model takes a size. A JSON config file
+(--config) replaces built-in defaults: its keys are the options' dest
+names, and explicit flags win.
 Commands exit 0 on success and 1 with a single-line error otherwise.
 """
 
@@ -100,14 +103,18 @@ def _config_values(path: str, sub: argparse.ArgumentParser) -> dict:
     return {key: value for key, value in cfg.items() if value is not None}
 
 
-def _add_hyper_flags(p, **overrides):
-    for flag, dest in HYPER_FLAGS.items():
+def _add_hyper_flags(p, flags=tuple(HYPER_FLAGS), **overrides):
+    for flag in flags:
+        dest = HYPER_FLAGS[flag]
         default = overrides.get(dest, getattr(HyperParams, dest))
         p.add_argument(flag, dest=dest, type=type(default), default=default)
 
 
 def _hyper_from(args) -> HyperParams:
-    return HyperParams(**{dest: getattr(args, dest) for dest in HYPER_FLAGS.values()})
+    """The command's hyperparameter flags; the fields it has no flag for
+    keep their `HyperParams` defaults."""
+    return HyperParams(**{dest: getattr(args, dest)
+                          for dest in HYPER_FLAGS.values() if hasattr(args, dest)})
 
 
 def _write_jsonl(records, path):
@@ -188,7 +195,7 @@ def _estimator(args):
         if not args.model:
             raise ParameterError("--algo cnn needs --model")
         params = load_params(args.model)
-        return lambda img: estimate_image(params, img, args.pooling, args.patch_size)
+        return lambda img: estimate_image(params, img, args.pooling)
     if args.algo not in ESTIMATORS:
         raise ParameterError(
             f"unknown algorithm {args.algo!r}; valid: {', '.join(ESTIMATORS)}, cnn"
@@ -226,7 +233,7 @@ def cmd_local_map(args) -> int:
     if not args.image or not args.model or not args.out_prefix:
         raise ParameterError("local-map needs --image, --model and --out-prefix")
     params = load_params(args.model)
-    ill_map = estimate_local_map(params, load_ppm16(args.image), args.patch_size)
+    ill_map = estimate_local_map(params, load_ppm16(args.image))
     if args.filter == "gaussian":
         ill_map = filter_gaussian_3x3(ill_map)
     elif args.filter == "median":
@@ -234,7 +241,7 @@ def cmd_local_map(args) -> int:
     save_map_ppm(ill_map, args.out_prefix + ".ppm")
     save_map_csv(ill_map, args.out_prefix + ".csv")
     if args.gt_map:
-        gt = grid_ground_truth(load_illuminant_map_ppm(args.gt_map), args.patch_size)
+        gt = grid_ground_truth(load_illuminant_map_ppm(args.gt_map), ill_map.patch_size)
         _, flat = angular_error_map(ill_map, gt)
         print(summarize(flat))
     print(f"{args.out_prefix}.ppm written")
@@ -251,9 +258,7 @@ def cmd_evaluate(args) -> int:
     check_algos(algos, fold_models, finetuned)
     samples = dataset_mod.load_samples(dataset_mod.load_manifest(args.manifest))
     report = run_benchmark(
-        samples, algos, fold_models=fold_models, finetuned_models=finetuned,
-        patch_size=args.patch_size, threads=args.threads,
-    )
+        samples, algos, fold_models=fold_models, finetuned_models=finetuned, threads=args.threads)
     text = report.render_text()
     print(text, end="")
     if args.out_prefix:
@@ -281,8 +286,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for value, hyper in zip(values, hypers):
         model = train(samples, [args.fold], hyper).models[args.fold]
-        estimates = [estimate_image(model, s.image, "median", hyper.patch_size).rgb
-                     for s in test_samples]
+        estimates = [estimate_image(model, s.image, "median").rgb for s in test_samples]
         rows.append((value, float(np.median(angular_error_many(estimates, truths)))))
         print(f"{args.parameter}={value}: median {rows[-1][1]:.2f} deg")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -347,14 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--fold", type=int, default=0)
     p.add_argument("--pooling", choices=POOLINGS, default="median")
-    _add_hyper_flags(p)
+    _add_hyper_flags(p, ("--lr", "--momentum", "--weight-decay", "--epochs", "--seed"))
 
     p = sub("estimate", cmd_estimate, help="estimate one image's illuminant")
     p.add_argument("--image")
     p.add_argument("--algo", default="GW")
     p.add_argument("--model")
     p.add_argument("--pooling", choices=POOLINGS, default="median")
-    p.add_argument("--patch-size", type=int, default=32)
 
     p = sub("correct", cmd_correct, help="write the von Kries corrected image")
     p.add_argument("--image")
@@ -363,13 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", help="estimate the illuminant first")
     p.add_argument("--model")
     p.add_argument("--pooling", choices=POOLINGS, default="median")
-    p.add_argument("--patch-size", type=int, default=32)
 
     p = sub("local-map", cmd_local_map, help="per-patch illuminant map")
     p.add_argument("--image")
     p.add_argument("--model")
     p.add_argument("--out-prefix")
-    p.add_argument("--patch-size", type=int, default=32)
     p.add_argument("--filter", choices=("none", "gaussian", "median"), default="none")
     p.add_argument("--gt-map")
 
@@ -379,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir")
     p.add_argument("--finetuned-dir")
     p.add_argument("--out-prefix")
-    p.add_argument("--patch-size", type=int, default=32)
     p.add_argument("--threads", type=int, default=usable_cpus())
 
     p = sub("sweep", cmd_sweep, help="hyperparameter sweep, median error per value")

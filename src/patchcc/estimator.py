@@ -8,7 +8,8 @@ channel's gradient to the estimate(s) realizing the median, average pooling
 spreads it 1/N).
 
 Image estimation, fine-tuning, local maps and the benchmark's cnn rows take
-their patches from `prepared_patches` (tile, then stretch) and make each
+their patches from `prepared_patches` (tile, then stretch), at the patch
+size the model carries (`NetworkParams.patch_size`), and make each
 raw network output a unit estimate with `rectified_units` (through
 `unit_estimates` for all but fine-tuning's steps, which keep the forward
 cache). `estimate_image` pools them into an `Illuminant`, the type every
@@ -24,7 +25,7 @@ outputs are widened to float64, and so is all after them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,15 +146,11 @@ def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray
     return keep, units
 
 
-def estimate_image(
-    params: NetworkParams,
-    img: LinearImage,
-    pooling: str = "median",
-    patch_size: int = 32,
-) -> Illuminant:
-    """Grid-patch the image and pool the per-patch network estimates."""
+def estimate_image(params: NetworkParams, img: LinearImage, pooling: str = "median") -> Illuminant:
+    """Grid-patch the image at the model's patch size and pool the
+    per-patch network estimates."""
     pool = _pooling_function(pooling)
-    return pool(unit_estimates(params, prepared_patches(img, patch_size))[1])
+    return pool(unit_estimates(params, prepared_patches(img, params.patch_size))[1])
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +327,10 @@ def fine_tune(
     """Continue training on the image-level angular loss, one image per step.
 
     The weights are cast to `hyper.dtype` first, and the result has that
-    dtype. Each image's patches are prepared once per call, stretched into
-    that dtype too, the one the network computes in.
+    dtype. Each image's patches are prepared once per call, at the model's
+    patch size, stretched into that dtype too, the one the network computes
+    in. Of `hyper`, only the learning settings, epochs, seed and dtype are
+    read.
 
     When a validation set is given, the checkpoint with the lowest pooled
     median error is returned; a checkpoint only displaces the current best
@@ -343,12 +342,12 @@ def fine_tune(
     if not samples:
         raise ParameterError("fine_tune needs at least one image")
     pool = _pooling_function(pooling)
-    params = NetworkParams(
-        **{name: getattr(params, name).astype(hyper.dtype) for name in PARAM_LAYERS})
+    params = replace(
+        params, **{name: getattr(params, name).astype(hyper.dtype) for name in PARAM_LAYERS})
     state = zero_momentum(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 7])
-    batches = [prepared_patches(s.image, hyper.patch_size, dtype=hyper.dtype) for s in samples]
-    val_batches = [(prepared_patches(s.image, hyper.patch_size, dtype=hyper.dtype), s.illuminant)
+    batches = [prepared_patches(s.image, params.patch_size, dtype=hyper.dtype) for s in samples]
+    val_batches = [(prepared_patches(s.image, params.patch_size, dtype=hyper.dtype), s.illuminant)
                    for s in val_dataset or ()]
 
     def val_median(p: NetworkParams) -> float:

@@ -47,14 +47,16 @@ class IlluminantMap:
         return self.estimates.shape[0]
 
 
-def estimate_local_map(params: NetworkParams, img: LinearImage, patch_size: int) -> IlluminantMap:
-    """Per-cell normalized estimates on the non-overlapping patch grid.
+def estimate_local_map(params: NetworkParams, img: LinearImage) -> IlluminantMap:
+    """Per-cell normalized estimates on the non-overlapping grid of the
+    model's patch size.
 
     Flat cells, and cells whose network output has no positive component
     (direction-free), borrow the estimate of the nearest usable cell
     (Euclidean grid distance; ties prefer the leftmost, then the uppermost
     candidate). Raises `EstimationImpossibleError` when no cell is usable.
     """
+    patch_size = params.patch_size
     # the cells must stay aligned with the source pixels, so no resize
     batch = prepared_patches(img, patch_size, resize_target=None)
     keep, units = unit_estimates(params, batch)

@@ -11,6 +11,10 @@ in the dtype of its weights: `forward` and `forward_cache` cast the patches
 to it, so callers pass patches of any float dtype and get outputs of the
 weights' dtype.
 
+A model carries its pool size (`NetworkParams.pool_size`), which weights
+files store, so it knows its own patch side, `patch_size` = G * pool_size;
+the network rejects patches of any other side.
+
 Layer inputs may carry a leading batch axis; channels are always the last
 axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
@@ -69,7 +73,7 @@ from .errors import (
 from .image import vector_norms
 
 WEIGHTS_MAGIC = b"CCNN"
-WEIGHTS_VERSION = 1
+WEIGHTS_VERSION = 2
 PARAM_LAYERS = ("conv_w", "conv_b", "fc_w", "fc_b", "out_w", "out_b")
 
 ANGULAR_COS_CLAMP = 1.0 - 1e-7
@@ -100,6 +104,8 @@ class HyperParams:
 
     `patch_size` must be divisible by `pool_size`; the pooled grid side is
     G = patch_size / pool_size and the FC input is G*G*kernel_count wide.
+    The learning rate and weight decay must be finite and >= 0, and the
+    momentum in [0, 1).
     """
 
     patch_size: int = 32
@@ -123,6 +129,12 @@ class HyperParams:
             low = 0 if name in ("patience", "seed") else 1
             if getattr(self, name) < low:
                 raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 <= self.momentum < 1:
+            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.patch_size % self.pool_size != 0:
             raise ParameterError(
                 f"patch_size {self.patch_size} not divisible by pool_size {self.pool_size}"
@@ -137,11 +149,13 @@ class HyperParams:
 
 @dataclass(frozen=True, eq=False)
 class NetworkParams:
-    """The five-layer network's weights.
+    """The five-layer network's weights and its pool size.
 
     conv_w: (K, kw, kw, 3), conv_b: (K,), fc_w: (H, G*G*K), fc_b: (H,),
     out_w: (3, H), out_b: (3,). The pooled side G is implied by the shapes:
-    G = sqrt(fc_w.shape[1] / K).
+    G = sqrt(fc_w.shape[1] / K). `pool_size` (>= 1) is the side of a max
+    pooling window, so the network reads patches of side
+    `patch_size` = G * pool_size.
 
     All six arrays share one `dtype`: float32 when every array given is
     float32, float64 otherwise (a mixed set is widened whole).
@@ -153,8 +167,11 @@ class NetworkParams:
     fc_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
+    pool_size: int
 
     def __post_init__(self):
+        if not isinstance(self.pool_size, int) or self.pool_size < 1:
+            raise ParameterError(f"pool_size must be an integer >= 1, got {self.pool_size!r}")
         given = [np.asarray(getattr(self, name)) for name in PARAM_LAYERS]
         single = all(a.dtype.kind == "f" and a.dtype.itemsize == 4 for a in given)
         dtype = np.float32 if single else np.float64
@@ -211,6 +228,10 @@ class NetworkParams:
     @property
     def pooled_side(self) -> int:
         return int(round((self.fc_w.shape[1] // self.kernel_count) ** 0.5))
+
+    @property
+    def patch_size(self) -> int:
+        return self.pooled_side * self.pool_size
 
 
 @dataclass
@@ -520,19 +541,16 @@ def spread(fn, items, width: int | None = None) -> list:
 
 
 def _conv_pool(params: NetworkParams, x: np.ndarray, need_cache: bool):
-    """Cast (B, S, S, 3) patches to the weights' dtype and run the
-    convolution and max pooling: (pooled (B, G, G, K), conv cache, pool
-    cache)."""
+    """Cast (B, S, S, 3) patches, S the model's `patch_size`, to the
+    weights' dtype and run the convolution and max pooling: (pooled
+    (B, G, G, K), conv cache, pool cache)."""
     x = np.asarray(x, dtype=params.dtype)
     if x.ndim != 4 or x.shape[-1] != 3 or x.shape[1] != x.shape[2]:
         raise ShapeMismatchError(f"expected (B, S, S, 3) or (S, S, 3) patches, got {x.shape}")
-    side = x.shape[1]
-    g = params.pooled_side
-    if side % g != 0:
+    if x.shape[1] != params.patch_size:
         raise ShapeMismatchError(
-            f"patch side {side} incompatible with pooled side {g} implied by the weights"
-        )
-    pool = side // g
+            f"patch side {x.shape[1]} is not the model's patch size {params.patch_size}")
+    pool = params.pool_size
     if params.kernel_width == 1:
         pool_out, conv_cache = conv1x1_pool_forward(
             x, params.conv_w, params.conv_b, pool, need_cache=need_cache)
@@ -559,8 +577,9 @@ def _head(params: NetworkParams, pool_out: np.ndarray):
 
 
 def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
-    """Raw (unnormalized) illuminant estimate for one patch or a batch, in
-    the dtype of the weights, to which each chunk of patches is cast.
+    """Raw (unnormalized) illuminant estimate for one patch or a batch of
+    side `params.patch_size`, in the dtype of the weights, to which each
+    chunk of patches is cast.
 
     Large batches are processed `FORWARD_CHUNK` patches at a time. For 1x1
     kernels the chunk bounds only the pixel-outer copy of the input and the
@@ -694,7 +713,7 @@ def init_params(hyper: HyperParams, seed: int) -> NetworkParams:
     return NetworkParams(
         conv_w=conv_w, conv_b=np.zeros(k, dtype=dtype),
         fc_w=fc_w, fc_b=np.zeros(h, dtype=dtype),
-        out_w=out_w, out_b=np.zeros(3, dtype=dtype),
+        out_w=out_w, out_b=np.zeros(3, dtype=dtype), pool_size=hyper.pool_size,
     )
 
 
@@ -723,7 +742,7 @@ def sgd_step(
         )
         new_state[name] = v
         new_values[name] = theta + v
-    return NetworkParams(**new_values), NetworkGrads(**new_state)
+    return replace(params, **new_values), NetworkGrads(**new_state)
 
 
 # --------------------------------------------------------------------------
@@ -790,11 +809,11 @@ def gradient_check(
 
 
 def save_params(params: NetworkParams, path):
-    """Binary little-endian weights: magic, version, then per layer the dim
-    count, the dims, and a row-major float32 payload."""
+    """Binary little-endian weights: magic, version, pool size, then per
+    layer the dim count, the dims, and a row-major float32 payload."""
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<I", WEIGHTS_VERSION))
+        fh.write(struct.pack("<II", WEIGHTS_VERSION, params.pool_size))
         for name in PARAM_LAYERS:
             arr = np.ascontiguousarray(getattr(params, name), dtype="<f4")
             fh.write(struct.pack("<I", arr.ndim))
@@ -804,7 +823,9 @@ def save_params(params: NetworkParams, path):
 
 def load_params(path) -> NetworkParams:
     """Read a `save_params` file. The arrays keep the payload's float32, so
-    inference with the loaded weights runs in float32."""
+    inference with the loaded weights runs in float32. Only the current
+    `WEIGHTS_VERSION` is read; files of version 1, which had no pool size,
+    must be retrained."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != WEIGHTS_MAGIC:
@@ -814,7 +835,12 @@ def load_params(path) -> NetworkParams:
     (version,) = struct.unpack_from("<I", buf, 4)
     if version != WEIGHTS_VERSION:
         raise FormatError(f"unsupported weights version {version}", offset=4)
-    pos = 8
+    if len(buf) < 12:
+        raise FormatError("truncated weights header: no pool size field", offset=8)
+    (pool_size,) = struct.unpack_from("<I", buf, 8)
+    if pool_size == 0:
+        raise FormatError("weights pool size is 0", offset=8)
+    pos = 12
     arrays = {}
     for name in PARAM_LAYERS:
         if pos + 4 > len(buf):
@@ -843,4 +869,4 @@ def load_params(path) -> NetworkParams:
         pos += nbytes
     if pos != len(buf):
         raise FormatError(f"{len(buf) - pos} trailing bytes after {PARAM_LAYERS[-1]}", offset=pos)
-    return NetworkParams(**arrays)
+    return NetworkParams(**arrays, pool_size=pool_size)

@@ -38,6 +38,7 @@ def bias_net(bias=(1.0, 1.0, 1.0), hyper=None):
         conv_w=np.zeros_like(params.conv_w), conv_b=np.zeros_like(params.conv_b),
         fc_w=np.zeros_like(params.fc_w), fc_b=np.zeros_like(params.fc_b),
         out_w=np.zeros_like(params.out_w), out_b=np.asarray(bias, dtype=float),
+        pool_size=params.pool_size,
     )
 
 
@@ -52,7 +53,7 @@ def channel_max_net(patch_size=32, pool_size=8):
     return NetworkParams(
         conv_w=np.eye(3).reshape(3, 1, 1, 3), conv_b=np.zeros(3),
         fc_w=fc_w, fc_b=np.zeros(3),
-        out_w=np.eye(3), out_b=np.zeros(3),
+        out_w=np.eye(3), out_b=np.zeros(3), pool_size=pool_size,
     )
 
 
@@ -100,15 +101,15 @@ TINY_SHAPES = {"conv_w": (2, 1, 1, 3), "conv_b": (2,), "fc_w": (4, 2), "fc_b": (
                "out_w": (3, 4), "out_b": (3,)}
 
 
-def weights_bytes(layers) -> bytes:
+def weights_bytes(layers, pool_size=1) -> bytes:
     """A weights file from (dims, payload bytes) per layer, in file order."""
-    out = WEIGHTS_MAGIC + struct.pack("<I", WEIGHTS_VERSION)
+    out = WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, pool_size)
     for dims, payload in layers:
         out += struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload
     return out
 
 
-def tiny_weights(**shapes) -> bytes:
+def tiny_weights(pool_size=1, **shapes) -> bytes:
     """The TINY_SHAPES weights file with some layers' dims replaced. Each
     payload holds as many float32 zeros as its dims call for, or none when
     that is more than a million."""
@@ -117,4 +118,4 @@ def tiny_weights(**shapes) -> bytes:
         dims = shapes.get(name, TINY_SHAPES[name])
         n = math.prod(dims)
         layers.append((dims, bytes(4 * n) if n <= 1 << 20 else b""))
-    return weights_bytes(layers)
+    return weights_bytes(layers, pool_size)

@@ -86,7 +86,7 @@ def two_ill_samples(tmp_path_factory):
 
 def pooled_median(model, samples):
     errors = [
-        angular_error(estimate_image(model, s.image, "median", 32), s.illuminant)
+        angular_error(estimate_image(model, s.image, "median"), s.illuminant)
         for s in samples
     ]
     return float(np.median(errors))
@@ -217,7 +217,7 @@ def test_criterion_6_pooling_robustness():
                 clean[gy * 32:(gy + 1) * 32, gx * 32:(gx + 1) * 32] = (
                     block * np.clip(base * jitter[gy, gx], 0.02, 1.0))
         clean_img = LinearImage(np.clip(clean, 0, 1))
-        clean_est = estimate_image(net, clean_img, "median", 32)
+        clean_est = estimate_image(net, clean_img, "median")
 
         corrupted = clean.copy()
         gy, gx = rng.integers(0, 3, size=2)
@@ -226,8 +226,8 @@ def test_criterion_6_pooling_robustness():
         corrupted[gy * 32:(gy + 1) * 32, gx * 32:(gx + 1) * 32] = (
             tiles[gy * 32:(gy + 1) * 32, gx * 32:(gx + 1) * 32] * outlier)
         cimg = LinearImage(np.clip(corrupted, 0, 1))
-        med_err = angular_error(estimate_image(net, cimg, "median", 32), clean_est)
-        avg_err = angular_error(estimate_image(net, cimg, "average", 32), clean_est)
+        med_err = angular_error(estimate_image(net, cimg, "median"), clean_est)
+        avg_err = angular_error(estimate_image(net, cimg, "average"), clean_est)
         wins += med_err <= avg_err
     ok = wins >= 0.95 * trials
     report(6, ok, f"median pooling no worse than average in {wins}/{trials} "
@@ -240,7 +240,7 @@ def test_criterion_7_local_estimation(trained_model, two_ill_samples):
     left_closer, left_total = 0, 0
     for s, gt_map in two_ill_samples:
         gt_grid = grid_ground_truth(gt_map, 32)
-        est_map = estimate_local_map(trained_model, s.image, 32)
+        est_map = estimate_local_map(trained_model, s.image)
         cnn_errs += angular_error_map(est_map, gt_grid)[1]
         filtered_errs += angular_error_map(filter_median_3x3(est_map), gt_grid)[1]
         cells = gt_grid.estimates.reshape(-1, 3)

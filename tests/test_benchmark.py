@@ -1,10 +1,12 @@
 import csv
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import patchcc.estimator
-from patchcc.benchmark import ALL_ALGOS, STAT_ALGOS, BenchmarkReport, benchmark
+from patchcc.benchmark import ALL_ALGOS, STAT_ALGOS, BenchmarkReport, benchmark, check_algos
 from patchcc.errors import ParameterError
 from patchcc.estimator import estimate_image, prepared_patches, unit_estimates
 from patchcc.evaluation import STAT_NAMES, angular_error, summarize
@@ -19,6 +21,12 @@ HYPER = HyperParams(patch_size=16, kernel_count=8, pool_size=4, fc_units=6)
 @pytest.fixture(scope="module")
 def samples():
     return make_synthetic_samples(count=5, size=48, seed=4)
+
+
+def sized_models(*sizes):
+    """Fold k -> an untrained HYPER-shape model of patch size sizes[k]."""
+    return {k: init_params(replace(HYPER, patch_size=size), [5, k])
+            for k, size in enumerate(sizes)}
 
 
 @pytest.fixture(scope="module")
@@ -37,19 +45,19 @@ class TestSharedForward:
 
         monkeypatch.setattr(patchcc.estimator, "forward", counted)
         benchmark(samples, ("cnn-patch", "cnn-average", "cnn-median"),
-                  fold_models=models, patch_size=16)
+                  fold_models=models)
         assert len(calls) == len(samples)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rows_equal_estimate_image(self, samples, models, threads):
         report = benchmark(samples, ("GW", "cnn-patch", "cnn-average", "cnn-median"),
-                           fold_models=models, patch_size=16, threads=threads)
+                           fold_models=models, threads=threads)
         assert list(report.rows) == ["GW", "cnn-patch", "cnn-average", "cnn-median"]
         expected = {"GW": [], "cnn-patch": [], "cnn-average": [], "cnn-median": []}
         for s in samples:
             model = models[s.fold]
-            median = estimate_image(model, s.image, "median", 16)
-            average = estimate_image(model, s.image, "average", 16)
+            median = estimate_image(model, s.image, "median")
+            average = estimate_image(model, s.image, "average")
             units = unit_estimates(model, prepared_patches(s.image, 16))[1]
             expected["GW"].append((s.image_id, angular_error(
                 minkowski_estimate(s.image, preset("GW")), s.illuminant)))
@@ -62,8 +70,7 @@ class TestSharedForward:
     def test_error_lists_are_the_per_estimate_errors(self, samples, models):
         # one angular_error_many call per row and image has the bits of one
         # angular_error call per estimate
-        report = benchmark(samples, STAT_ALGOS + ("cnn-patch",), fold_models=models,
-                           patch_size=16)
+        report = benchmark(samples, STAT_ALGOS + ("cnn-patch",), fold_models=models)
         for algo in STAT_ALGOS:
             assert report.per_image[algo] == [
                 (s.image_id, angular_error(ESTIMATORS[algo](s.image), s.illuminant))
@@ -86,15 +93,15 @@ class TestSharedForward:
         monkeypatch.setattr(patchcc.estimator, "stretched_grid_patches", counted)
         tuned = {k: init_params(HYPER, [9, k]) for k in range(3)}
         benchmark(samples, ("cnn-median", "cnn-finetuned"), fold_models=models,
-                  finetuned_models=tuned, patch_size=16)
+                  finetuned_models=tuned)
         assert [id(img) for img in stretched] == [id(s.image) for s in samples]
 
     def test_finetuned_row_uses_its_own_models(self, samples, models):
         tuned = {k: init_params(HYPER, [9, k]) for k in range(3)}
         report = benchmark(samples, ("cnn-median", "cnn-finetuned"), fold_models=models,
-                           finetuned_models=tuned, patch_size=16)
+                           finetuned_models=tuned)
         expected = [(s.image_id, angular_error(
-            estimate_image(tuned[s.fold], s.image, "median", 16), s.illuminant))
+            estimate_image(tuned[s.fold], s.image, "median"), s.illuminant))
             for s in samples]
         assert report.per_image["cnn-finetuned"] == expected
         assert report.per_image["cnn-median"] != expected
@@ -123,7 +130,30 @@ class TestDispatch:
         with pytest.raises(ParameterError, match=f"^no fold-2 model available for {named}$"):
             benchmark(samples, ("cnn-finetuned", "cnn-average", "cnn-median"),
                       fold_models={k: models[k] for k in fold_models_for},
-                      finetuned_models={k: models[k] for k in (0, 1)}, patch_size=16)
+                      finetuned_models={k: models[k] for k in (0, 1)})
+
+    @pytest.mark.parametrize("algos, fold_sizes, tuned_sizes, listed", [
+        (("cnn-median", "cnn-finetuned"), (16, 16, 16), (32, 32, 32),
+         "16 px (--model-dir), 32 px (--finetuned-dir)"),
+        (("cnn-finetuned",), (32, 32, 32), (16, 32, 16),
+         "16 px (--finetuned-dir), 32 px (--finetuned-dir)"),
+    ], ids=["across_sets", "within_a_set"])
+    def test_models_of_two_patch_sizes_rejected(self, algos, fold_sizes, tuned_sizes, listed):
+        fold_models, tuned = sized_models(*fold_sizes), sized_models(*tuned_sizes)
+        message = f"the cnn rows' models differ in patch size: {listed}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            check_algos(algos, fold_models, tuned)
+        # before any image is read: this sample list holds no image
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            benchmark(["not a sample"], algos, fold_models=fold_models, finetuned_models=tuned)
+
+    def test_models_no_row_reads_may_differ(self, samples, models):
+        wide = sized_models(32, 32, 32)
+        assert check_algos(("GW", "cnn-median"), models, wide) == 16
+        assert check_algos(("GW", "cnn-finetuned"), models, wide) == 32
+        assert check_algos(("GW",), models, wide) is None
+        report = benchmark(samples, ("cnn-median",), fold_models=models, finetuned_models=wide)
+        assert len(report.per_image["cnn-median"]) == len(samples)
 
     def test_repeated_name_rejected(self, samples):
         # a repeated row would be computed twice and reported once

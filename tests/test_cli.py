@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from patchcc.benchmark import ALL_ALGOS
 from patchcc.cli import CONFIG_TYPES, build_parser, main, parse_args
 from patchcc.errors import PipelineError
 from patchcc.image import LinearImage, load_ppm16, save_ppm16, normalize
-from patchcc.network import HyperParams
+from patchcc.network import WEIGHTS_MAGIC, HyperParams, init_params, save_params
 
 from helpers import JSON_VALUES, tiny_weights
 
@@ -137,8 +138,7 @@ class TestTrainedPipeline:
     def test_estimate_with_model(self, dataset_dir, model_dir, capsys):
         entry = json.loads((dataset_dir / "manifest.json").read_text())["entries"][0]
         assert run(["estimate", "--image", str(dataset_dir / entry["image_path"]),
-                    "--algo", "cnn", "--model", str(model_dir / "fold0.ccnn"),
-                    "--patch-size", "16"]) == 0
+                    "--algo", "cnn", "--model", str(model_dir / "fold0.ccnn")]) == 0
         printed = [float(v) for v in capsys.readouterr().out.split()]
         assert len(printed) == 3
         assert np.linalg.norm(printed) == pytest.approx(1.0, abs=1e-4)
@@ -148,16 +148,16 @@ class TestTrainedPipeline:
         prefix = tmp_path / "map"
         assert run(["local-map", "--image", str(dataset_dir / entry["image_path"]),
                     "--model", str(model_dir / "fold0.ccnn"),
-                    "--out-prefix", str(prefix), "--patch-size", "16",
-                    "--filter", "median"]) == 0
+                    "--out-prefix", str(prefix), "--filter", "median"]) == 0
         assert prefix.with_suffix(".ppm").exists()
-        assert prefix.with_suffix(".csv").exists()
+        # the 64x64 image on the 16-px grid of the model: 4 x 4 cells
+        assert len(prefix.with_suffix(".csv").read_text().splitlines()) == 1 + 4 * 4
 
     def test_finetune_command(self, dataset_dir, model_dir, tmp_path):
         out = tmp_path / "tuned.ccnn"
         assert run(["finetune", "--manifest", str(dataset_dir / "manifest.json"),
                     "--model", str(model_dir / "fold0.ccnn"), "--out", str(out),
-                    "--fold", "0", "--patch-size", "16", "--epochs", "1",
+                    "--fold", "0", "--epochs", "1",
                     "--lr", "0.00001", "--seed", "3"]) == 0
         assert out.exists()
         assert out.with_name(out.name + ".log.jsonl").exists()
@@ -169,21 +169,22 @@ class TestTrainedPipeline:
         float64, as in-process `fine_tune` of the widened weights does."""
         from patchcc.dataset import load_manifest, load_samples
         from patchcc.estimator import fine_tune, fold_samples, fold_split
-        from patchcc.network import PARAM_LAYERS, NetworkParams, load_params, save_params
+        from patchcc.network import PARAM_LAYERS, load_params, save_params
 
         out = tmp_path / "tuned.ccnn"
         assert run(["finetune", "--manifest", str(dataset_dir / "manifest.json"),
                     "--model", str(model_dir / "fold0.ccnn"), "--out", str(out),
-                    "--fold", "0", "--patch-size", "16", "--epochs", "2",
+                    "--fold", "0", "--epochs", "2",
                     "--lr", "0.0001", "--seed", "3", "--pooling", pooling]) == 0
         stored = load_params(model_dir / "fold0.ccnn")
         assert stored.dtype == np.float32
-        widened = NetworkParams(**{n: getattr(stored, n).astype(np.float64) for n in PARAM_LAYERS})
+        widened = replace(stored,
+                          **{n: getattr(stored, n).astype(np.float64) for n in PARAM_LAYERS})
         samples = load_samples(load_manifest(dataset_dir / "manifest.json"))
         train_samples, val_samples = (fold_samples(samples, f) for f in fold_split(0))
         log = []
         tuned = fine_tune(widened, train_samples,
-                          HyperParams(patch_size=16, epochs=2, learning_rate=0.0001, seed=3),
+                          HyperParams(epochs=2, learning_rate=0.0001, seed=3),
                           pooling=pooling, val_dataset=val_samples, log=log)
         save_params(tuned, tmp_path / "in_process.ccnn")
         assert out.read_bytes() == (tmp_path / "in_process.ccnn").read_bytes()
@@ -200,11 +201,12 @@ class TestFoldArguments:
     def test_exits_one_with_one_line(self, argv, message, dataset_dir, model_dir, tmp_path,
                                      capsys):
         out = tmp_path / "out"
-        argv = argv + ["--manifest", str(dataset_dir / "manifest.json"), "--patch-size", "16"]
+        argv = argv + ["--manifest", str(dataset_dir / "manifest.json")]
         if argv[0] == "finetune":
             argv += ["--model", str(model_dir / "fold0.ccnn"), "--out", str(out)]
         else:
-            argv += ["--out-dir", str(out), "--epochs", "1", "--patches-per-image", "10"]
+            argv += ["--out-dir", str(out), "--patch-size", "16", "--epochs", "1",
+                     "--patches-per-image", "10"]
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: ParameterError: {message}"]
@@ -228,12 +230,27 @@ class TestSeedsAndSynthValues:
          "ill_red_range bounds must be finite and >= 0, got (-0.5, 1.0)"),
         (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["train", "--patience", "-3"], "patience must be >= 0, got -3"),
+        (["train", "--lr", "-0.5", "--momentum", "3"],
+         "learning_rate must be finite and >= 0, got -0.5"),
+        (["train", "--lr", "nan"], "learning_rate must be finite and >= 0, got nan"),
+        (["train", "--momentum", "3"], "momentum must be in [0, 1), got 3.0"),
+        (["train", "--momentum", "1"], "momentum must be in [0, 1), got 1.0"),
+        (["train", "--momentum=-0.1"], "momentum must be in [0, 1), got -0.1"),
+        (["train", "--weight-decay", "inf"], "weight_decay must be finite and >= 0, got inf"),
         (["finetune", "--seed", "-2"], "seed must be >= 0, got -2"),
+        (["finetune", "--lr=-1"], "learning_rate must be finite and >= 0, got -1.0"),
+        (["finetune", "--momentum", "nan"], "momentum must be in [0, 1), got nan"),
+        (["finetune", "--weight-decay=-0.001"],
+         "weight_decay must be finite and >= 0, got -0.001"),
         (["sweep", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["sweep", "--lr", "inf"], "learning_rate must be finite and >= 0, got inf"),
         (["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
     ], ids=["synth_seed", "synth_noise_negative", "synth_noise_nan", "synth_red_nan",
             "synth_blue_inf", "synth_red_negative", "train_seed", "train_patience",
-            "finetune_seed", "sweep_seed", "gradcheck_seed"])
+            "train_lr_negative", "train_lr_nan", "train_momentum_3", "train_momentum_1",
+            "train_momentum_negative", "train_weight_decay_inf", "finetune_seed",
+            "finetune_lr_negative", "finetune_momentum_nan", "finetune_weight_decay_negative",
+            "sweep_seed", "sweep_lr_inf", "gradcheck_seed"])
     def test_exits_one_with_one_line(self, argv, message, dataset_dir, model_dir, tmp_path,
                                      capsys):
         out = tmp_path / "out"
@@ -244,7 +261,7 @@ class TestSeedsAndSynthValues:
             "synth": ["--out", str(out), "--count", "1", "--size", "8x8"],
             "train": ["--manifest", manifest, "--out-dir", str(out), *small],
             "finetune": ["--manifest", manifest, "--model", str(model_dir / "fold0.ccnn"),
-                         "--out", str(out), *small],
+                         "--out", str(out), "--epochs", "1"],
             "sweep": ["--manifest", manifest, "--parameter", "fc_units", "--values", "4",
                       "--out", str(out), *small],
             "gradcheck": [],
@@ -297,7 +314,7 @@ class TestEvaluateCommand:
         for threads in ("1", "2", "3"):
             assert run(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
                         "--algos", "cnn-median", "--model-dir", str(model_dir),
-                        "--patch-size", "16", "--threads", threads]) == 1
+                        "--threads", threads]) == 1
             lines[threads] = capsys.readouterr().err.strip().splitlines()
         assert lines["1"] == lines["2"] == lines["3"]
         assert len(lines["1"]) == 1 and "no fold-1 model" in lines["1"][0]
@@ -315,7 +332,7 @@ class TestEvaluateCommand:
             prefix = str(tmp_path / f"threads{threads}")
             assert run(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
                         "--algos", "DN,GW,WP,SoG,gGW,GE1,GE2,cnn-patch,cnn-average,cnn-median",
-                        "--model-dir", str(models), "--patch-size", "16",
+                        "--model-dir", str(models),
                         "--threads", threads, "--out-prefix", prefix]) == 0
             outputs[threads] = [open(prefix + suffix, "rb").read()
                                 for suffix in (".txt", ".csv", "_per_image.csv")]
@@ -379,6 +396,9 @@ MALFORMED_INPUTS = {
                                   "--model", "{tmp}/w.ccnn"], None, "FormatError"),
     "manifest_deeply_nested": (["evaluate", "--manifest", "{tmp}/m.json", "--algos", "DN"], None,
                                "FormatError"),
+    "weights_version_1": (CNN_ESTIMATE, None, "FormatError"),
+    "weights_header_no_pool_size": (CNN_ESTIMATE, None, "FormatError"),
+    "weights_pool_size_zero": (CNN_ESTIMATE, None, "FormatError"),
     "weights_dims_overflow_int64": (CNN_ESTIMATE, None, "FormatError"),
     "weights_conv_w_scalar": (CNN_ESTIMATE, None, "ShapeMismatchError"),
     "weights_fc_w_vector": (CNN_ESTIMATE, None, "ShapeMismatchError"),
@@ -433,6 +453,12 @@ MALFORMED_INPUTS = {
                                 "--out", "{tmp}/s.csv"],
                                '{"parameter": "epochs"}', "ParameterError"),
     "config_loss_gradcheck": (["gradcheck"], '{"loss": "huber"}', "ParameterError"),
+    # keys of options these commands no longer have
+    "config_patch_size_estimate": (["estimate", "--image", "{tmp}/missing.ppm"],
+                                   '{"patch_size": 16}', "ParameterError"),
+    "config_kernel_count_finetune": (["finetune", "--manifest", "{tmp}/missing.json", "--model",
+                                      "{tmp}/missing.ccnn", "--out", "{tmp}/t.ccnn"],
+                                     '{"kernel_count": 8}', "ParameterError"),
 }
 
 VALID_MANIFEST = (b'{"version": 1, "entries": [{"image_path": "a.ppm", '
@@ -443,6 +469,11 @@ TRUNCATED_PPM = b"P6\n8 8\n65535\n\x00\x01"
 # case -> the files, by name in the test's directory, that its argv reads
 MALFORMED_FILES = {
     "weights_header_truncated": {"w.ccnn": b"CCNN\x01"},
+    # the layout before the pool size field: magic, version 1, then the layers
+    "weights_version_1": {"w.ccnn": WEIGHTS_MAGIC + (1).to_bytes(4, "little")
+                          + tiny_weights()[12:]},
+    "weights_header_no_pool_size": {"w.ccnn": tiny_weights()[:8]},
+    "weights_pool_size_zero": {"w.ccnn": tiny_weights(pool_size=0)},
     "manifest_deeply_nested": {
         "m.json": b'{"version": 1, "entries": ' + b"[" * 100000 + b"]" * 100000 + b"}"},
     # 65536**4 is 2**64, which wraps to 0 in int64
@@ -512,12 +543,50 @@ class TestMalformedInput:
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == [f"error: ParameterError: {message}"]
 
+    def test_patch_sizes_checked_before_the_manifest_is_read(self, tmp_path, capsys):
+        # the manifest names a missing image, which would fail as well
+        (tmp_path / "m.json").write_bytes(VALID_MANIFEST.replace(b"a.ppm", b"missing.ppm"))
+        for name, size in (("small", 16), ("default", 32)):
+            (tmp_path / name).mkdir()
+            model = init_params(HyperParams(patch_size=size, kernel_count=2, fc_units=2), 0)
+            save_params(model, tmp_path / name / "fold0.ccnn")
+        assert run(["evaluate", "--manifest", str(tmp_path / "m.json"), "--algos",
+                    "cnn-median,cnn-finetuned", "--model-dir", str(tmp_path / "small"),
+                    "--finetuned-dir", str(tmp_path / "default")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: ParameterError: the cnn rows' models differ in patch size: "
+                         "16 px (--model-dir), 32 px (--finetuned-dir)"]
+
     def test_config_choice_error_names_key_and_choices(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"pooling": "bogus"}')
         assert run(["estimate", "--config", str(cfg)]) == 1
         assert ("config 'pooling' must be one of average, median, got 'bogus'"
                 in capsys.readouterr().err)
+
+
+# command -> the options it no longer has: a model's weights file holds its
+# patch size, and fine-tuning reads only the learning settings, epochs and seed
+REMOVED_OPTIONS = [
+    (command, option) for command in ("estimate", "correct", "local-map", "evaluate")
+    for option in ("--patch-size",)
+] + [("finetune", option) for option in (
+    "--patch-size", "--kernel-count", "--kernel-width", "--pool-size", "--fc-units",
+    "--batch-size", "--patience", "--patches-per-image")]
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("command, option", REMOVED_OPTIONS)
+    def test_is_an_argparse_error(self, command, option, capsys):
+        with pytest.raises(SystemExit) as info:
+            parse_args([command, option, "8"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option} 8" in capsys.readouterr().err
+
+    def test_finetune_declares_the_flags_fine_tune_reads(self):
+        options = set(built_in_options("finetune"))
+        assert options == {"manifest", "model", "out", "fold", "pooling", "learning_rate",
+                           "momentum", "weight_decay", "epochs", "seed"}
 
 
 class TestConfigFile:

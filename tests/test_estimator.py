@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from patchcc.estimator import (
 from patchcc.evaluation import angular_error, angular_error_many
 from patchcc.image import Illuminant, LinearImage, normalize
 from patchcc.localmap import estimate_local_map, filter_gaussian_3x3, filter_median_3x3
-from patchcc.network import PARAM_LAYERS, HyperParams, NetworkParams, forward, init_params
+from patchcc.network import PARAM_LAYERS, HyperParams, forward, init_params
 from patchcc.patches import ExclusionMask
 
 import oracles
@@ -71,7 +72,7 @@ class TestUnitEstimates:
         assert np.array_equal(units, oracle_units)
         assert batch.origins[keep].tolist() == [[0, 0]]
         assert batch.degenerate + (~keep).sum() == 1
-        pooled = estimate_image(bias_net(), img, patch_size=8)
+        pooled = estimate_image(bias_net(), img)
         assert np.array_equal(pooled.rgb, pool_median(oracle_units).rgb)
 
     def test_rectified_units_matches_loop_oracle(self):
@@ -82,9 +83,9 @@ class TestUnitEstimates:
             assert np.array_equal(got, want)
 
 
-def patch_units(params, img, patch_size):
+def patch_units(params, img):
     """The unit estimates that `estimate_image` pools for `img`."""
-    return unit_estimates(params, prepared_patches(img, patch_size))[1]
+    return unit_estimates(params, prepared_patches(img, params.patch_size))[1]
 
 
 class TestEstimatePatch:
@@ -92,19 +93,18 @@ class TestEstimatePatch:
 
     def test_bias_network_gives_neutral(self):
         img = textured_patch(np.random.default_rng(0), (0.5, 0.7, 0.3))
-        units = patch_units(bias_net(), img, 8)
+        units = patch_units(bias_net(), img)
         assert units.shape == (1, 3)
         assert np.allclose(units, 1 / np.sqrt(3), atol=1e-12)
-        assert np.allclose(estimate_image(bias_net(), img, patch_size=8).rgb, units[0],
-                           atol=1e-12)
+        assert np.allclose(estimate_image(bias_net(), img).rgb, units[0], atol=1e-12)
 
     def test_scale_of_prestretch_patch_is_absorbed(self):
         rng = np.random.default_rng(1)
         params = init_params(TOY, 2)
         raw = textured_patch(rng, (0.6, 0.5, 0.8))
         scaled = LinearImage(raw.data * 0.3)
-        a = patch_units(params, raw, 8)
-        b = patch_units(params, scaled, 8)
+        a = patch_units(params, raw)
+        b = patch_units(params, scaled)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_equals_normalized_forward(self):
@@ -113,7 +113,7 @@ class TestEstimatePatch:
         img = textured_patch(rng, (0.5, 0.5, 0.5))
         data = prepared_patches(img, 8).data
         oracle = normalize(forward(params, data[0]))
-        assert np.array_equal(patch_units(params, img, 8)[0], oracle.rgb)
+        assert np.array_equal(patch_units(params, img)[0], oracle.rgb)
         assert np.array_equal(forward(params, data)[0], [0.2, 0.4, 0.9])
 
     def test_degenerate_patch_rejected(self):
@@ -121,12 +121,12 @@ class TestEstimatePatch:
         with pytest.raises(EstimationImpossibleError):
             prepared_patches(flat, 8)
         with pytest.raises(EstimationImpossibleError):
-            estimate_image(bias_net(), flat, patch_size=8)
+            estimate_image(bias_net(), flat)
 
     def test_negative_output_rectified(self):
         img = textured_patch(np.random.default_rng(4), (0.5, 0.6, 0.7))
         params = bias_net((-0.5, 0.8, 0.6))
-        units = patch_units(params, img, 8)
+        units = patch_units(params, img)
         assert units[0, 0] == 0.0
         assert np.linalg.norm(units[0]) == pytest.approx(1.0, abs=1e-12)
         assert forward(params, prepared_patches(img, 8).data)[0, 0] == -0.5
@@ -136,7 +136,7 @@ class TestEstimatePatch:
         with pytest.raises(EstimationImpossibleError):
             rectified_units(np.array([[-1.0, -1.0, -1.0]]))
         with pytest.raises(EstimationImpossibleError):
-            estimate_image(bias_net((-1.0, -1.0, -1.0)), img, patch_size=8)
+            estimate_image(bias_net((-1.0, -1.0, -1.0)), img)
 
 
 class TestPooling:
@@ -195,16 +195,16 @@ class TestEstimateImage:
         texture = rng.uniform(0.3, 1.0, size=(32, 32))
         img = tiled_image(texture, (0.7, 0.5, 0.9))
         params = channel_max_net()
-        units = patch_units(params, img, 32)
+        units = patch_units(params, img)
         assert len(units) == 9
         assert np.allclose(units, units[0], atol=1e-12)
-        pooled = estimate_image(params, img, pooling="median", patch_size=32)
+        pooled = estimate_image(params, img, pooling="median")
         assert np.allclose(pooled.rgb, units[0], atol=1e-12)
 
     def test_patch_count_1200x800(self):
         rng = np.random.default_rng(10)
         img = LinearImage(rng.uniform(0.1, 1.0, size=(800, 1200, 3)))
-        params = bias_net((1, 1, 1), TOY)
+        params = bias_net((1, 1, 1), replace(TOY, patch_size=32, pool_size=16))
         batch = prepared_patches(img, 32)
         keep, units = unit_estimates(params, batch)
         assert units.shape == forward(params, batch.data).shape == (37 * 25, 3)
@@ -219,9 +219,9 @@ class TestEstimateImage:
         corrupted[32:64, 32:64, :] = texture[:, :, None] * np.array([0.05, 0.9, 0.1])
         corrupted = LinearImage(corrupted)
         params = channel_max_net()
-        clean_est = estimate_image(params, clean, "median", 32)
-        med = estimate_image(params, corrupted, "median", 32)
-        avg = estimate_image(params, corrupted, "average", 32)
+        clean_est = estimate_image(params, clean, "median")
+        med = estimate_image(params, corrupted, "median")
+        avg = estimate_image(params, corrupted, "average")
         assert angular_error(med, clean_est) < 0.5
         assert angular_error(avg, clean_est) > angular_error(med, clean_est)
 
@@ -230,8 +230,8 @@ class TestEstimateImage:
         img = LinearImage(rng.uniform(0, 1, (64, 64, 3)))
         params = init_params(HyperParams(patch_size=32, kernel_count=8, pool_size=8,
                                          fc_units=6), 1)
-        a = estimate_image(params, img, "median", 32)
-        b = estimate_image(params, img, "median", 32)
+        a = estimate_image(params, img, "median")
+        b = estimate_image(params, img, "median")
         assert isinstance(a, Illuminant) and np.array_equal(a.rgb, b.rgb)
         batch_a, batch_b = prepared_patches(img, 32), prepared_patches(img, 32)
         (keep_a, units_a), (keep_b, units_b) = (
@@ -242,14 +242,15 @@ class TestEstimateImage:
     def test_all_flat_image_impossible(self):
         img = LinearImage(np.full((64, 64, 3), 0.5))
         with pytest.raises(EstimationImpossibleError):
-            estimate_image(bias_net(), img, patch_size=32)
+            estimate_image(bias_net(), img)
 
     def test_degenerate_count_reported(self):
         rng = np.random.default_rng(13)
         data = rng.uniform(0.2, 0.8, (32, 64, 3))
         data[:, 32:, :] = 0.5  # right patch is flat
         batch = prepared_patches(LinearImage(data), 32)
-        keep, _ = unit_estimates(bias_net((1, 1, 1), TOY), batch)
+        params = bias_net((1, 1, 1), replace(TOY, patch_size=32, pool_size=16))
+        keep, _ = unit_estimates(params, batch)
         assert batch.degenerate + (~keep).sum() == 1
         assert batch.origins[keep].tolist() == [[0, 0]]
 
@@ -469,7 +470,7 @@ class TestFineTune:
             pooling="median", log=log,
         )
         logged = [r for r in log if "loss_deg" in r][0]["loss_deg"]
-        pooled = estimate_image(params, sample.image, "median", SMALL.patch_size)
+        pooled = estimate_image(params, sample.image, "median")
         reference = angular_error(pooled, sample.illuminant)
         assert logged == pytest.approx(reference, abs=1e-9)
 
@@ -564,6 +565,23 @@ class TestFineTune:
         narrowed = fine_tune(init_params(SMALL, 16), samples, replace(frozen, dtype="float32"))
         assert narrowed.dtype == np.float32
 
+    def test_patches_at_the_models_size_and_pool_kept(self, monkeypatch):
+        """The patch size comes from the model, not from `hyper` (TOY's is
+        8), and the tuned model keeps the pool size."""
+        samples = make_synthetic_samples(count=2, size=48, seed=17)
+        params = replace(init_params(SMALL, 18), out_b=np.array([0.4, 0.5, 0.45]))
+        sizes = []
+
+        def recorded(img, size, *args, **kwargs):
+            sizes.append(size)
+            return prepared_patches(img, size, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "prepared_patches", recorded)
+        tuned = fine_tune(params, samples[:1], replace(TOY, learning_rate=1e-4, epochs=1),
+                          val_dataset=samples[1:])
+        assert sizes == [SMALL.patch_size] * 2
+        assert (tuned.pool_size, tuned.patch_size) == (SMALL.pool_size, SMALL.patch_size)
+
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_batches_held_in_hyper_dtype(self, dtype, monkeypatch):
@@ -595,7 +613,7 @@ def float32_model_and_widened_copy(seed):
 
     p32 = init_params(replace(SMALL, dtype="float32"), seed)
     p32 = replace(p32, out_b=np.array([0.4, 0.5, 0.45], dtype=np.float32))
-    p64 = NetworkParams(**{name: getattr(p32, name).astype(np.float64) for name in PARAM_LAYERS})
+    p64 = replace(p32, **{name: getattr(p32, name).astype(np.float64) for name in PARAM_LAYERS})
     assert p32.dtype == np.float32 and p64.dtype == np.float64
     return p32, p64
 
@@ -636,8 +654,8 @@ class TestWeightsPrecision:
         p32, p64 = float32_model_and_widened_copy(seed)
         img = make_synthetic_samples(count=1, size=144, seed=seed)[0].image
         for pooling in POOLINGS:
-            e32 = estimate_image(p32, img, pooling, SMALL.patch_size)
-            e64 = estimate_image(p64, img, pooling, SMALL.patch_size)
+            e32 = estimate_image(p32, img, pooling)
+            e64 = estimate_image(p64, img, pooling)
             assert angular_error(e32, e64) < 0.01
         batch = prepared_patches(img, SMALL.patch_size)
         keep32, units32 = unit_estimates(p32, batch)
@@ -649,8 +667,8 @@ class TestWeightsPrecision:
         assert not np.array_equal(units32, units64)
         full = prepared_patches(img, SMALL.patch_size, resize_target=None)
         assert np.array_equal(unit_estimates(p32, full)[0], unit_estimates(p64, full)[0])
-        m32 = estimate_local_map(p32, img, SMALL.patch_size)
-        m64 = estimate_local_map(p64, img, SMALL.patch_size)
+        m32 = estimate_local_map(p32, img)
+        m64 = estimate_local_map(p64, img)
         for smooth in (lambda m: m, filter_median_3x3, filter_gaussian_3x3):
             a, b = smooth(m32).estimates, smooth(m64).estimates
             assert np.max(angular_error_many(a.reshape(-1, 3), b.reshape(-1, 3))) < 0.01
@@ -664,5 +682,5 @@ class TestWeightsPrecision:
         assert seen == [(np.float32,) * 3]
         assert all(getattr(grads, name).dtype == np.float32 for name in PARAM_LAYERS)
         # the loss is the angular error of the float64 estimate `estimate_image` pools
-        pooled = estimate_image(p32, sample.image, "median", SMALL.patch_size)
+        pooled = estimate_image(p32, sample.image, "median")
         assert np.degrees(loss) == pytest.approx(angular_error(pooled, sample.illuminant), abs=1e-9)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from patchcc.localmap import (
     save_map_ppm,
 )
 from patchcc.image import load_ppm16
-from patchcc.network import HyperParams, NetworkParams, forward, init_params
+from patchcc.network import HyperParams, forward, init_params
 
 import oracles
 from helpers import BOUNDARY_ROW, bias_net, channel_max_net, tiled_image
@@ -60,7 +62,7 @@ class TestEstimateLocalMap:
         rng = np.random.default_rng(0)
         texture = rng.uniform(0.3, 1.0, size=(32, 32))
         img = tiled_image(texture, (0.6, 0.8, 0.4), tiles=(2, 4))
-        m = estimate_local_map(channel_max_net(), img, 32)
+        m = estimate_local_map(channel_max_net(), img)
         assert (m.grid_h, m.grid_w) == (2, 4)
         first = m.estimates[0, 0]
         assert np.allclose(m.estimates, first[None, None, :], atol=1e-12)
@@ -68,14 +70,14 @@ class TestEstimateLocalMap:
     def test_grid_shape(self):
         rng = np.random.default_rng(1)
         img = LinearImage(rng.uniform(0.1, 1.0, size=(160, 320, 3)))
-        m = estimate_local_map(channel_max_net(), img, 32)
-        assert (m.grid_w, m.grid_h) == (10, 5)
+        m = estimate_local_map(channel_max_net(), img)
+        assert (m.grid_w, m.grid_h, m.patch_size) == (10, 5, 32)
 
     def test_degenerate_cell_borrows_nearest(self):
         rng = np.random.default_rng(2)
         data = rng.uniform(0.2, 0.9, size=(32, 96, 3))
         data[:, 32:64, :] = 0.5  # middle patch flat
-        m = estimate_local_map(channel_max_net(), LinearImage(data), 32)
+        m = estimate_local_map(channel_max_net(), LinearImage(data))
         # nearest non-degenerate neighbors are (0,0) and (2,0); tie prefers left
         assert np.array_equal(m.estimates[0, 1], m.estimates[0, 0])
 
@@ -88,7 +90,8 @@ class TestEstimateLocalMap:
         flat[rng.integers(gh), rng.integers(gw)] = False
         for gy, gx in zip(*np.nonzero(flat)):
             data[4 * gy : 4 * gy + 4, 4 * gx : 4 * gx + 4] = 0.5
-        m = estimate_local_map(channel_max_net(4, 2), LinearImage(data), 4)
+        m = estimate_local_map(channel_max_net(4, 2), LinearImage(data))
+        assert (m.patch_size, m.grid_h, m.grid_w) == (4, gh, gw)
         nearest = oracles.loop_nearest_filled(~flat)
         assert len(nearest) == flat.sum()
         for cell, source in nearest.items():
@@ -97,15 +100,15 @@ class TestEstimateLocalMap:
     def test_all_degenerate_rejected(self):
         img = LinearImage(np.full((64, 64, 3), 0.3))
         with pytest.raises(EstimationImpossibleError):
-            estimate_local_map(channel_max_net(), img, 32)
+            estimate_local_map(channel_max_net(), img)
 
     def test_direction_free_cells_borrow_nearest(self):
         # an untrained net whose output has no positive component on most
         # cells; estimate_image drops those rows, the map fills those cells
         params = init_params(HyperParams(patch_size=16, pool_size=4, kernel_count=8, fc_units=4), 10)
         img = LinearImage(np.random.default_rng(3).uniform(0.05, 1, (149, 215, 3)))
-        estimate_image(params, img, "average", 16)
-        m = estimate_local_map(params, img, 16)
+        estimate_image(params, img, "average")
+        m = estimate_local_map(params, img)
         batch = prepared_patches(img, 16, resize_target=None)
         raw = forward(params, batch.data)
         usable = np.zeros((m.grid_h, m.grid_w), dtype=bool)
@@ -121,7 +124,7 @@ class TestEstimateLocalMap:
         raw = np.array([[0.2, 0.4, 0.9], BOUNDARY_ROW])
         monkeypatch.setattr(estimator, "forward", lambda params, x: raw.copy())
         img = LinearImage(np.random.default_rng(5).uniform(0.1, 1.0, (8, 16, 3)))
-        m = estimate_local_map(bias_net(), img, 8)
+        m = estimate_local_map(bias_net(), img)
         _, _, units = oracles.loop_rectified_units(raw)
         assert m.estimates.shape == (1, 2, 3)
         assert np.array_equal(m.estimates[0, 0], units[0])
@@ -129,11 +132,10 @@ class TestEstimateLocalMap:
 
     def test_all_direction_free_rejected(self):
         net = channel_max_net()
-        net = NetworkParams(conv_w=net.conv_w, conv_b=net.conv_b, fc_w=net.fc_w, fc_b=net.fc_b,
-                            out_w=-net.out_w, out_b=net.out_b)
+        net = replace(net, out_w=-net.out_w)
         img = LinearImage(np.random.default_rng(4).uniform(0.1, 1.0, (64, 64, 3)))
         with pytest.raises(EstimationImpossibleError):
-            estimate_local_map(net, img, 32)
+            estimate_local_map(net, img)
 
 
 class TestFilters:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import struct
 import sys
 import tempfile
 import threading
@@ -29,6 +30,7 @@ from patchcc.network import (
     FUSED_BLOCK_BYTES,
     PARAM_LAYERS,
     WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
     HyperParams,
     NetworkGrads,
     NetworkParams,
@@ -318,7 +320,7 @@ def fused_operands(x, w, b, pool):
     k, g, f32 = w.shape[0], x.shape[1] // pool, np.float32
     params = NetworkParams(conv_w=w, conv_b=b, fc_w=np.zeros((1, g * g * k), f32),
                            fc_b=np.zeros(1, f32), out_w=np.zeros((3, 1), f32),
-                           out_b=np.ones(3, f32))
+                           out_b=np.ones(3, f32), pool_size=pool)
     seen = []
 
     def record(*args, **kwargs):
@@ -722,6 +724,7 @@ class TestFullForward:
             conv_w=np.zeros_like(params.conv_w), conv_b=np.zeros_like(params.conv_b),
             fc_w=np.zeros_like(params.fc_w), fc_b=np.zeros_like(params.fc_b),
             out_w=np.zeros_like(params.out_w), out_b=np.array([0.5, 0.5, 0.5]),
+            pool_size=params.pool_size,
         )
         assert np.allclose(forward(params, np.zeros((8, 8, 3))), 0.5)
 
@@ -738,7 +741,8 @@ class TestFullForward:
         fc_w = params.fc_w.reshape(TOY.fc_units, g * g, TOY.kernel_count)[:, :, perm] \
             .reshape(TOY.fc_units, -1)
         swapped = NetworkParams(conv_w=conv_w, conv_b=conv_b, fc_w=fc_w,
-                                fc_b=params.fc_b, out_w=params.out_w, out_b=params.out_b)
+                                fc_b=params.fc_b, out_w=params.out_w, out_b=params.out_b,
+                                pool_size=params.pool_size)
         assert np.max(np.abs(forward(swapped, patch) - base)) < 1e-12
 
     def test_batch_matches_single(self):
@@ -749,10 +753,17 @@ class TestFullForward:
         singles = np.stack([forward(params, b) for b in batch])
         assert np.allclose(batched, singles, atol=1e-12)
 
-    def test_wrong_patch_side_rejected(self):
-        # toy weights imply a pooled side of 2; 9 is not a multiple of it
+    @pytest.mark.parametrize("run", [forward, forward_cache], ids=["forward", "forward_cache"])
+    @pytest.mark.parametrize("side", [4, 9, 16])
+    def test_wrong_patch_side_rejected(self, run, side):
+        # toy weights read 8-px patches (a pooled side of 2 and a pool of 4);
+        # 4 and 16 are multiples of the pooled side and are rejected too
+        params = toy_params()
+        assert params.patch_size == 8
+        with pytest.raises(ShapeMismatchError, match=f"patch side {side} is not"):
+            run(params, np.zeros((2, side, side, 3)))
         with pytest.raises(ShapeMismatchError):
-            forward(toy_params(), np.zeros((9, 9, 3)))
+            run(params, np.zeros((side, side, 3)))
 
     def test_wide_kernel_network_gradcheck(self):
         # the kernel-width sweep trains k x k convolutions; check the whole
@@ -799,7 +810,7 @@ class TestFullForward:
     def test_float32_wide_kernel_network_computes_in_float32(self):
         hyper = replace(SMALL, kernel_width=3, dtype="float32")
         p32 = replace(init_params(hyper, 34), out_b=np.array([0.4, 0.5, 0.45], dtype=np.float32))
-        p64 = NetworkParams(**{n: getattr(p32, n).astype(np.float64) for n in PARAM_LAYERS})
+        p64 = replace(p32, **{n: getattr(p32, n).astype(np.float64) for n in PARAM_LAYERS})
         x = np.random.default_rng(35).uniform(0, 1, (20, 16, 16, 3))
         conv_out, _ = conv_forward(x.astype(np.float32), p32.conv_w, p32.conv_b)
         assert conv_out.dtype == np.float32
@@ -842,9 +853,20 @@ class TestFullForward:
             "zero_fc_width", "zero_fc_units"])
     def test_misshapen_params_rejected(self, shapes):
         arrays = {name: np.zeros(shapes.get(name, dims)) for name, dims in TINY_SHAPES.items()}
-        NetworkParams(**{name: np.zeros(dims) for name, dims in TINY_SHAPES.items()})
+        NetworkParams(**{name: np.zeros(dims) for name, dims in TINY_SHAPES.items()}, pool_size=1)
         with pytest.raises(ShapeMismatchError):
-            NetworkParams(**arrays)
+            NetworkParams(**arrays, pool_size=1)
+
+    @pytest.mark.parametrize("pool_size", [0, -1, 2.0, None])
+    def test_pool_size_must_be_a_positive_integer(self, pool_size):
+        with pytest.raises(ParameterError, match="pool_size must be an integer >= 1"):
+            replace(toy_params(), pool_size=pool_size)
+
+    def test_patch_size_is_pooled_side_times_pool_size(self):
+        hyper = HyperParams(patch_size=24, kernel_count=2, pool_size=3, fc_units=2)
+        params = init_params(hyper, 0)
+        assert (params.pooled_side, params.pool_size, params.patch_size) == (8, 3, 24)
+        assert replace(params, pool_size=5).patch_size == 40
 
 
 class TestLosses:
@@ -1061,7 +1083,7 @@ def weights_files(draw):
         return weights_bytes([
             (dims, np.array(draw(st.lists(FLOAT32, min_size=n, max_size=n)), "<f4").tobytes())
             for dims, n in zip(shapes, sizes)
-        ]), True
+        ], draw(st.integers(1, 2**32 - 1))), True
     if kind == "layers":
         layers = []
         for name in PARAM_LAYERS[: draw(st.integers(0, len(PARAM_LAYERS)))]:
@@ -1070,7 +1092,7 @@ def weights_files(draw):
             layers.append((dims, draw(st.binary(max_size=64)
                                       | st.just(bytes(4 * n) if n <= 1 << 10 else b""))))
         return weights_bytes(layers) + draw(st.binary(max_size=4)), False
-    header = draw(st.sampled_from([b"", WEIGHTS_MAGIC, weights_bytes([])]))
+    header = draw(st.sampled_from([b"", WEIGHTS_MAGIC, weights_bytes([])[:8], weights_bytes([])]))
     return header + draw(st.binary(max_size=64)), False
 
 
@@ -1097,7 +1119,7 @@ class TestWeightsFile:
         blob = path.read_bytes()
         back = load_params(path)
         assert back.dtype == np.float32
-        pos = 8
+        pos = 12
         for name in PARAM_LAYERS:
             arr = getattr(back, name)
             assert arr.dtype == np.float32
@@ -1105,6 +1127,30 @@ class TestWeightsFile:
             assert arr.astype("<f4").tobytes() == blob[pos : pos + 4 * arr.size]
             pos += 4 * arr.size
         assert pos == len(blob)
+
+    @pytest.mark.parametrize("hyper", [TOY, SMALL, HyperParams(kernel_count=2, fc_units=2)],
+                             ids=["toy", "small", "default"])
+    def test_pool_size_and_patch_size_survive(self, tmp_path, hyper):
+        params = init_params(hyper, 17)
+        path = tmp_path / "p.ccnn"
+        save_params(params, path)
+        back = load_params(path)
+        assert (back.pool_size, back.patch_size) == (hyper.pool_size, hyper.patch_size)
+        assert path.read_bytes()[4:12] == struct.pack("<II", WEIGHTS_VERSION, hyper.pool_size)
+
+    @pytest.mark.parametrize("blob, message, offset", [
+        (WEIGHTS_MAGIC + struct.pack("<I", 1) + tiny_weights()[12:],
+         "unsupported weights version 1", 4),
+        (tiny_weights()[:8], "no pool size field", 8),
+        (tiny_weights()[:10], "no pool size field", 8),
+        (tiny_weights(pool_size=0), "pool size is 0", 8),
+    ], ids=["version_1", "no_pool_field", "pool_field_cut", "pool_zero"])
+    def test_header_faults_at_their_offset(self, tmp_path, blob, message, offset):
+        path = tmp_path / "h.ccnn"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=message) as info:
+            load_params(path)
+        assert info.value.offset == offset
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ccnn"
