@@ -42,14 +42,12 @@ def vector_norms(v) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Illuminant:
-    """An RGB light color, nonnegative with at least one positive component.
-
-    `normalized` marks vectors of unit Euclidean length; estimation targets
-    are always normalized since the illuminant is only recoverable up to scale.
+    """An RGB light color of unit Euclidean length, nonnegative with at
+    least one positive component: the illuminant is only recoverable up to
+    scale. `normalize` makes one from any nonnegative, nonzero 3-vector.
     """
 
     rgb: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         rgb = np.asarray(self.rgb, dtype=np.float64).reshape(3).copy()
@@ -60,14 +58,14 @@ class Illuminant:
         if not np.any(rgb > 0):
             raise InvalidIlluminantError("illuminant is the zero vector")
         norm = vector_norms(rgb)
-        if self.normalized and abs(norm - 1.0) > 1e-9:
-            raise InvalidIlluminantError(f"illuminant tagged normalized but |v|={norm}")
+        if abs(norm - 1.0) > 1e-9:
+            raise InvalidIlluminantError(f"illuminant is not of unit length: |v|={norm}")
         rgb.setflags(write=False)
         object.__setattr__(self, "rgb", rgb)
 
     def __repr__(self):
         r, g, b = self.rgb
-        return f"Illuminant({r:.6f}, {g:.6f}, {b:.6f}, normalized={self.normalized})"
+        return f"Illuminant({r:.6f}, {g:.6f}, {b:.6f})"
 
 
 def normalize(v) -> Illuminant:
@@ -82,7 +80,7 @@ def normalize(v) -> Illuminant:
     norm = float(vector_norms(arr))
     if norm == 0.0:
         raise InvalidIlluminantError("cannot normalize the zero vector")
-    return Illuminant(arr / norm, normalized=True)
+    return Illuminant(arr / norm)
 
 
 def neutral_illuminant() -> Illuminant:
@@ -130,13 +128,11 @@ class LinearImage:
 
 
 def cast_illuminant(img: LinearImage, ill: Illuminant) -> LinearImage:
-    """Multiply each pixel channel-wise by a normalized illuminant.
+    """Multiply each pixel channel-wise by an illuminant.
 
     Synthesis inverse of `correct_von_kries`; used to build ground-truth
     scenes with a known light color.
     """
-    if not ill.normalized:
-        raise InvalidIlluminantError("cast_illuminant requires a normalized illuminant")
     return LinearImage(img.data * ill.rgb[None, None, :])
 
 
@@ -164,8 +160,6 @@ def compose_two_illuminants(
     """
     if img.width < 2:
         raise ImageTooSmallError("two-illuminant composition needs width >= 2")
-    if not (left.normalized and right.normalized):
-        raise InvalidIlluminantError("both illuminants must be normalized")
     split = img.width // 2
     out = np.empty_like(img.data)
     out[:, :split, :] = img.data[:, :split, :] * left.rgb[None, None, :]

@@ -3,7 +3,9 @@
 Architecture: a convolution over RGB (1x1 kernels by default, k x k with zero
 same-padding for the width sweep), max pooling, one fully connected ReLU
 layer, and a linear 3-output regression head. Everything is plain numpy with
-exact analytic gradients, checked against central finite differences.
+exact analytic gradients, checked against central finite differences. The
+network (`forward`, `forward_cache`, `backward`) takes (B, S, S, 3) batches
+only; a lone patch is a batch of one.
 
 The weights hold one dtype, float32 or float64 (`NetworkParams.dtype`), and
 weights files store float32, which `load_params` keeps. The network computes
@@ -19,9 +21,13 @@ Layer inputs may carry a leading batch axis; channels are always the last
 axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
 
-Networks with 1x1 kernels run the convolution and the max pooling as one
-fused layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`), in one
-layout for training and inference. It copies the input pixel-outer, with the
+Every network runs the convolution and the max pooling as one fused 1x1
+layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`), in one layout for
+training and inference and for every kernel width. A k x k convolution is a
+1x1 one over each pixel's taps: the network first gathers each pixel's zero
+same-padded kw x kw x 3 neighbourhood as kw*kw*3 channels, in the weights'
+(dy, dx, c) order, and views the kernels as (K, 1, 1, kw*kw*3); 1x1 kernels
+take the pixels as they are. The layer copies the input pixel-outer, with the
 pixels of a pool window on the leading axis, and takes a few pool windows at
 a time, so their responses stay in cache and no full-size response array is
 built; the max over the pixel axis goes straight into the pooled output.
@@ -33,9 +39,9 @@ and the argmax must see those ties. Inference needs only the values, so it
 adds the bias once to the pooled maxima: rounding is monotone, so
 max_p fl(a_p + b) = fl(max_p a_p + b) and the result is bit for bit the same.
 The reference layers `conv_forward`, `maxpool_forward`, `maxpool_backward`
-and `conv_backward` take one loop over the kernel taps for every width.
-They run the wider kernels (k x k, for the width sweep) and are the tests'
-reference for the fused layer.
+and `conv_backward` take one loop over the kernel taps for every width. The
+network does not run them; they are the tests' reference for the fused
+layer, at every width.
 
 The package has one thread pool, of one thread fewer than the CPUs this
 process may run on (`usable_cpus`), used through `spread(fn, items, width)`:
@@ -104,6 +110,8 @@ class HyperParams:
 
     `patch_size` must be divisible by `pool_size`; the pooled grid side is
     G = patch_size / pool_size and the FC input is G*G*kernel_count wide.
+    Every `kernel_width` runs the one fused conv-pool layer over each
+    pixel's kernel_width^2 * 3 taps; training feeds batches of `batch_size`.
     The learning rate and weight decay must be finite and >= 0, and the
     momentum in [0, 1).
     """
@@ -336,16 +344,18 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
                          need_cache: bool = True):
     """1x1 convolution and pool x pool max pooling in one layer.
 
-    x: (..., S, S, 3), w: (K, 1, 1, 3), b: (K,) -> (..., S/pool, S/pool, K),
+    x: (..., S, S, C), w: (K, 1, 1, C), b: (K,) -> (..., S/pool, S/pool, K),
     the values and argmax of `maxpool_forward(conv_forward(x, w, b)[0], pool)`.
-    x, w and b share one dtype, which the layer computes and returns in; a
-    mixed call raises `ParameterError`. Each response is the 3-term dot
-    product of `conv_forward`, by the same kind of BLAS call (gemv when
-    K = 1, gemm otherwise); the kernel OpenBLAS then runs can still depend
-    on the matrix size, so inexact sums may differ from the reference layers
-    in the last bit.
+    The network passes C = 3 for 1x1 kernels and each pixel's kw*kw*3 taps
+    for k x k ones. x, w and b share one dtype, which the layer computes
+    and returns in; a mixed call raises `ParameterError`. Each response is
+    one C-term dot product, by the same kind of BLAS call as `conv_forward`
+    (gemv when K = 1, gemm otherwise); the kernel OpenBLAS then runs can
+    depend on the matrix size, and `conv_forward` sums a k x k kernel tap by
+    tap, so inexact sums may differ from the reference layers in the last
+    bits.
 
-    The input is copied once pixel-outer, xp (pool*pool, windows, 3), and
+    The input is copied once pixel-outer, xp (pool*pool, windows, C), and
     the windows are taken FUSED_BLOCK_BYTES of responses at a time: a block
     of s windows gives the responses xp_block @ W^T as (pool*pool, s, K),
     and their max over the pixel axis goes straight into the pooled output.
@@ -368,7 +378,8 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     if not x.dtype == w.dtype == b.dtype:
         raise ParameterError(
             f"conv1x1 dtypes differ: x {x.dtype}, w {w.dtype}, b {b.dtype}")
-    if x.shape[-1] != 3 or w.shape[1:] != (1, 1, 3) or b.shape != (w.shape[0],):
+    c = x.shape[-1]
+    if w.shape[1:] != (1, 1, c) or b.shape != (w.shape[0],):
         raise ShapeMismatchError(f"conv1x1 shapes inconsistent: x{x.shape} w{w.shape} b{b.shape}")
     s1, s2 = x.shape[-3], x.shape[-2]
     if s1 != s2 or s1 % pool != 0:
@@ -381,7 +392,7 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     wt = w[:, 0, 0, :].T
     step = max(1, FUSED_BLOCK_BYTES // (p2 * k * x.itemsize))
     axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 4)
-    xp = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(p2, -1, 3)
+    xp = x.reshape(*lead, g, pool, g, pool, c).transpose(axes).reshape(p2, -1, c)
     n = xp.shape[1]
     out = np.empty((n, k), dtype=x.dtype)
     resp_buf = np.empty((p2, min(n, step), k), x.dtype)
@@ -420,10 +431,10 @@ def conv1x1_pool_backward(grad_out: np.ndarray, cache):
     """Weight and bias gradients of `conv1x1_pool_forward`.
 
     Only the argmax pixel of each pool window gets a gradient, so this
-    gathers those pixels' RGB from the pixel-outer cache, xp[idx, window],
-    as (windows, K, 3) in window order, and builds no full-resolution map.
-    Returns (grad_w (K, 1, 1, 3), grad_b (K,)); the network needs no
-    gradient with respect to its input.
+    gathers those pixels' C channels from the pixel-outer cache,
+    xp[idx, window], as (windows, K, C) in window order, and builds no
+    full-resolution map. Returns (grad_w (K, 1, 1, C), grad_b (K,)); the
+    network needs no gradient with respect to its input.
     """
     xp, idx = cache
     k = idx.shape[-1]
@@ -540,28 +551,34 @@ def spread(fn, items, width: int | None = None) -> list:
     return [done[i % width][0][i // width] for i in range(len(items))]
 
 
+def _taps(x: np.ndarray, kw: int) -> np.ndarray:
+    """Each pixel's zero same-padded kw x kw x 3 taps, (B, S, S, kw*kw*3) in
+    the weights' (dy, dx, c) order; the pixels themselves when kw = 1."""
+    if kw == 1:
+        return x
+    lo, hi = _conv_pads(kw)
+    xpad = np.pad(x, [(0, 0), (lo, hi), (lo, hi), (0, 0)])
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, (kw, kw), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(x.shape[:3] + (kw * kw * 3,))
+
+
 def _conv_pool(params: NetworkParams, x: np.ndarray, need_cache: bool):
     """Cast (B, S, S, 3) patches, S the model's `patch_size`, to the
-    weights' dtype and run the convolution and max pooling: (pooled
-    (B, G, G, K), conv cache, pool cache)."""
+    weights' dtype and run the convolution and max pooling as the fused
+    layer over each pixel's taps: (pooled (B, G, G, K), its cache)."""
     x = np.asarray(x, dtype=params.dtype)
     if x.ndim != 4 or x.shape[-1] != 3 or x.shape[1] != x.shape[2]:
-        raise ShapeMismatchError(f"expected (B, S, S, 3) or (S, S, 3) patches, got {x.shape}")
+        raise ShapeMismatchError(f"expected (B, S, S, 3) patches, got {x.shape}")
     if x.shape[1] != params.patch_size:
         raise ShapeMismatchError(
             f"patch side {x.shape[1]} is not the model's patch size {params.patch_size}")
-    pool = params.pool_size
-    if params.kernel_width == 1:
-        pool_out, conv_cache = conv1x1_pool_forward(
-            x, params.conv_w, params.conv_b, pool, need_cache=need_cache)
-        return pool_out, conv_cache, None
-    conv_out, conv_cache = conv_forward(x, params.conv_w, params.conv_b)
-    pool_out, pool_cache = maxpool_forward(conv_out, pool, need_cache=need_cache)
-    return pool_out, conv_cache, pool_cache
+    taps = _taps(x, params.kernel_width)
+    w = params.conv_w.reshape(params.kernel_count, 1, 1, taps.shape[-1])
+    return conv1x1_pool_forward(taps, w, params.conv_b, params.pool_size, need_cache=need_cache)
 
 
 def _pooled(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """The pooled maps of `_conv_pool` for inference, without its caches."""
+    """The pooled maps of `_conv_pool` for inference, without its cache."""
     return _conv_pool(params, x, need_cache=False)[0]
 
 
@@ -577,16 +594,16 @@ def _head(params: NetworkParams, pool_out: np.ndarray):
 
 
 def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
-    """Raw (unnormalized) illuminant estimate for one patch or a batch of
-    side `params.patch_size`, in the dtype of the weights, to which each
-    chunk of patches is cast.
+    """Raw (unnormalized) illuminant estimates (B, 3) for a (B, S, S, 3)
+    batch of side `params.patch_size`, in the dtype of the weights, to which
+    each chunk of patches is cast. A lone patch is a batch of one.
 
-    Large batches are processed `FORWARD_CHUNK` patches at a time. For 1x1
-    kernels the chunk bounds only the pixel-outer copy of the input and the
-    FC layer's input, since the fused layer reduces its responses a
-    cache-sized block at a time; for wider kernels it also bounds the
-    full-resolution convolution output. The chunk size is a constant because
-    it fixes the FC layer's matrix shapes, and so the last bit of its sums.
+    Large batches are processed `FORWARD_CHUNK` patches at a time. The chunk
+    bounds only the copies of the input (for k x k kernels, the taps and
+    their pixel-outer copy) and the FC layer's input, since the fused layer
+    reduces its responses a cache-sized block at a time. The chunk size is a
+    constant because it fixes the FC layer's matrix shapes, and so the last
+    bit of its sums.
 
     The chunks are independent, so their casts and conv-pool stages go
     through `spread` in `usable_cpus` lanes: the calling thread takes every
@@ -602,8 +619,6 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     chunk are held until the heads run.
     """
     patch = np.asarray(patch)
-    if patch.ndim == 3:
-        return forward(params, patch[None])[0]
     if patch.ndim != 4 or patch.shape[0] <= FORWARD_CHUNK:
         return _head(params, _pooled(params, patch))[0]
     chunks = [patch[i : i + FORWARD_CHUNK] for i in range(0, patch.shape[0], FORWARD_CHUNK)]
@@ -612,39 +627,22 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
 
 
 def forward_cache(params: NetworkParams, patch: np.ndarray):
-    """Forward pass keeping the intermediates needed by `backward`; the
-    patches are cast to the weights' dtype, as in `forward`."""
-    patch = np.asarray(patch)
-    single = patch.ndim == 3
-    pool_out, conv_cache, pool_cache = _conv_pool(
-        params, patch[None] if single else patch, need_cache=True)
+    """Forward pass over a (B, S, S, 3) batch keeping the intermediates
+    needed by `backward`; the patches are cast to the weights' dtype, as in
+    `forward`."""
+    pool_out, conv_cache = _conv_pool(params, patch, need_cache=True)
     est, fc_cache, out_cache = _head(params, pool_out)
-    cache = {
-        "single": single,
-        "conv": conv_cache,
-        "pool": pool_cache,
-        "pool_shape": pool_out.shape,
-        "fc": fc_cache,
-        "out": out_cache,
-    }
-    return est[0] if single else est, cache
+    return est, (conv_cache, pool_out.shape, fc_cache, out_cache)
 
 
 def backward(params: NetworkParams, cache, grad_est: np.ndarray) -> NetworkGrads:
-    """Analytic parameter gradients given d(loss)/d(raw estimate)."""
-    grad_est = np.asarray(grad_est)
-    if cache["single"]:
-        grad_est = grad_est[None]
-    grad_fc_out, grad_out_w, grad_out_b = linear_backward(grad_est, cache["out"])
-    grad_flat, grad_fc_w, grad_fc_b = fc_relu_backward(grad_fc_out, cache["fc"])
-    grad_pool = grad_flat.reshape(cache["pool_shape"])
-    if params.kernel_width == 1:
-        grad_conv_w, grad_conv_b = conv1x1_pool_backward(grad_pool, cache["conv"])
-    else:
-        grad_conv = maxpool_backward(grad_pool, cache["pool"])
-        _, grad_conv_w, grad_conv_b = conv_backward(grad_conv, cache["conv"])
+    """Analytic parameter gradients given d(loss)/d(raw estimates), (B, 3)."""
+    conv_cache, pool_shape, fc_cache, out_cache = cache
+    grad_fc_out, grad_out_w, grad_out_b = linear_backward(grad_est, out_cache)
+    grad_flat, grad_fc_w, grad_fc_b = fc_relu_backward(grad_fc_out, fc_cache)
+    grad_conv_w, grad_conv_b = conv1x1_pool_backward(grad_flat.reshape(pool_shape), conv_cache)
     return NetworkGrads(
-        conv_w=grad_conv_w, conv_b=grad_conv_b,
+        conv_w=grad_conv_w.reshape(params.conv_w.shape), conv_b=grad_conv_b,
         fc_w=grad_fc_w, fc_b=grad_fc_b,
         out_w=grad_out_w, out_b=grad_out_b,
     )
@@ -758,11 +756,12 @@ def _loss_fn(loss_kind: str):
 
 
 def analytic_param_grads(params: NetworkParams, patch: np.ndarray, gt, loss_kind: str):
-    """Loss value and full analytic parameter gradients for one patch."""
+    """Loss value and full analytic parameter gradients for one (S, S, 3)
+    patch."""
     loss = _loss_fn(loss_kind)
-    est, cache = forward_cache(params, patch)
-    value, grad_est = loss(est, gt)
-    return value, backward(params, cache, grad_est)
+    est, cache = forward_cache(params, patch[None])
+    value, grad_est = loss(est[0], gt)
+    return value, backward(params, cache, grad_est[None])
 
 
 def gradient_check(
@@ -789,7 +788,7 @@ def gradient_check(
         bumped = values[layer].copy()
         bumped[idx] += delta
         p = replace(params, **{layer: bumped})
-        return loss(forward(p, patch), gt)[0]
+        return loss(forward(p, patch[None])[0], gt)[0]
 
     for name in PARAM_LAYERS:
         worst = 0.0

@@ -18,7 +18,7 @@ from patchcc.errors import PipelineError
 from patchcc.image import LinearImage, load_ppm16, save_ppm16, normalize
 from patchcc.network import WEIGHTS_MAGIC, HyperParams, init_params, save_params
 
-from helpers import JSON_VALUES, tiny_weights
+from helpers import JSON_VALUES, bias_net, textured_patch, tiny_weights
 
 
 def run(args):
@@ -126,6 +126,23 @@ class TestCorrectCommand:
         dst = tmp_path / "out.ppm"
         assert run(["correct", "--image", str(src), "--out", str(dst), "--ill", "1,1,1"]) == 0
         assert capsys.readouterr().out == f"{dst} written (saturated values: 4)\n"
+
+    def test_cnn_estimate_with_a_zero_channel_exits_one(self, tmp_path, capsys):
+        # von Kries correction divides by every channel, so an estimate with a
+        # zero channel, which `estimate` prints, cannot be applied
+        save_params(bias_net((0, 1, 0)), tmp_path / "m.ccnn")
+        src, dst = tmp_path / "in.ppm", tmp_path / "out.ppm"
+        save_ppm16(textured_patch(np.random.default_rng(4), (0.5, 0.6, 0.7)), src)
+        argv = ["--image", str(src), "--algo", "cnn", "--model", str(tmp_path / "m.ccnn")]
+        assert run(["estimate", *argv]) == 0
+        assert capsys.readouterr().out.split() == ["0.000000", "1.000000", "0.000000"]
+        assert run(["correct", *argv, "--out", str(dst)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("error: InvalidIlluminantError: von Kries correction needs")
+        assert captured.out == ""
+        assert not dst.exists()
 
 
 class TestTrainedPipeline:

@@ -112,7 +112,7 @@ class TestEstimatePatch:
         params = bias_net((0.2, 0.4, 0.9))  # positive outputs, rectification inert
         img = textured_patch(rng, (0.5, 0.5, 0.5))
         data = prepared_patches(img, 8).data
-        oracle = normalize(forward(params, data[0]))
+        oracle = normalize(forward(params, data[:1])[0])
         assert np.array_equal(patch_units(params, img)[0], oracle.rgb)
         assert np.array_equal(forward(params, data)[0], [0.2, 0.4, 0.9])
 

@@ -41,7 +41,7 @@ class TestNormalize:
     def test_symmetric(self):
         ill = normalize((1, 1, 1))
         assert np.allclose(ill.rgb, 1 / math.sqrt(3))
-        assert ill.normalized
+        assert abs(np.linalg.norm(ill.rgb) - 1) < 1e-9
 
     def test_axis(self):
         assert np.array_equal(normalize((2, 0, 0)).rgb, [1, 0, 0])
@@ -58,9 +58,13 @@ class TestNormalize:
         with pytest.raises(InvalidIlluminantError):
             normalize(bad)
 
-    def test_normalized_tag_checked(self):
-        with pytest.raises(InvalidIlluminantError):
-            Illuminant(np.array([0.5, 0.5, 0.5]), normalized=True)
+    def test_non_unit_vector_rejected(self):
+        with pytest.raises(InvalidIlluminantError, match="not of unit length"):
+            Illuminant(np.array([0.5, 0.5, 0.5]))
+        # within 1e-9 of unit length is accepted
+        Illuminant(np.array([1 + 5e-10, 0, 0]))
+        with pytest.raises(InvalidIlluminantError, match="not of unit length"):
+            Illuminant(np.array([1 + 2e-9, 0, 0]))
 
 
 class TestVonKries:
@@ -113,8 +117,9 @@ class TestCast:
         for c in range(3):
             assert np.array_equal(out.data[:, :, c], img.data[:, :, c] * ill.rgb[c])
 
-    def test_requires_normalized(self):
-        with pytest.raises(InvalidIlluminantError):
+    def test_cast_by_a_non_unit_vector_impossible(self):
+        # no Illuminant of another length exists to cast by
+        with pytest.raises(InvalidIlluminantError, match="not of unit length"):
             cast_illuminant(random_image((2, 2, 3)), Illuminant(np.array([0.5, 0.5, 0.5])))
 
     @settings(max_examples=20, deadline=None)

@@ -48,6 +48,8 @@ from patchcc.network import (
     forward_cache,
     gradient_check,
     init_params,
+    linear_backward,
+    linear_forward,
     load_params,
     maxpool_backward,
     maxpool_forward,
@@ -413,6 +415,48 @@ class TestConv1x1PoolBlocks:
         assert peak < 64 * 2**20
 
 
+class TestWideKernelFused:
+    """A k x k network runs the fused layer over each pixel's kw x kw x 3
+    taps: the pooled maps, argmax and gradients of the reference layers."""
+
+    @pytest.mark.parametrize("kw", [2, 3, 5])
+    def test_equals_reference_layers(self, kw, monkeypatch):
+        rng = np.random.default_rng(80 + kw)
+        params = init_params(replace(TOY, kernel_width=kw), 80 + kw)
+        params = replace(params, conv_b=rng.standard_normal(TOY.kernel_count),
+                         fc_b=rng.standard_normal(TOY.fc_units) * 0.1)
+        # continuous values: no two responses of a pool window tie
+        x = rng.uniform(0, 1, (3, 8, 8, 3))
+        grad_est = rng.standard_normal((3, 3))
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(conv1x1_pool_forward(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(network, "conv1x1_pool_forward", record)
+        est, cache = forward_cache(params, x)
+        grads = backward(params, cache, grad_est)
+        ((got, (_, got_idx)),) = seen
+
+        want, conv_cache, pool_cache = reference_conv_pool(
+            x, params.conv_w, params.conv_b, TOY.pool_size)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(got_idx, pool_cache[2])
+
+        fc_out, fc_cache = fc_relu_forward(want.reshape(len(x), -1), params.fc_w, params.fc_b)
+        want_est, out_cache = linear_forward(fc_out, params.out_w, params.out_b)
+        assert np.allclose(est, want_est, rtol=1e-12, atol=1e-14)
+        grad_fc_out, _, _ = linear_backward(grad_est, out_cache)
+        grad_flat, _, _ = fc_relu_backward(grad_fc_out, fc_cache)
+        grad_pool = grad_flat.reshape(want.shape)
+        _, want_w, want_b = conv_backward(maxpool_backward(grad_pool, pool_cache), conv_cache)
+        assert grads.conv_w.shape == params.conv_w.shape
+        assert np.allclose(grads.conv_w, want_w, rtol=1e-12, atol=1e-14)
+        assert np.allclose(grads.conv_b, want_b, rtol=1e-12, atol=1e-14)
+
+
 class TestChunkedForward:
     """`forward` spreads a large batch's conv-pool stages over the calling
     thread and the package's pool, then runs the heads in chunk order: the
@@ -726,11 +770,11 @@ class TestFullForward:
             out_w=np.zeros_like(params.out_w), out_b=np.array([0.5, 0.5, 0.5]),
             pool_size=params.pool_size,
         )
-        assert np.allclose(forward(params, np.zeros((8, 8, 3))), 0.5)
+        assert np.allclose(forward(params, np.zeros((1, 8, 8, 3))), 0.5)
 
     def test_kernel_permutation_symmetry(self):
         params = toy_params(seed=8)
-        patch = np.random.default_rng(9).uniform(0, 1, (8, 8, 3))
+        patch = np.random.default_rng(9).uniform(0, 1, (1, 8, 8, 3))
         base = forward(params, patch)
         k1, k2 = 1, 3
         perm = np.arange(TOY.kernel_count)
@@ -750,7 +794,7 @@ class TestFullForward:
         rng = np.random.default_rng(11)
         batch = rng.uniform(0, 1, (5, 8, 8, 3))
         batched = forward(params, batch)
-        singles = np.stack([forward(params, b) for b in batch])
+        singles = np.concatenate([forward(params, batch[i : i + 1]) for i in range(len(batch))])
         assert np.allclose(batched, singles, atol=1e-12)
 
     @pytest.mark.parametrize("run", [forward, forward_cache], ids=["forward", "forward_cache"])
@@ -764,6 +808,9 @@ class TestFullForward:
             run(params, np.zeros((2, side, side, 3)))
         with pytest.raises(ShapeMismatchError):
             run(params, np.zeros((side, side, 3)))
+        # the network takes batches only: a lone patch of the right side too
+        with pytest.raises(ShapeMismatchError, match=r"expected \(B, S, S, 3\) patches"):
+            run(params, np.zeros((8, 8, 3)))
 
     def test_wide_kernel_network_gradcheck(self):
         # the kernel-width sweep trains k x k convolutions; check the whole
@@ -1022,7 +1069,7 @@ class TestSgd:
         params = toy_params(7)
         hyper = replace(TOY, learning_rate=0.05, momentum=0.9, weight_decay=0.0)
         rng = np.random.default_rng(14)
-        patch = rng.uniform(0, 1, (8, 8, 3))
+        patch = rng.uniform(0, 1, (1, 8, 8, 3))
         gt = normalize(rng.uniform(0.3, 1.0, 3))
         state = zero_momentum(params)
         first = None
@@ -1183,7 +1230,7 @@ class TestWeightsFile:
         path = tmp_path / "m.ccnn"
         save_params(params, path)
         back = load_params(path)
-        patch = np.random.default_rng(18).uniform(0, 1, (8, 8, 3))
+        patch = np.random.default_rng(18).uniform(0, 1, (1, 8, 8, 3))
         assert np.allclose(forward(back, patch), forward(params, patch), atol=1e-7)
 
     @settings(max_examples=150, deadline=None)
