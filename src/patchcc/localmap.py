@@ -3,13 +3,12 @@ with 3x3 spatial filtering of the estimate grid and per-cell error maps."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .estimator import prepared_patches, unit_estimates
+from .estimator import DIRECTION_FREE_NORM, prepared_patches, unit_estimates
 from .evaluation import angular_error_many
 from .image import LinearImage, save_illuminant_map_ppm, vector_norms
 from .network import NetworkParams
@@ -106,9 +105,21 @@ def filter_gaussian_3x3(ill_map: IlluminantMap) -> IlluminantMap:
 
 
 def filter_median_3x3(ill_map: IlluminantMap) -> IlluminantMap:
-    """Channel-wise 3x3 median over the grid, then renormalize."""
+    """Channel-wise 3x3 median over the grid, then renormalize.
+
+    A channel-wise median need not be a direction: nine rectified unit
+    estimates such as (1, 0, 0), (0, 1, 0) and (0, 0, 1) give (0, 0, 0). A
+    cell whose median is shorter than `DIRECTION_FREE_NORM` (by
+    `vector_norms`, as the estimator drops rows) keeps its unfiltered
+    estimate; every other cell is its median renormalized.
+    """
     med = np.median(_neighborhoods(ill_map.estimates), axis=0)
-    return IlluminantMap(_renormalize(med), ill_map.patch_size)
+    # `_renormalize`'s norm, whose bits map files hold; a kept cell is divided by 1
+    norms = np.linalg.norm(med, axis=2, keepdims=True)
+    free = vector_norms(med) < DIRECTION_FREE_NORM
+    med[free] = ill_map.estimates[free]
+    norms[free] = 1.0
+    return IlluminantMap(med / norms, ill_map.patch_size)
 
 
 def angular_error_map(est: IlluminantMap, gt: IlluminantMap) -> tuple[np.ndarray, list[float]]:
@@ -159,10 +170,12 @@ def save_map_ppm(ill_map: IlluminantMap, path):
 
 
 def save_map_csv(ill_map: IlluminantMap, path):
+    """One row per cell in row-major grid order: grid_x, grid_y and the
+    estimate to nine decimals, under a grid_x,grid_y,r,g,b header. The text
+    is built whole and written once, with the bytes `csv.writer` would
+    write: no field needs quoting, and every row ends in CR LF."""
+    rows = "".join(f"{gx},{gy},{r:.9f},{g:.9f},{b:.9f}\r\n"
+                   for gy, row in enumerate(ill_map.estimates.tolist())
+                   for gx, (r, g, b) in enumerate(row))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grid_x", "grid_y", "r", "g", "b"])
-        for gy in range(ill_map.grid_h):
-            for gx in range(ill_map.grid_w):
-                r, g, b = ill_map.estimates[gy, gx]
-                writer.writerow([gx, gy, f"{r:.9f}", f"{g:.9f}", f"{b:.9f}"])
+        fh.write("grid_x,grid_y,r,g,b\r\n" + rows)

@@ -22,21 +22,24 @@ axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
 
 Every network runs the convolution and the max pooling as one fused 1x1
-layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`), in one layout for
-training and inference and for every kernel width. A k x k convolution is a
-1x1 one over each pixel's taps: the network first gathers each pixel's zero
-same-padded kw x kw x 3 neighbourhood as kw*kw*3 channels, in the weights'
-(dy, dx, c) order, and views the kernels as (K, 1, 1, kw*kw*3); 1x1 kernels
-take the pixels as they are. The layer copies the input pixel-outer, with the
-pixels of a pool window on the leading axis, and takes a few pool windows at
-a time, so their responses stay in cache and no full-size response array is
-built; the max over the pixel axis goes straight into the pooled output.
-For training the argmax is the first pixel equal to the max, and the
-backward pass touches only that pixel of each pool window. Ties go to the
-first occurrence in row-major block order, as in `maxpool_forward`. The bias
-is added before the max, because fl(a + b) can make distinct responses tie
-and the argmax must see those ties. Inference needs only the values, so it
-adds the bias once to the pooled maxima: rounding is monotone, so
+layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`), in one pixel-outer
+layout for training and inference and for every kernel width. A k x k
+convolution is a 1x1 one over each pixel's taps: the network first gathers
+each pixel's zero same-padded kw x kw x 3 neighbourhood as kw*kw*3
+channels, in the weights' (dy, dx, c) order, and views the kernels as
+(K, 1, 1, kw*kw*3); 1x1 kernels take the pixels as they are. The layer
+copies the input pixel-outer, with the pixels of a pool window on the
+leading axis, and takes a few pool windows at a time, so their responses
+stay in cache and no full-size response array is built. Training's block
+loop holds every pixel's responses of a block and takes their max over the
+pixel axis straight into the pooled output; its argmax is the first pixel
+equal to the max, and the backward pass touches only that pixel of each
+pool window. Ties go to the first occurrence in row-major block order, as
+in `maxpool_forward`. The bias is added before the max, because fl(a + b)
+can make distinct responses tie and the argmax must see those ties.
+Inference needs only the values, so it keeps a running max, folding one
+pixel's responses at a time into the pooled output, and adds the bias once
+to the pooled maxima: rounding is monotone, so
 max_p fl(a_p + b) = fl(max_p a_p + b) and the result is bit for bit the same.
 The reference layers `conv_forward`, `maxpool_forward`, `maxpool_backward`
 and `conv_backward` take one loop over the kernel taps for every width. The
@@ -84,10 +87,16 @@ PARAM_LAYERS = ("conv_w", "conv_b", "fc_w", "fc_b", "out_w", "out_b")
 
 ANGULAR_COS_CLAMP = 1.0 - 1e-7
 
-# bytes of responses per block of the fused layer (17 8x8 pool windows at
-# K=240 float64, 256 at K=32 float32): small enough to stay in a core's L2
-# cache
+# bytes of responses per block of the fused layer's training path (17 8x8
+# pool windows at K=240 float64, 256 at K=32 float32): small enough to stay
+# in a core's L2 cache
 FUSED_BLOCK_BYTES = 2 << 20
+
+# bytes of one pixel's responses per block of the fused layer's inference
+# path, which folds the pixels of a pool window into a running max (273
+# windows at K=240 float32): the running max and the response folded into it
+# stay in a core's L2 cache
+RUNNING_MAX_BYTES = 256 << 10
 
 # patches per `forward` pass over a large batch; it fixes the FC layer's
 # matrix shapes, and so the last bit of its sums
@@ -340,6 +349,14 @@ def maxpool_backward(grad_out: np.ndarray, cache):
     return grad_blocks.transpose(np.argsort(axes)).reshape(x_shape)
 
 
+def _window_responses(block: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """The responses (P^2, s, K) of a pixel-outer block (P^2, s, C), one
+    window at a time. numpy calls gemv where K = 1, P = 1 or s = 1, and gemv
+    rounds by operand shape and layout: going window by window keeps the bits
+    of the block-layout form (tests/oracles.py)."""
+    return (np.ascontiguousarray(block.swapaxes(0, 1)) @ wt).swapaxes(0, 1)
+
+
 def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
                          need_cache: bool = True):
     """1x1 convolution and pool x pool max pooling in one layer.
@@ -356,24 +373,30 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     bits.
 
     The input is copied once pixel-outer, xp (pool*pool, windows, C), and
-    the windows are taken FUSED_BLOCK_BYTES of responses at a time: a block
-    of s windows gives the responses xp_block @ W^T as (pool*pool, s, K),
-    and their max over the pixel axis goes straight into the pooled output.
-    Where numpy would call gemv (K = 1, pool 1, a one-window block), whose
-    rounding depends on the operands' shape and layout, a block goes window
-    by window.
+    the windows are taken a block at a time, so no full-size response array
+    is built. Where numpy would call gemv (K = 1, pool 1, a one-window
+    block), a block goes window by window (`_window_responses`).
 
-    With the cache (training), the bias is added before the max, because
-    fl(a + b) can make distinct responses tie and the argmax must see those
-    ties. The argmax is the smallest p whose response equals the max,
-    P^2 - max_p(eq_p * (P^2 - p)) on an integer mask: `argmax`'s first-index
-    rule. The cache is (xp, idx); a window whose responses are all NaN gets
-    the out-of-range idx P^2, but the network raises on its non-finite
-    output before any backward pass.
+    With the cache (training), a block of s windows holds FUSED_BLOCK_BYTES
+    of responses, xp_block @ W^T as (pool*pool, s, K), and their max over the
+    pixel axis goes straight into the pooled output. The bias is added
+    before the max, because fl(a + b) can make distinct responses tie and
+    the argmax must see those ties. The argmax is the smallest p whose
+    response equals the max, P^2 - max_p(eq_p * (P^2 - p)) on an integer
+    mask: `argmax`'s first-index rule. The cache is (xp, idx); a window
+    whose responses are all NaN gets the out-of-range idx P^2, but the
+    network raises on its non-finite output before any backward pass.
 
-    Pass need_cache=False for inference. The bias is then added once, after
-    the max: rounding is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b),
-    and the values are the same bits as with the cache.
+    Pass need_cache=False for inference. A block of s windows then holds
+    RUNNING_MAX_BYTES of one pixel's responses, (s, K): the first pixel's
+    gemm writes straight into the pooled output, and each other pixel's is
+    folded in with `np.maximum`, so a block makes one gemm of s rows per
+    pixel into one reused buffer. The bias is added once, after the max:
+    rounding is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b). Each
+    entry of a gemm takes the same bits whatever the call's row count (the
+    tests check both paths against the block-layout form at each block
+    boundary), and NaN propagates through both maxima, so the values are the
+    same bits as with the cache.
     """
     if not x.dtype == w.dtype == b.dtype:
         raise ParameterError(
@@ -390,40 +413,45 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     k = w.shape[0]
     p2 = pool * pool
     wt = w[:, 0, 0, :].T
-    step = max(1, FUSED_BLOCK_BYTES // (p2 * k * x.itemsize))
     axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 4)
     xp = x.reshape(*lead, g, pool, g, pool, c).transpose(axes).reshape(p2, -1, c)
     n = xp.shape[1]
     out = np.empty((n, k), dtype=x.dtype)
+    if not need_cache:
+        step = max(1, RUNNING_MAX_BYTES // (k * x.itemsize))
+        resp = np.empty((min(n, step), k), x.dtype)
+        for i in range(0, n, step):
+            block = xp[:, i : i + step]
+            s = block.shape[1]
+            top = out[i : i + s]
+            if k > 1 and p2 > 1 and s > 1:
+                np.matmul(block[0], wt, out=top)
+                for pixel in block[1:]:
+                    np.maximum(top, np.matmul(pixel, wt, out=resp[:s]), out=top)
+            else:
+                np.max(_window_responses(block, wt), axis=0, out=top)
+        out += b
+        return out.reshape(*lead, g, g, k), None
+    step = max(1, FUSED_BLOCK_BYTES // (p2 * k * x.itemsize))
     resp_buf = np.empty((p2, min(n, step), k), x.dtype)
-    if need_cache:
-        idx = np.empty((n, k), dtype=np.intp)
-        bias = np.broadcast_to(b, resp_buf.shape[1:]).copy()
-        # P^2 - p at pixel p: over the pixels whose response equals the max,
-        # the largest marks the first one
-        rank = np.arange(p2, 0, -1, dtype=np.min_scalar_type(p2))[:, None, None]
-        mask = np.empty(resp_buf.shape, rank.dtype)
+    idx = np.empty((n, k), dtype=np.intp)
+    bias = np.broadcast_to(b, resp_buf.shape[1:]).copy()
+    # P^2 - p at pixel p: over the pixels whose response equals the max,
+    # the largest marks the first one
+    rank = np.arange(p2, 0, -1, dtype=np.min_scalar_type(p2))[:, None, None]
+    mask = np.empty(resp_buf.shape, rank.dtype)
     for i in range(0, n, step):
         block = xp[:, i : i + step]
         s = block.shape[1]
         if k > 1 and p2 > 1 and s > 1:
             resp = np.matmul(block, wt, out=resp_buf[:, :s])
         else:
-            # numpy calls gemv here, which rounds by operand shape and layout:
-            # going window by window keeps the bits of the block-layout form
-            # (tests/oracles.py)
-            resp = (np.ascontiguousarray(block.swapaxes(0, 1)) @ wt).swapaxes(0, 1)
-        if not need_cache:
-            np.max(resp, axis=0, out=out[i : i + s])
-            continue
+            resp = _window_responses(block, wt)
         resp += bias[:s]
         top = np.max(resp, axis=0, out=out[i : i + s])
         first = np.equal(resp, top, out=mask[:, :s])
         np.multiply(first, rank, out=first)
         np.subtract(p2, np.max(first, axis=0), out=idx[i : i + s])
-    if not need_cache:
-        out += b
-        return out.reshape(*lead, g, g, k), None
     return out.reshape(*lead, g, g, k), (xp, idx.reshape(*lead, g, g, k))
 
 
@@ -601,9 +629,10 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     Large batches are processed `FORWARD_CHUNK` patches at a time. The chunk
     bounds only the copies of the input (for k x k kernels, the taps and
     their pixel-outer copy) and the FC layer's input, since the fused layer
-    reduces its responses a cache-sized block at a time. The chunk size is a
-    constant because it fixes the FC layer's matrix shapes, and so the last
-    bit of its sums.
+    keeps a running max over the pixels of a cache-sized block of pool
+    windows at a time (`RUNNING_MAX_BYTES`). The chunk size is a constant
+    because it fixes the FC layer's matrix shapes, and so the last bit of
+    its sums.
 
     The chunks are independent, so their casts and conv-pool stages go
     through `spread` in `usable_cpus` lanes: the calling thread takes every

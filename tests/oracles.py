@@ -14,10 +14,12 @@ pass with one new array (`row_gather_bilinear`, `repeat_then_quantize_map`,
 `two_temporary_histogram_stretch`), and `concatenate_then_cast_training_patches`,
 the form training's patch arrays had before the stretch wrote them in the
 network's dtype, with `fancy_index_patches`, the gather random sampling had
-before it read a window view: kept so the tests can check that each rewrite
-changed no bit.
+before it read a window view, and `csv_writer_map_csv`, the row-by-row
+`csv.writer` form of the map CSV: kept so the tests can check that each
+rewrite changed no bit.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -354,3 +356,14 @@ def concatenate_then_cast_training_patches(samples, hyper):
         xs.append(data)
         ys.append(np.broadcast_to(sample.illuminant.rgb, (len(data), 3)))
     return np.concatenate(xs).astype(hyper.dtype), np.concatenate(ys)
+
+
+def csv_writer_map_csv(ill_map, path):
+    """The map CSV written through `csv.writer`, one `writerow` per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["grid_x", "grid_y", "r", "g", "b"])
+        for gy in range(ill_map.grid_h):
+            for gx in range(ill_map.grid_w):
+                r, g, b = ill_map.estimates[gy, gx]
+                writer.writerow([gx, gy, f"{r:.9f}", f"{g:.9f}", f"{b:.9f}"])

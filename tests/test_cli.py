@@ -18,7 +18,7 @@ from patchcc.errors import PipelineError
 from patchcc.image import LinearImage, load_ppm16, save_ppm16, normalize
 from patchcc.network import WEIGHTS_MAGIC, HyperParams, init_params, save_params
 
-from helpers import JSON_VALUES, bias_net, textured_patch, tiny_weights
+from helpers import JSON_VALUES, bias_net, channel_max_net, textured_patch, tiny_weights
 
 
 def run(args):
@@ -207,6 +207,36 @@ class TestTrainedPipeline:
         assert out.read_bytes() == (tmp_path / "in_process.ccnn").read_bytes()
         lines = out.with_name(out.name + ".log.jsonl").read_text().splitlines()
         assert lines == [json.dumps(rec, sort_keys=True) for rec in log]
+
+
+class TestLocalMapFilters:
+    def test_median_filter_of_disagreeing_cells_exits_zero(self, tmp_path):
+        # pure red, green and blue 32-px cells in a 3x3 Latin square, which a
+        # channel-max model maps to one-hot estimates: every cell's 3x3
+        # channel-wise median is (0, 0, 0), has no direction and keeps the
+        # unfiltered estimate. Run as a process, so that a numpy warning
+        # would reach stderr
+        save_params(channel_max_net(), tmp_path / "m.ccnn")
+        lum = np.random.default_rng(6).uniform(0.4, 1.0, (96, 96, 1))
+        colors = np.eye(3)[(np.arange(3)[:, None] + np.arange(3)) % 3]
+        save_ppm16(LinearImage(lum * colors.repeat(32, axis=0).repeat(32, axis=1)),
+                   tmp_path / "in.ppm")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(patchcc.__file__))}
+        for filt in ("none", "gaussian", "median"):
+            prefix = str(tmp_path / filt)
+            out = subprocess.run(
+                [sys.executable, "-m", "patchcc.cli", "local-map", "--image",
+                 str(tmp_path / "in.ppm"), "--model", str(tmp_path / "m.ccnn"),
+                 "--out-prefix", prefix, "--filter", filt],
+                capture_output=True, text=True, env=env)
+            assert (out.returncode, out.stderr) == (0, "")
+            assert out.stdout == f"{prefix}.ppm written\n"
+        for ext in (".ppm", ".csv"):
+            assert (tmp_path / f"median{ext}").read_bytes() == (tmp_path / f"none{ext}").read_bytes()
+        rows = (tmp_path / "none.csv").read_text().splitlines()[1:]
+        assert sorted(row.split(",", 2)[2] for row in rows) == sorted(
+            ["1.000000000,0.000000000,0.000000000", "0.000000000,1.000000000,0.000000000",
+             "0.000000000,0.000000000,1.000000000"] * 3)
 
 
 class TestFoldArguments:

@@ -1,13 +1,15 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from patchcc.errors import EstimationImpossibleError, ShapeMismatchError
 from patchcc import estimator
-from patchcc.estimator import estimate_image, prepared_patches
+from patchcc.estimator import DIRECTION_FREE_NORM, estimate_image, prepared_patches
 from patchcc.evaluation import angular_error, summarize
-from patchcc.image import LinearImage, compose_two_illuminants, normalize
+from patchcc.image import LinearImage, compose_two_illuminants, normalize, vector_norms
 from patchcc.localmap import (
     IlluminantMap,
     angular_error_map,
@@ -43,7 +45,7 @@ def constant_map(shape, ill):
 def reflect_index(i, n):
     # numpy 'reflect' (no edge duplication) for a single-step pad
     if i < 0:
-        return -i
+        return -i if n > 1 else 0
     if i >= n:
         return 2 * n - i - 2 if n > 1 else 0
     return i
@@ -55,6 +57,26 @@ def neighborhood(cells, gy, gx):
         cells[reflect_index(gy + dy, gh), reflect_index(gx + dx, gw)]
         for dy in (-1, 0, 1) for dx in (-1, 0, 1)
     ])
+
+
+# a 3x3 Latin square of the three basis vectors: every cell's reflect-padded
+# 3x3 neighbourhood holds at most four of each, so every channel-wise median
+# is (0, 0, 0)
+LATIN_SQUARE = np.eye(3)[(np.arange(3)[:, None] + np.arange(3)) % 3]
+
+# non-negative rows with no, one or two zero channels, one-hot rows included
+NONNEGATIVE_ROWS = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+    st.tuples(*[st.just(0.0) | st.floats(1e-6, 1.0)] * 3).filter(any),
+)
+
+
+@st.composite
+def unit_grids(draw):
+    """(gh, gw, 3) grids of non-negative unit vectors, 1x1 to 5x5."""
+    gh, gw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(NONNEGATIVE_ROWS, min_size=gh * gw, max_size=gh * gw))
+    return unit_rows(np.array(rows).reshape(gh, gw, 3))
 
 
 class TestEstimateLocalMap:
@@ -184,6 +206,31 @@ class TestFilters:
                 for c in range(3):
                     assert med[c] in nb[:, c]
                 assert np.allclose(out.estimates[gy, gx], med / np.linalg.norm(med), atol=1e-12)
+
+    @given(unit_grids())
+    @example(LATIN_SQUARE)
+    @settings(max_examples=100, deadline=None)
+    def test_filters_give_valid_maps_without_warnings(self, cells):
+        m = IlluminantMap(cells, patch_size=32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blurred = filter_gaussian_3x3(m)
+            cleaned = filter_median_3x3(m)
+        assert blurred.estimates.shape == cleaned.estimates.shape == cells.shape
+        gh, gw = cells.shape[:2]
+        for gy in range(gh):
+            for gx in range(gw):
+                med = np.median(neighborhood(cells, gy, gx), axis=0)
+                if vector_norms(med) < DIRECTION_FREE_NORM:
+                    # no direction: the cell keeps its unfiltered estimate
+                    assert cleaned.estimates[gy, gx].tobytes() == cells[gy, gx].tobytes()
+                else:
+                    want = med / np.linalg.norm(med)
+                    assert np.allclose(cleaned.estimates[gy, gx], want, atol=1e-12)
+
+    def test_median_keeps_every_cell_of_a_latin_square(self):
+        m = IlluminantMap(LATIN_SQUARE, patch_size=32)
+        assert filter_median_3x3(m).estimates.tobytes() == m.estimates.tobytes()
 
     def test_filtering_never_worsens_single_outlier_max_error(self):
         rng = np.random.default_rng(5)
@@ -331,6 +378,19 @@ class TestExports:
         # every pixel of a cell is the same color
         cell = img.data[:32, :32]
         assert np.allclose(cell, cell[0, 0][None, None, :], atol=1e-12)
+
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 9), (6, 1), (37, 56)])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, grid):
+        rng = np.random.default_rng(grid[0] * 100 + grid[1])
+        cells = unit_rows(rng.uniform(0.0, 1.0, size=grid + (3,)))
+        cells[-1, -1] = (0.0, 1.0, 0.0)  # exact zeros and one
+        m = IlluminantMap(cells, patch_size=32)
+        save_map_csv(m, tmp_path / "map.csv")
+        oracles.csv_writer_map_csv(m, tmp_path / "oracle.csv")
+        got = (tmp_path / "map.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + grid[0] * grid[1]
+        assert got.endswith(b",0.000000000,1.000000000,0.000000000\r\n")
 
     def test_csv_contents(self, tmp_path):
         m = random_map((2, 2), seed=12)

@@ -29,6 +29,7 @@ from patchcc.image import normalize
 from patchcc.network import (
     FUSED_BLOCK_BYTES,
     PARAM_LAYERS,
+    RUNNING_MAX_BYTES,
     WEIGHTS_MAGIC,
     WEIGHTS_VERSION,
     HyperParams,
@@ -338,18 +339,25 @@ def fused_operands(x, w, b, pool):
     return ops
 
 
-def block_window_counts(k, pool, dtype):
+def block_window_counts(k, pool, dtype, running=True):
     """Window counts below one block of the fused layer, exactly one, one
     full block followed by a one-window block (which numpy would send to
     gemv), and not a multiple of one, for K kernels and pool x pool
-    windows."""
-    step = max(1, FUSED_BLOCK_BYTES // (pool * pool * k * np.dtype(dtype).itemsize))
-    return (1, step - 1, step, step + 1, 2 * step + 5)
+    windows: at the blocks of the cached path (FUSED_BLOCK_BYTES of every
+    pixel's responses) and, with `running`, also at those of inference's
+    running max (RUNNING_MAX_BYTES of one pixel's responses)."""
+    itemsize = np.dtype(dtype).itemsize
+    steps = [max(1, FUSED_BLOCK_BYTES // (pool * pool * k * itemsize))]
+    if running:
+        steps.append(max(1, RUNNING_MAX_BYTES // (k * itemsize)))
+    return sorted({n for step in steps for n in (1, step - 1, step, step + 1, 2 * step + 5)
+                   if n > 0})
 
 
 class TestConv1x1PoolBlocks:
-    """The inference path reduces a block of pool windows at a time and adds
-    the bias after the max; it must give the cached path's bits."""
+    """The inference path keeps a running max over a block of pool windows
+    at a time and adds the bias after the max; it must give the cached
+    path's bits."""
 
     @pytest.mark.parametrize("xd,wd,bd", DTYPE_TRIPLES)
     def test_block_boundaries_with_a_rounding_bias(self, xd, wd, bd):
@@ -378,20 +386,46 @@ class TestConv1x1PoolBlocks:
                     bare, _ = conv_forward(*ops[:2], np.zeros_like(ops[2]))
                     assert np.unique(biased[..., 0]).size < np.unique(bare[..., 0]).size
 
-    @pytest.mark.parametrize("k", [1, 240])
+    @pytest.mark.parametrize("k,pool", [(1, 8), (240, 8), (240, 1)])
     @pytest.mark.parametrize("xd,wd,bd", DTYPE_TRIPLES)
-    def test_block_boundaries_on_continuous_inputs(self, k, xd, wd, bd):
-        # K = 1 runs gemv, whose rounding depends on the operands' layout
+    def test_block_boundaries_on_continuous_inputs(self, k, pool, xd, wd, bd):
+        # K = 1 and pool 1 run gemv, whose rounding depends on the operands'
+        # layout. K = 1 never takes the running max, and its running blocks
+        # would hold up to 131,077 8x8 windows, so here it is checked at the
+        # cached path's blocks only (test_running_max_boundaries: pool 1)
         rng = np.random.default_rng(71)
-        pool = 8
         w = rng.standard_normal((k, 1, 1, 3)).astype(wd)
         b = rng.standard_normal(k).astype(bd)
-        for windows in block_window_counts(k, pool, np.result_type(wd, bd)):
-            x = rng.uniform(0, 1, (windows, 8, 8, 3)).astype(xd)
+        for windows in block_window_counts(k, pool, np.result_type(wd, bd), running=k > 1):
+            x = rng.uniform(0, 1, (windows, pool, pool, 3)).astype(xd)
             ops = fused_operands(x, w, b, pool)
             cached, _ = conv1x1_pool_forward(*ops, pool)
             lean, _ = conv1x1_pool_forward(*ops, pool, need_cache=False)
-            assert np.array_equal(lean, cached)
+            want, _ = block_conv1x1_pool_forward(*ops, pool, need_cache=False)
+            assert lean.tobytes() == cached.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k,pool", [(240, 8), (240, 1), (1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_pixel_gives_nan_in_its_window(self, k, pool, dtype):
+        rng = np.random.default_rng(74)
+        w = rng.standard_normal((k, 1, 1, 3)).astype(dtype)
+        b = rng.standard_normal(k).astype(dtype)
+        step = max(1, RUNNING_MAX_BYTES // (k * np.dtype(dtype).itemsize))
+        x = rng.uniform(0, 1, (step + 1, pool, pool, 3)).astype(dtype)
+        # the first pixel of the first window, whose gemm writes the running
+        # max, the last pixel of the last window of the first running block,
+        # and one channel of a middle pixel of the one-window block after it,
+        # which goes window by window
+        x[0, 0, 0] = np.nan
+        x[step - 1, pool - 1, pool - 1] = np.nan
+        x[step, pool // 2, pool // 2, 1] = np.nan
+        lean, _ = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+        cached, _ = conv1x1_pool_forward(x, w, b, pool)
+        nan_windows = np.zeros(len(x), dtype=bool)
+        nan_windows[[0, step - 1, step]] = True
+        assert np.array_equal(np.isnan(lean[:, 0, 0]).all(axis=-1), nan_windows)
+        assert np.array_equal(np.isnan(lean), np.isnan(cached))
+        assert np.array_equal(lean, cached, equal_nan=True)
 
     def test_forward_equals_forward_cache_at_paper_shape(self):
         rng = np.random.default_rng(72)
@@ -648,7 +682,8 @@ class TestConv1x1PoolOracle:
     """Training and inference share the pixel-outer layout; both must give
     the bits of the block layout form it replaced, ties included, for the
     operands the network hands it from patches, weights and bias of any
-    dtypes."""
+    dtypes, at the edges of training's blocks and of inference's running-max
+    blocks."""
 
     @pytest.mark.parametrize("k", [1, 2, 4, 17, 32, 240])
     @pytest.mark.parametrize("xd,wd,bd", ALL_DTYPE_TRIPLES)
@@ -670,7 +705,9 @@ class TestConv1x1PoolOracle:
                 # ties, which the argmax must see
                 b = rng.choice([-1, 1], k) * rng.uniform(0.5, 1, k) / eps
             w, b = w.astype(wd), b.astype(bd)
-            for windows in block_window_counts(k, pool, dtype):
+            # the edges of inference's running blocks, which hold up to
+            # 131,077 8x8 windows: test_running_max_boundaries
+            for windows in block_window_counts(k, pool, dtype, running=False):
                 for side in (8, 16):
                     shape = (-(-windows // (side // pool) ** 2), side, side, 3)
                     if kind == "continuous":
@@ -684,11 +721,41 @@ class TestConv1x1PoolOracle:
                     assert got.tobytes() == want.tobytes()
                     assert got_cache[1].tobytes() == want_cache[1].tobytes()
                     lean, _ = conv1x1_pool_forward(*ops, pool, need_cache=False)
-                    assert lean.tobytes() == want.tobytes()
+                    assert lean.tobytes() == want.tobytes() == got.tobytes()
                     grad = rng.standard_normal(got.shape).astype(got.dtype)
                     for a, c in zip(conv1x1_pool_backward(grad, got_cache),
                                     block_conv1x1_pool_backward(grad, want_cache)):
                         assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("k,pool", [(1, 1), (4, 2), (240, 1), (17, 8), (32, 8), (240, 8)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_running_max_boundaries(self, k, pool, dtype):
+        # K = 1, pool 1 and the one-window blocks go window by window, and
+        # K = 17 leaves a remainder in every gemm kernel's column tiles
+        rng = np.random.default_rng(90 + k + pool)
+        eps = np.finfo(dtype).eps
+        for kind in ("continuous", "rounding_bias"):
+            if kind == "continuous":
+                w = rng.standard_normal((k, 1, 1, 3)).astype(dtype)
+                b = rng.standard_normal(k).astype(dtype)
+            else:
+                # dyadic values: exact sums and many ties; at about 1/eps the
+                # bias add rounds distinct responses to ties
+                w = (rng.integers(-64, 65, (k, 1, 1, 3)) / 32).astype(dtype)
+                b = (rng.choice([-1, 1], k) * rng.uniform(0.5, 1, k) / eps).astype(dtype)
+            for windows in block_window_counts(k, pool, dtype):
+                for side in (pool, 2 * pool):
+                    shape = (-(-windows // (side // pool) ** 2), side, side, 3)
+                    if kind == "continuous":
+                        x = rng.uniform(0, 1, shape)
+                    else:
+                        x = rng.integers(0, 257, shape) / 256
+                    x = x.astype(dtype)
+                    cached, _ = conv1x1_pool_forward(x, w, b, pool)
+                    lean, _ = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+                    want, _ = block_conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+                    assert lean.dtype == want.dtype == dtype
+                    assert lean.tobytes() == cached.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_seeded_training_identical_to_block_layout(self, dtype, monkeypatch):
