@@ -72,6 +72,7 @@ from .localmap import (
     filter_gaussian_3x3,
     filter_median_3x3,
     grid_ground_truth,
+    load_grid_ground_truth,
 )
 from .benchmark import benchmark
 from .dataset import (

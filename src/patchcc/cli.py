@@ -26,13 +26,13 @@ from .benchmark import STAT_ALGOS, benchmark as run_benchmark, check_algos, chec
 from .errors import FormatError, ParameterError, PipelineError
 from .estimator import POOLINGS, estimate_image, fine_tune, fold_samples, fold_split, train
 from .evaluation import angular_error_many, summarize
-from .image import correct_von_kries, load_illuminant_map_ppm, load_ppm16, normalize, save_ppm16
+from .image import correct_von_kries, load_ppm16, normalize, save_ppm16
 from .localmap import (
     angular_error_map,
     estimate_local_map,
     filter_gaussian_3x3,
     filter_median_3x3,
-    grid_ground_truth,
+    load_grid_ground_truth,
     save_map_csv,
     save_map_ppm,
 )
@@ -241,7 +241,7 @@ def cmd_local_map(args) -> int:
     save_map_ppm(ill_map, args.out_prefix + ".ppm")
     save_map_csv(ill_map, args.out_prefix + ".csv")
     if args.gt_map:
-        gt = grid_ground_truth(load_illuminant_map_ppm(args.gt_map), ill_map.patch_size)
+        gt = load_grid_ground_truth(args.gt_map, ill_map.patch_size)
         _, flat = angular_error_map(ill_map, gt)
         print(summarize(flat))
     print(f"{args.out_prefix}.ppm written")

@@ -221,17 +221,22 @@ def _parse_ppm16(buf: bytes) -> np.ndarray:
 
 
 def _read_ppm16(path) -> np.ndarray:
-    """A 16-bit PPM file's samples scaled to [0, 1], as a new float64 array."""
+    """The (H, W, 3) big-endian samples of a 16-bit PPM file, a read-only
+    view of its bytes."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    data = _parse_ppm16(buf).astype(np.float64)
+        return _parse_ppm16(fh.read())
+
+
+def _scaled_samples(samples: np.ndarray) -> np.ndarray:
+    """16-bit samples scaled to [0, 1], as a new float64 array."""
+    data = samples.astype(np.float64)
     data /= PPM_MAXVAL
     return data
 
 
 def load_ppm16(path) -> LinearImage:
     """Load a binary P6 PPM with 16-bit big-endian samples, scaled to [0, 1]."""
-    return LinearImage(_read_ppm16(path))
+    return LinearImage(_scaled_samples(_read_ppm16(path)))
 
 
 def _quantize16(values: np.ndarray) -> np.ndarray:
@@ -243,15 +248,23 @@ def _quantize16(values: np.ndarray) -> np.ndarray:
     return q.astype(">u2")
 
 
-def _write_ppm16(samples: np.ndarray, path, comment: str | None = None):
-    """Write (H, W, 3) big-endian 16-bit samples as a binary P6 PPM."""
+def _write_ppm16(samples: np.ndarray, path, comment: str | None = None, cell_size: int = 1):
+    """Write (H, W, 3) big-endian 16-bit samples as a binary P6 PPM, each
+    sample as a cell_size x cell_size block. Each band of cell_size file rows
+    is built from one repeated row and written at once, so no full-size copy
+    is made."""
     header = b"P6\n"
     if comment:
         header += b"# " + comment.encode("ascii") + b"\n"
-    header += f"{samples.shape[1]} {samples.shape[0]}\n{PPM_MAXVAL}\n".encode("ascii")
+    height, width = samples.shape[0] * cell_size, samples.shape[1] * cell_size
+    header += f"{width} {height}\n{PPM_MAXVAL}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(samples.tobytes())
+        if cell_size == 1:
+            fh.write(samples.tobytes())
+            return
+        for row in samples:
+            fh.write(np.repeat(row, cell_size, axis=0).tobytes() * cell_size)
 
 
 def save_ppm16(img: LinearImage, path):
@@ -265,39 +278,62 @@ def save_illuminant_map_ppm(gt_map: np.ndarray, path, cell_size: int = 1):
 
     Components are scaled by 1/sqrt(3) so every unit vector fits in [0, 1];
     the scaling is recorded in a header comment. Quantizing commutes with
-    the repetition, so the map is checked and quantized at its own size.
+    the repetition, so the map is checked and quantized at its own size and
+    repeated only as it is written, one band of cell_size rows at a time.
     """
     if cell_size < 1:
         raise ImageTooSmallError(f"cell size must be >= 1, got {cell_size}")
     scaled = LinearImage(np.asarray(gt_map, dtype=np.float64) * ILLUMINANT_MAP_SCALE)
-    samples = _quantize16(scaled.data)
-    if cell_size > 1:
-        samples = np.repeat(np.repeat(samples, cell_size, axis=0), cell_size, axis=1)
-    _write_ppm16(samples, path, comment="illuminant map: unit RGB scaled by 65535/sqrt(3)")
+    _write_ppm16(_quantize16(scaled.data), path,
+                 comment="illuminant map: unit RGB scaled by 65535/sqrt(3)", cell_size=cell_size)
+
+
+def read_map_samples(path) -> np.ndarray:
+    """The (H, W, 3) big-endian samples of an illuminant map file, a
+    read-only view of its bytes. Raises `FormatError` when any pixel of the
+    map, inside a patch grid or not, is the zero vector: its three 16-bit
+    words are 0, whatever their byte order."""
+    samples = _read_ppm16(path)
+    words = samples.view(np.uint16)
+    if not (words[..., 0] | words[..., 1] | words[..., 2]).all():
+        raise FormatError("illuminant map contains zero vectors")
+    return samples
+
+
+def _unit_map_values(values: np.ndarray):
+    """Turn map values (..., 3), samples scaled to [0, 1], into unit
+    illuminants in place: unscale by `ILLUMINANT_MAP_SCALE`, then divide by
+    the norm. The norm adds the squared channels in order, (r*r + g*g) + b*b,
+    which gives the bits of `np.linalg.norm(v, axis=-1)` without its
+    temporaries. Every step is elementwise, so equal samples give equal bits
+    wherever they lie."""
+    values /= ILLUMINANT_MAP_SCALE
+    norms = np.square(values[..., 0])
+    part = np.square(values[..., 1])
+    norms += part
+    np.square(values[..., 2], out=part)
+    norms += part
+    np.sqrt(norms, out=norms)
+    values /= norms[..., None]
+
+
+def map_sample_units(samples: np.ndarray) -> np.ndarray:
+    """The unit illuminants of nonzero 16-bit map samples (..., 3), as a new
+    float64 array with the bits `load_illuminant_map_ppm` gives them."""
+    units = _scaled_samples(samples)
+    _unit_map_values(units)
+    return units
 
 
 def load_illuminant_map_ppm(path) -> np.ndarray:
-    """Read a map written by `save_illuminant_map_ppm`, renormalizing each pixel.
+    """Read a map written by `save_illuminant_map_ppm`, renormalizing each
+    pixel as `map_sample_units` does.
 
     Works in place on the decoded samples, `NORM_STRIP_ROWS` rows at a time,
-    so each strip is unscaled, normed and divided while it is in cache. Each
-    norm adds the squared channels in order, (r*r + g*g) + b*b, which gives
-    the bits of `np.linalg.norm(data, axis=2)` without its full-size
-    temporaries.
+    so each strip is unscaled, normed and divided while it is in cache.
+    Raises `FormatError` on a zero vector.
     """
-    data = _read_ppm16(path)
-    squared = np.empty((min(NORM_STRIP_ROWS, len(data)), data.shape[1]))
+    data = _scaled_samples(read_map_samples(path))
     for first in range(0, len(data), NORM_STRIP_ROWS):
-        rows = data[first : first + NORM_STRIP_ROWS]
-        rows /= ILLUMINANT_MAP_SCALE
-        part = squared[: len(rows)]
-        norms = np.square(rows[..., 0])
-        np.square(rows[..., 1], out=part)
-        norms += part
-        np.square(rows[..., 2], out=part)
-        norms += part
-        np.sqrt(norms, out=norms)
-        if np.any(norms == 0):
-            raise FormatError("illuminant map contains zero vectors")
-        rows /= norms[..., None]
+        _unit_map_values(data[first : first + NORM_STRIP_ROWS])
     return data

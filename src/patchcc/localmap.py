@@ -1,5 +1,9 @@
 """Per-patch illuminant maps for spatially varying light from `unit_estimates`,
-with 3x3 spatial filtering of the estimate grid and per-cell error maps."""
+with 3x3 spatial filtering of the estimate grid and per-cell error maps.
+
+The ground truth of a map is a per-pixel map gridded by majority, either
+from unit vectors in memory (`grid_ground_truth`) or straight from a map
+file's 16-bit samples (`load_grid_ground_truth`), with the same bytes."""
 
 from __future__ import annotations
 
@@ -10,7 +14,13 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .estimator import DIRECTION_FREE_NORM, prepared_patches, unit_estimates
 from .evaluation import angular_error_many
-from .image import LinearImage, save_illuminant_map_ppm, vector_norms
+from .image import (
+    LinearImage,
+    map_sample_units,
+    read_map_samples,
+    save_illuminant_map_ppm,
+    vector_norms,
+)
 from .network import NetworkParams
 
 # sigma, in cells, of the 3x3 Gaussian map filter
@@ -132,21 +142,18 @@ def angular_error_map(est: IlluminantMap, gt: IlluminantMap) -> tuple[np.ndarray
     return grid, grid.ravel().tolist()
 
 
-def grid_ground_truth(gt_pixels: np.ndarray, patch_size: int) -> IlluminantMap:
-    """Downsample a per-pixel illuminant map to the patch grid by majority.
+def _cell_blocks(pixels: np.ndarray, patch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, uniform) of a per-pixel (H, W, 3) map on the patch grid.
 
-    Ties take the value of the earliest pixel in row-major cell order, i.e.
-    a cell split exactly in half by a vertical boundary keeps the left light.
-    A cell is uniform when each of its rows equals its first row and that
-    row is constant; only the other cells are voted on.
+    blocks is a view, blocks[gy, :, gx] the cell (gy, gx); the border outside
+    the grid is left out. A cell is uniform when each of its rows equals its
+    first row and that row is constant.
     """
-    gt_pixels = np.asarray(gt_pixels, dtype=np.float64)
-    gh = gt_pixels.shape[0] // patch_size
-    gw = gt_pixels.shape[1] // patch_size
+    gh = pixels.shape[0] // patch_size
+    gw = pixels.shape[1] // patch_size
     if gh < 1 or gw < 1:
         raise ShapeMismatchError("ground-truth map smaller than one patch")
-    # a view: blocks[gy, :, gx] is the cell (gy, gx)
-    blocks = gt_pixels[: gh * patch_size, : gw * patch_size].reshape(
+    blocks = pixels[: gh * patch_size, : gw * patch_size].reshape(
         gh, patch_size, gw, patch_size, 3)
     first_rows = blocks[:, 0]
     # the row axis is reduced on its own: all() over axes (1, 3) at once is far slower
@@ -154,13 +161,58 @@ def grid_ground_truth(gt_pixels: np.ndarray, patch_size: int) -> IlluminantMap:
         (blocks == first_rows[:, None]).all(axis=1).all(axis=(2, 3))
         & (first_rows == first_rows[:, :, :1]).all(axis=(2, 3))
     )
-    cells = first_rows[:, :, 0].copy()
+    return blocks, uniform
+
+
+def _majority(first_idx: np.ndarray, counts: np.ndarray) -> int:
+    """Which of a cell's distinct values wins its vote: the most pixels, and
+    on a tie the value met first in row-major cell order."""
+    candidates = np.flatnonzero(counts == counts.max())
+    return candidates[np.argmin(first_idx[candidates])]
+
+
+def grid_ground_truth(gt_pixels: np.ndarray, patch_size: int) -> IlluminantMap:
+    """Downsample a per-pixel illuminant map to the patch grid by majority.
+
+    Ties take the value of the earliest pixel in row-major cell order, i.e.
+    a cell split exactly in half by a vertical boundary keeps the left light.
+    Only the cells that are not uniform are voted on.
+    """
+    blocks, uniform = _cell_blocks(np.asarray(gt_pixels, dtype=np.float64), patch_size)
+    cells = blocks[:, 0, :, 0].copy()
     for gy, gx in zip(*np.nonzero(~uniform)):
         values, first_idx, counts = np.unique(
             blocks[gy, :, gx].reshape(-1, 3), axis=0, return_index=True, return_counts=True
         )
-        candidates = np.flatnonzero(counts == counts.max())
-        cells[gy, gx] = values[candidates[np.argmin(first_idx[candidates])]]
+        cells[gy, gx] = values[_majority(first_idx, counts)]
+    return IlluminantMap(_renormalize(cells), patch_size)
+
+
+def load_grid_ground_truth(path, patch_size: int) -> IlluminantMap:
+    """`grid_ground_truth(load_illuminant_map_ppm(path), patch_size)`, with
+    its bytes and errors, from the file's 16-bit samples.
+
+    Only the pixels that decide a cell become unit vectors. Uniformity is
+    tested on the raw samples; a uniform cell takes its first pixel. A mixed
+    cell counts its distinct samples, then merges those whose unit vectors
+    are equal, as (1, 1, 1) and (2, 2, 2) are, before the vote.
+    """
+    samples = read_map_samples(path)
+    # native 16-bit words: the mask and the keys need only their equality,
+    # which does not depend on byte order
+    blocks, uniform = _cell_blocks(samples.view(np.uint16), patch_size)
+    values = blocks.view(samples.dtype)
+    cells = map_sample_units(values[:, 0, :, 0])
+    for gy, gx in zip(*np.nonzero(~uniform)):
+        words = blocks[gy, :, gx].reshape(-1, 3).astype(np.uint64)
+        keys = (words[:, 0] << 32) | (words[:, 1] << 16) | words[:, 2]
+        _, first_idx, key_of = np.unique(keys, return_index=True, return_inverse=True)
+        units = map_sample_units(values[gy, :, gx].reshape(-1, 3)[first_idx])
+        merged, unit_of_key = np.unique(units, axis=0, return_inverse=True)
+        # numpy 2.0.0 gives the inverse of an axis unique as a column
+        _, first_idx, counts = np.unique(
+            unit_of_key.reshape(-1)[key_of], return_index=True, return_counts=True)
+        cells[gy, gx] = merged[_majority(first_idx, counts)]
     return IlluminantMap(_renormalize(cells), patch_size)
 
 

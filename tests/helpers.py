@@ -31,6 +31,13 @@ SMALL = HyperParams(patch_size=16, kernel_count=8, pool_size=4, fc_units=8,
 BOUNDARY_ROW = (6.042988490261601e-10, 5.094656384620662e-10, 6.125909436908918e-10)
 
 
+def write_ppm(path, samples):
+    """Write integer (H, W, 3) samples as a 16-bit P6 PPM with no comment."""
+    h, w = samples.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(b"P6\n%d %d\n65535\n" % (w, h) + samples.astype(">u2").tobytes())
+
+
 def bias_net(bias=(1.0, 1.0, 1.0), hyper=None):
     """Zero-weight network that always outputs `bias`."""
     params = init_params(hyper or TOY, 0)

@@ -15,10 +15,11 @@ import patchcc
 from patchcc.benchmark import ALL_ALGOS
 from patchcc.cli import CONFIG_TYPES, build_parser, main, parse_args
 from patchcc.errors import PipelineError
+from patchcc.evaluation import summarize
 from patchcc.image import LinearImage, load_ppm16, save_ppm16, normalize
 from patchcc.network import WEIGHTS_MAGIC, HyperParams, init_params, save_params
 
-from helpers import JSON_VALUES, bias_net, channel_max_net, textured_patch, tiny_weights
+from helpers import JSON_VALUES, bias_net, channel_max_net, textured_patch, tiny_weights, write_ppm
 
 
 def run(args):
@@ -237,6 +238,60 @@ class TestLocalMapFilters:
         assert sorted(row.split(",", 2)[2] for row in rows) == sorted(
             ["1.000000000,0.000000000,0.000000000", "0.000000000,1.000000000,0.000000000",
              "0.000000000,0.000000000,1.000000000"] * 3)
+
+
+@pytest.fixture(scope="module")
+def two_light_dir(tmp_path_factory):
+    # 72x56 is no multiple of the model's 16-px grid: its ground-truth map has a border
+    out = tmp_path_factory.mktemp("two") / "set"
+    assert run(["synth", "--out", str(out), "--count", "2", "--seed", "2",
+                "--size", "72x56", "--two-illuminant"]) == 0
+    return out
+
+
+class TestLocalMapGroundTruth:
+    @pytest.mark.parametrize("filt", ["none", "gaussian", "median"])
+    def test_summary_matches_the_pixel_path(self, two_light_dir, model_dir, tmp_path, capsys,
+                                            filt):
+        from patchcc.image import load_illuminant_map_ppm
+        from patchcc.localmap import (angular_error_map, estimate_local_map, filter_gaussian_3x3,
+                                      filter_median_3x3, grid_ground_truth)
+        from patchcc.network import load_params
+
+        image, gt_path = two_light_dir / "img_001.ppm", two_light_dir / "img_001_gt.ppm"
+        prefix = tmp_path / "map"
+        assert run(["local-map", "--image", str(image), "--model", str(model_dir / "fold0.ccnn"),
+                    "--out-prefix", str(prefix), "--filter", filt, "--gt-map", str(gt_path)]) == 0
+        est = estimate_local_map(load_params(model_dir / "fold0.ccnn"), load_ppm16(image))
+        est = {"none": est, "gaussian": filter_gaussian_3x3(est),
+               "median": filter_median_3x3(est)}[filt]
+        gt = grid_ground_truth(load_illuminant_map_ppm(gt_path), est.patch_size)
+        expected = summarize(angular_error_map(est, gt)[1])
+        assert capsys.readouterr().out == f"{expected}\n{prefix}.ppm written\n"
+
+    @pytest.mark.parametrize("bad, error", [
+        ("zero", "FormatError: illuminant map contains zero vectors"),
+        ("grid", "ShapeMismatchError: grid shapes differ"),
+    ])
+    def test_bad_map_exits_one_after_writing_the_map(self, two_light_dir, model_dir, tmp_path,
+                                                     capsys, bad, error):
+        gt_path = tmp_path / "gt.ppm"
+        if bad == "zero":
+            samples = np.full((56, 72, 3), 1000)
+            samples[55, 71] = 0  # outside the image's 3 x 4 grid of 16-px cells
+        else:
+            samples = np.full((40, 72, 3), 1000)  # a 2 x 4 grid
+        write_ppm(gt_path, samples)
+        prefix = tmp_path / "map"
+        assert run(["local-map", "--image", str(two_light_dir / "img_000.ppm"),
+                    "--model", str(model_dir / "fold0.ccnn"), "--out-prefix", str(prefix),
+                    "--gt-map", str(gt_path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}"), captured.err
+        assert captured.out == ""
+        assert prefix.with_suffix(".ppm").exists()
+        assert len(prefix.with_suffix(".csv").read_text().splitlines()) == 1 + 4 * 3
 
 
 class TestFoldArguments:

@@ -30,6 +30,7 @@ from patchcc.image import (
 )
 
 import oracles
+from helpers import write_ppm
 
 
 def random_image(shape, seed=0, lo=0.0, hi=1.0):
@@ -366,11 +367,6 @@ def exact_half_steps():
         steps = [v0 + n * np.spacing(v0) for n in range(-64, 65)]
         found += [v for v in steps if v * ILLUMINANT_MAP_SCALE * 65535 == k + 0.5][:1]
     return np.array(found)
-
-
-def write_ppm(path, samples):
-    h, w = samples.shape[:2]
-    path.write_bytes(b"P6\n%d %d\n65535\n" % (w, h) + samples.astype(">u2").tobytes())
 
 
 class TestIlluminantMapMatchesParentForms:

@@ -1,15 +1,24 @@
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from patchcc.errors import EstimationImpossibleError, ShapeMismatchError
+from patchcc.errors import EstimationImpossibleError, FormatError, ShapeMismatchError
 from patchcc import estimator
 from patchcc.estimator import DIRECTION_FREE_NORM, estimate_image, prepared_patches
 from patchcc.evaluation import angular_error, summarize
-from patchcc.image import LinearImage, compose_two_illuminants, normalize, vector_norms
+from patchcc.image import (
+    LinearImage,
+    compose_two_illuminants,
+    load_illuminant_map_ppm,
+    normalize,
+    save_illuminant_map_ppm,
+    vector_norms,
+)
 from patchcc.localmap import (
     IlluminantMap,
     angular_error_map,
@@ -18,6 +27,7 @@ from patchcc.localmap import (
     filter_median_3x3,
     gaussian_3x3_kernel,
     grid_ground_truth,
+    load_grid_ground_truth,
     save_map_csv,
     save_map_ppm,
 )
@@ -25,7 +35,7 @@ from patchcc.image import load_ppm16
 from patchcc.network import HyperParams, forward, init_params
 
 import oracles
-from helpers import BOUNDARY_ROW, bias_net, channel_max_net, tiled_image
+from helpers import BOUNDARY_ROW, bias_net, channel_max_net, tiled_image, write_ppm
 
 
 def unit_rows(arr):
@@ -358,6 +368,121 @@ class TestGridGroundTruth:
         assert grid.estimates.tobytes() == expected.tobytes()
         loop = oracles.loop_grid_ground_truth(gt_pixels, size)
         assert np.array_equal(grid.estimates, loop / np.linalg.norm(loop, axis=2, keepdims=True))
+
+
+def pixel_path_grid(path, size):
+    """The map file read per pixel, then gridded: the form `load_grid_ground_truth` replaces."""
+    return grid_ground_truth(load_illuminant_map_ppm(path), size)
+
+
+def shuffled_cell(rng, size, triples, counts):
+    """A (size, size, 3) cell of raw samples, counts[i] of triples[i], in random order."""
+    cell = np.repeat(np.asarray(triples), counts, axis=0)
+    return rng.permutation(cell).reshape(size, size, 3)
+
+
+class TestLoadGridGroundTruth:
+    """The reader of raw map samples against the per-pixel path, byte for byte."""
+
+    def assert_matches_pixel_path(self, path, size):
+        got = load_grid_ground_truth(path, size)
+        assert got.patch_size == size
+        assert got.estimates.tobytes() == pixel_path_grid(path, size).estimates.tobytes()
+
+    def assert_same_error(self, path, size, error, match):
+        with pytest.raises(error, match=match) as new:
+            load_grid_ground_truth(path, size)
+        with pytest.raises(error) as old:
+            pixel_path_grid(path, size)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("size", [1, 7, 16, 33])
+    def test_two_light_maps(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        # sides that are not multiples of any size, and a split inside a cell
+        img = LinearImage(rng.uniform(0.2, 1.0, size=(101, 75, 3)))
+        left, right = (normalize(rng.uniform(0.05, 1.0, 3)) for _ in range(2))
+        _, gt = compose_two_illuminants(img, left, right)
+        path = tmp_path / "gt.ppm"
+        save_illuminant_map_ppm(gt, path)
+        self.assert_matches_pixel_path(path, size)
+
+    def test_samples_of_one_direction_vote_together(self, tmp_path):
+        # 300 x (1, 1, 1) and 300 x (2, 2, 2) are 600 pixels of one unit
+        # vector, which beat 424 pixels of another: a vote on raw samples
+        # would pick the 424
+        rng = np.random.default_rng(3)
+        samples = np.full((32, 64, 3), 500)
+        samples[:, :32] = shuffled_cell(rng, 32, [(1, 1, 1), (2, 2, 2), (900, 40, 7)],
+                                        [300, 300, 424])
+        path = tmp_path / "gt.ppm"
+        write_ppm(path, samples)
+        self.assert_matches_pixel_path(path, 32)
+        assert np.allclose(load_grid_ground_truth(path, 32).estimates[0, 0], 3 ** -0.5)
+
+    @pytest.mark.parametrize("triples, counts", [
+        ([(7, 3, 1), (1, 3, 7)], [18, 18]),
+        ([(7, 3, 1), (1, 3, 7), (4, 4, 1)], [12, 12, 12]),
+        # a tie between two raw samples of one direction and a third sample
+        ([(2, 2, 2), (9, 1, 1), (1, 1, 1)], [9, 18, 9]),
+    ])
+    def test_ties_go_to_the_earliest_pixel(self, tmp_path, triples, counts):
+        rng = np.random.default_rng(len(triples))
+        samples = np.concatenate(
+            [shuffled_cell(rng, 6, triples, counts) for _ in range(5)], axis=1)
+        path = tmp_path / "gt.ppm"
+        write_ppm(path, samples)
+        self.assert_matches_pixel_path(path, 6)
+        loop = oracles.loop_grid_ground_truth(load_illuminant_map_ppm(path), 6)
+        assert np.array_equal(load_grid_ground_truth(path, 6).estimates,
+                              loop / np.linalg.norm(loop, axis=2, keepdims=True))
+
+    @pytest.mark.parametrize("where", [(0, 0), (20, 30), (34, 3), (-1, -1)])
+    def test_zero_vector_inside_or_outside_the_grid(self, tmp_path, where):
+        # 35x45 at patch size 16: rows 32-34 and columns 32-44 lie outside the grid
+        samples = np.full((35, 45, 3), 1000)
+        samples[where] = 0
+        path = tmp_path / "gt.ppm"
+        write_ppm(path, samples)
+        self.assert_same_error(path, 16, FormatError, "zero vectors")
+
+    def test_map_smaller_than_one_patch(self, tmp_path):
+        samples = np.full((15, 40, 3), 1000)
+        path = tmp_path / "gt.ppm"
+        write_ppm(path, samples)
+        self.assert_same_error(path, 16, ShapeMismatchError, "smaller than one patch")
+        # the zero check comes first
+        samples[-1, -1] = 0
+        write_ppm(path, samples)
+        self.assert_same_error(path, 16, FormatError, "zero vectors")
+
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "gt.ppm"
+        write_ppm(path, np.full((8, 8, 3), 1000))
+        path.write_bytes(path.read_bytes()[:-1])
+        self.assert_same_error(path, 4, FormatError, "truncated payload")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_pixel_path_on_small_maps(self, data):
+        size = data.draw(st.integers(1, 5), label="size")
+        gh, gw = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        extra_h, extra_w = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        # few small triples and their multiples, so raw samples often share a direction
+        triple = st.builds(lambda base, k: tuple(k * c for c in base),
+                           st.tuples(*[st.integers(0, 3)] * 3).filter(any), st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        samples = np.empty((gh * size + extra_h, gw * size + extra_w, 3), dtype=np.int64)
+        for gy in range(-(-samples.shape[0] // size)):
+            for gx in range(-(-samples.shape[1] // size)):
+                palette = np.array(data.draw(st.lists(triple, min_size=1, max_size=4)))
+                cell = samples[gy * size : (gy + 1) * size, gx * size : (gx + 1) * size]
+                cell[:] = palette[rng.integers(0, len(palette), size=cell.shape[:2])]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "gt.ppm"
+            write_ppm(path, samples)
+            self.assert_matches_pixel_path(path, size)
 
 
 class TestExports:
