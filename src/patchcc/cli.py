@@ -238,12 +238,13 @@ def cmd_local_map(args) -> int:
         ill_map = filter_gaussian_3x3(ill_map)
     elif args.filter == "median":
         ill_map = filter_median_3x3(ill_map)
+    if args.gt_map:
+        gt = load_grid_ground_truth(args.gt_map, params.patch_size)
+        summary = summarize(angular_error_map(ill_map, gt)[1])
     save_map_ppm(ill_map, args.out_prefix + ".ppm")
     save_map_csv(ill_map, args.out_prefix + ".csv")
     if args.gt_map:
-        gt = load_grid_ground_truth(args.gt_map, ill_map.patch_size)
-        _, flat = angular_error_map(ill_map, gt)
-        print(summarize(flat))
+        print(summary)
     print(f"{args.out_prefix}.ppm written")
     return 0
 

@@ -18,14 +18,15 @@ batch rows, and so the `origins`, of the estimates. Training takes its
 patches from `training_patch_arrays`, which samples each image and
 stretches the fresh samples in place, straight into their rows of one
 array allocated for the whole fold. The stretch writes patches in
-`hyper.dtype` for training and fine-tuning, in float64 for inference; raw
-outputs are widened to float64, and so is all after them.
+`hyper.dtype` (float32 by default) for training, in the weights' dtype for
+fine-tuning, and in float64 for inference; raw outputs are widened to
+float64, and so is all after them.
 `fold_split` holds the cross-validation convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .errors import (
 from .evaluation import angular_error_many
 from .image import Illuminant, LinearImage, normalize, vector_norms
 from .network import (
-    PARAM_LAYERS,
     HyperParams,
     NetworkGrads,
     NetworkParams,
@@ -326,11 +326,11 @@ def fine_tune(
 ) -> NetworkParams:
     """Continue training on the image-level angular loss, one image per step.
 
-    The weights are cast to `hyper.dtype` first, and the result has that
-    dtype. Each image's patches are prepared once per call, at the model's
-    patch size, stretched into that dtype too, the one the network computes
-    in. Of `hyper`, only the learning settings, epochs, seed and dtype are
-    read.
+    The network computes in the dtype of the weights it is given, and the
+    result has that dtype: a model loaded from a weights file is tuned in
+    its float32. Each image's patches are prepared once per call, at the
+    model's patch size, stretched into that dtype too. Of `hyper`, only the
+    learning settings, epochs and seed are read.
 
     When a validation set is given, the checkpoint with the lowest pooled
     median error is returned; a checkpoint only displaces the current best
@@ -342,12 +342,10 @@ def fine_tune(
     if not samples:
         raise ParameterError("fine_tune needs at least one image")
     pool = _pooling_function(pooling)
-    params = replace(
-        params, **{name: getattr(params, name).astype(hyper.dtype) for name in PARAM_LAYERS})
     state = zero_momentum(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 7])
-    batches = [prepared_patches(s.image, params.patch_size, dtype=hyper.dtype) for s in samples]
-    val_batches = [(prepared_patches(s.image, params.patch_size, dtype=hyper.dtype), s.illuminant)
+    batches = [prepared_patches(s.image, params.patch_size, dtype=params.dtype) for s in samples]
+    val_batches = [(prepared_patches(s.image, params.patch_size, dtype=params.dtype), s.illuminant)
                    for s in val_dataset or ()]
 
     def val_median(p: NetworkParams) -> float:

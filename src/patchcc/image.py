@@ -28,11 +28,6 @@ PPM_MAXVAL = 65535
 # largest possible component (1.0) still fits below maxval.
 ILLUMINANT_MAP_SCALE = 1.0 / math.sqrt(3.0)
 
-# rows per strip of `load_illuminant_map_ppm`'s norm: 16 rows of an
-# 1800-px map are 0.7 MB of float64 samples, which stay in cache while the
-# strip is unscaled, normed and divided
-NORM_STRIP_ROWS = 16
-
 
 def vector_norms(v) -> np.ndarray:
     """Length of each vector along the last axis: one dot product per vector,
@@ -300,40 +295,27 @@ def read_map_samples(path) -> np.ndarray:
     return samples
 
 
-def _unit_map_values(values: np.ndarray):
-    """Turn map values (..., 3), samples scaled to [0, 1], into unit
-    illuminants in place: unscale by `ILLUMINANT_MAP_SCALE`, then divide by
-    the norm. The norm adds the squared channels in order, (r*r + g*g) + b*b,
-    which gives the bits of `np.linalg.norm(v, axis=-1)` without its
-    temporaries. Every step is elementwise, so equal samples give equal bits
-    wherever they lie."""
-    values /= ILLUMINANT_MAP_SCALE
-    norms = np.square(values[..., 0])
-    part = np.square(values[..., 1])
-    norms += part
-    np.square(values[..., 2], out=part)
-    norms += part
-    np.sqrt(norms, out=norms)
-    values /= norms[..., None]
-
-
 def map_sample_units(samples: np.ndarray) -> np.ndarray:
     """The unit illuminants of nonzero 16-bit map samples (..., 3), as a new
-    float64 array with the bits `load_illuminant_map_ppm` gives them."""
+    float64 array: scale to [0, 1], unscale by `ILLUMINANT_MAP_SCALE`, then
+    divide by the norm. The norm adds the squared channels in order,
+    (r*r + g*g) + b*b, which gives the bits of `np.linalg.norm(v, axis=-1)`
+    without its temporaries. Every step is elementwise, so equal samples give
+    equal bits wherever they lie."""
     units = _scaled_samples(samples)
-    _unit_map_values(units)
+    units /= ILLUMINANT_MAP_SCALE
+    norms = np.square(units[..., 0])
+    part = np.square(units[..., 1])
+    norms += part
+    np.square(units[..., 2], out=part)
+    norms += part
+    np.sqrt(norms, out=norms)
+    units /= norms[..., None]
     return units
 
 
 def load_illuminant_map_ppm(path) -> np.ndarray:
-    """Read a map written by `save_illuminant_map_ppm`, renormalizing each
-    pixel as `map_sample_units` does.
-
-    Works in place on the decoded samples, `NORM_STRIP_ROWS` rows at a time,
-    so each strip is unscaled, normed and divided while it is in cache.
-    Raises `FormatError` on a zero vector.
-    """
-    data = _scaled_samples(read_map_samples(path))
-    for first in range(0, len(data), NORM_STRIP_ROWS):
-        _unit_map_values(data[first : first + NORM_STRIP_ROWS])
-    return data
+    """Read a map written by `save_illuminant_map_ppm`, each pixel made a
+    unit illuminant by `map_sample_units`. Raises `FormatError` on a zero
+    vector."""
+    return map_sample_units(read_map_samples(path))

@@ -8,10 +8,11 @@ network (`forward`, `forward_cache`, `backward`) takes (B, S, S, 3) batches
 only; a lone patch is a batch of one.
 
 The weights hold one dtype, float32 or float64 (`NetworkParams.dtype`), and
-weights files store float32, which `load_params` keeps. The network computes
-in the dtype of its weights: `forward` and `forward_cache` cast the patches
-to it, so callers pass patches of any float dtype and get outputs of the
-weights' dtype.
+weights files store float32, which `load_params` keeps. Training makes
+float32 weights by default (`HyperParams.dtype`); only `gradient_check`
+computes in float64, on a widened copy. The network computes in the dtype of
+its weights: `forward` and `forward_cache` cast the patches to it, so callers
+pass patches of any float dtype and get outputs of the weights' dtype.
 
 A model carries its pool size (`NetworkParams.pool_size`), which weights
 files store, so it knows its own patch side, `patch_size` = G * pool_size;
@@ -123,6 +124,11 @@ class HyperParams:
     pixel's kernel_width^2 * 3 taps; training feeds batches of `batch_size`.
     The learning rate and weight decay must be finite and >= 0, and the
     momentum in [0, 1).
+
+    `dtype` is the precision `init_params` draws the weights in and
+    `estimator.training_patch_arrays` stretches the patches in: float32, the
+    precision weights files store. No command sets it; the field stays
+    because the benchmark harness passes it.
     """
 
     patch_size: int = 32
@@ -138,7 +144,7 @@ class HyperParams:
     patience: int = 5
     patches_per_image: int = 100
     seed: int = 0
-    dtype: str = "float64"
+    dtype: str = "float32"
 
     def __post_init__(self):
         for name in ("patch_size", "kernel_count", "kernel_width", "pool_size", "fc_units",
@@ -803,18 +809,21 @@ def gradient_check(
     """Compare analytic gradients against central finite differences.
 
     Enumerates every parameter, stepping each by +-`GRADCHECK_STEP`, so keep
-    the configuration small. Returns the max relative error
-    |a - n| / max(|a|, |n|, 1e-8) per layer. `analytic` overrides the
-    internally computed gradients (negative-control hook).
+    the configuration small. The check runs on the weights widened to
+    float64, whatever their dtype: a 1e-4 central difference means nothing
+    in float32. Returns the max relative error |a - n| / max(|a|, |n|, 1e-8)
+    per layer. `analytic` overrides the internally computed gradients
+    (negative-control hook).
     """
     loss = _loss_fn(loss_kind)
+    params = replace(
+        params, **{name: getattr(params, name).astype(np.float64) for name in PARAM_LAYERS})
     if analytic is None:
         _, analytic = analytic_param_grads(params, patch, gt, loss_kind)
     report = {}
-    values = {name: getattr(params, name).copy() for name in PARAM_LAYERS}
 
     def loss_at(layer, idx, delta):
-        bumped = values[layer].copy()
+        bumped = getattr(params, layer).copy()
         bumped[idx] += delta
         p = replace(params, **{layer: bumped})
         return loss(forward(p, patch[None])[0], gt)[0]
@@ -822,7 +831,7 @@ def gradient_check(
     for name in PARAM_LAYERS:
         worst = 0.0
         grads = getattr(analytic, name)
-        for idx in np.ndindex(values[name].shape):
+        for idx in np.ndindex(getattr(params, name).shape):
             numeric = (loss_at(name, idx, GRADCHECK_STEP)
                        - loss_at(name, idx, -GRADCHECK_STEP)) / (2 * GRADCHECK_STEP)
             a = float(grads[idx])

@@ -5,7 +5,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,14 +179,32 @@ class TestTrainedPipeline:
         assert out.exists()
         assert out.with_name(out.name + ".log.jsonl").exists()
 
+    def test_train_command_writes_in_process_float32_models(self, dataset_dir, model_dir,
+                                                            tmp_path):
+        """The CLI has no --dtype: `train` makes the float32 models of
+        in-process `train` with the default `HyperParams.dtype`."""
+        from patchcc.dataset import load_manifest, load_samples
+        from patchcc.estimator import train
+
+        samples = load_samples(load_manifest(dataset_dir / "manifest.json"))
+        result = train(samples, (0,), HyperParams(
+            patch_size=16, kernel_count=8, pool_size=4, fc_units=8, epochs=2,
+            patches_per_image=20, batch_size=32, seed=3))
+        assert result.models[0].dtype == np.float32
+        save_params(result.models[0], tmp_path / "in_process.ccnn")
+        assert (model_dir / "fold0.ccnn").read_bytes() == (
+            tmp_path / "in_process.ccnn").read_bytes()
+        lines = (model_dir / "train_log.jsonl").read_text().splitlines()
+        assert lines == [json.dumps(rec, sort_keys=True) for rec in result.log]
+
     @pytest.mark.parametrize("pooling", ["median", "average"])
-    def test_finetune_command_widens_float32_file(self, dataset_dir, model_dir, tmp_path,
-                                                  pooling):
+    def test_finetune_command_keeps_float32_file(self, dataset_dir, model_dir, tmp_path,
+                                                 pooling):
         """The CLI has no --dtype: a float32 weights file is fine-tuned in
-        float64, as in-process `fine_tune` of the widened weights does."""
+        float32, as in-process `fine_tune` of the stored weights is."""
         from patchcc.dataset import load_manifest, load_samples
         from patchcc.estimator import fine_tune, fold_samples, fold_split
-        from patchcc.network import PARAM_LAYERS, load_params, save_params
+        from patchcc.network import load_params
 
         out = tmp_path / "tuned.ccnn"
         assert run(["finetune", "--manifest", str(dataset_dir / "manifest.json"),
@@ -196,14 +213,13 @@ class TestTrainedPipeline:
                     "--lr", "0.0001", "--seed", "3", "--pooling", pooling]) == 0
         stored = load_params(model_dir / "fold0.ccnn")
         assert stored.dtype == np.float32
-        widened = replace(stored,
-                          **{n: getattr(stored, n).astype(np.float64) for n in PARAM_LAYERS})
         samples = load_samples(load_manifest(dataset_dir / "manifest.json"))
         train_samples, val_samples = (fold_samples(samples, f) for f in fold_split(0))
         log = []
-        tuned = fine_tune(widened, train_samples,
+        tuned = fine_tune(stored, train_samples,
                           HyperParams(epochs=2, learning_rate=0.0001, seed=3),
                           pooling=pooling, val_dataset=val_samples, log=log)
+        assert tuned.dtype == np.float32
         save_params(tuned, tmp_path / "in_process.ccnn")
         assert out.read_bytes() == (tmp_path / "in_process.ccnn").read_bytes()
         lines = out.with_name(out.name + ".log.jsonl").read_text().splitlines()
@@ -272,16 +288,21 @@ class TestLocalMapGroundTruth:
     @pytest.mark.parametrize("bad, error", [
         ("zero", "FormatError: illuminant map contains zero vectors"),
         ("grid", "ShapeMismatchError: grid shapes differ"),
+        ("truncated", "FormatError: truncated payload"),
+        ("missing", "FileNotFoundError:"),
     ])
-    def test_bad_map_exits_one_after_writing_the_map(self, two_light_dir, model_dir, tmp_path,
-                                                     capsys, bad, error):
+    def test_bad_map_exits_one_and_writes_nothing(self, two_light_dir, model_dir, tmp_path,
+                                                  capsys, bad, error):
         gt_path = tmp_path / "gt.ppm"
         if bad == "zero":
             samples = np.full((56, 72, 3), 1000)
             samples[55, 71] = 0  # outside the image's 3 x 4 grid of 16-px cells
-        else:
-            samples = np.full((40, 72, 3), 1000)  # a 2 x 4 grid
-        write_ppm(gt_path, samples)
+            write_ppm(gt_path, samples)
+        elif bad == "grid":
+            write_ppm(gt_path, np.full((40, 72, 3), 1000))  # a 2 x 4 grid
+        elif bad == "truncated":
+            write_ppm(gt_path, np.full((56, 72, 3), 1000))
+            gt_path.write_bytes(gt_path.read_bytes()[:-1])
         prefix = tmp_path / "map"
         assert run(["local-map", "--image", str(two_light_dir / "img_000.ppm"),
                     "--model", str(model_dir / "fold0.ccnn"), "--out-prefix", str(prefix),
@@ -290,8 +311,8 @@ class TestLocalMapGroundTruth:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}"), captured.err
         assert captured.out == ""
-        assert prefix.with_suffix(".ppm").exists()
-        assert len(prefix.with_suffix(".csv").read_text().splitlines()) == 1 + 4 * 3
+        assert not prefix.with_suffix(".ppm").exists()
+        assert not prefix.with_suffix(".csv").exists()
 
 
 class TestFoldArguments:

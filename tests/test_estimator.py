@@ -552,18 +552,18 @@ class TestFineTune:
                   pooling=pooling, val_dataset=samples[3:])
         assert [id(img) for img in calls] == [id(s.image) for s in samples]
 
-    def test_weights_cast_to_hyper_dtype(self):
-        from dataclasses import replace
-
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_weights_keep_their_dtype(self, dtype):
+        """`fine_tune` computes in the weights' dtype, whatever
+        `hyper.dtype` says, and never casts them."""
         samples = make_synthetic_samples(count=2, size=32, seed=15)
-        frozen = replace(SMALL, learning_rate=0.0, momentum=0.0, epochs=1)
-        p32 = init_params(replace(SMALL, dtype="float32"), 16)
-        widened = fine_tune(p32, samples, frozen)
-        assert widened.dtype == np.float64
+        other = {"float32": "float64", "float64": "float32"}[dtype]
+        frozen = replace(SMALL, learning_rate=0.0, momentum=0.0, epochs=1, dtype=other)
+        params = init_params(replace(SMALL, dtype=dtype), 16)
+        tuned = fine_tune(params, samples, frozen)
+        assert tuned.dtype == np.dtype(dtype)
         for name in PARAM_LAYERS:
-            assert np.array_equal(getattr(widened, name), getattr(p32, name))
-        narrowed = fine_tune(init_params(SMALL, 16), samples, replace(frozen, dtype="float32"))
-        assert narrowed.dtype == np.float32
+            assert np.array_equal(getattr(tuned, name), getattr(params, name))
 
     def test_patches_at_the_models_size_and_pool_kept(self, monkeypatch):
         """The patch size comes from the model, not from `hyper` (TOY's is
@@ -584,11 +584,10 @@ class TestFineTune:
 
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_batches_held_in_hyper_dtype(self, dtype, monkeypatch):
-        from dataclasses import replace
-
+    def test_batches_held_in_the_weights_dtype(self, dtype, monkeypatch):
         samples = make_synthetic_samples(count=4, size=48, seed=17)
-        params = replace(init_params(SMALL, 18), out_b=np.array([0.4, 0.5, 0.45]))
+        params = init_params(replace(SMALL, dtype=dtype), 18)
+        params = replace(params, out_b=np.array([0.4, 0.5, 0.45], dtype=dtype))
         seen = []
 
         def recording(layer):
@@ -599,7 +598,9 @@ class TestFineTune:
 
         monkeypatch.setattr(estimator, "forward_cache", recording(network.forward_cache))
         monkeypatch.setattr(estimator, "forward", recording(network.forward))
-        fine_tune(params, samples[:2], replace(SMALL, learning_rate=1e-4, epochs=2, dtype=dtype),
+        # hyper names the other dtype, which fine-tuning does not read
+        other = {"float32": "float64", "float64": "float32"}[dtype]
+        fine_tune(params, samples[:2], replace(SMALL, learning_rate=1e-4, epochs=2, dtype=other),
                   val_dataset=samples[2:])
         # 2 images x 2 epochs of steps; 2 validation images x (start + 2 epochs)
         assert sorted(name for name, _ in seen) == ["forward"] * 6 + ["forward_cache"] * 4

@@ -63,7 +63,7 @@ from patchcc.network import (
 from helpers import SMALL, TINY_SHAPES, make_synthetic_samples, tiny_weights, weights_bytes
 from oracles import block_conv1x1_pool_backward, block_conv1x1_pool_forward
 
-TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5)
+TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5, dtype="float64")
 
 
 def toy_params(seed=0):
@@ -1176,6 +1176,21 @@ class TestGradientCheck:
         grads.fc_w = -grads.fc_w  # sign flip
         report = gradient_check(params, patch, gt, "euclidean", analytic=grads)
         assert report["fc_w"] > 0.1
+
+    @pytest.mark.parametrize("loss_kind", ["euclidean", "angular"])
+    def test_float32_model_checked_in_float64(self, loss_kind):
+        # training makes float32 models, and a 1e-4 step means nothing in
+        # float32: the check widens the weights, so it reports what it
+        # reports for their float64 copy
+        p32 = init_params(replace(TOY, dtype="float32"), 12)
+        p64 = replace(p32, **{name: getattr(p32, name).astype(np.float64)
+                              for name in PARAM_LAYERS})
+        rng = np.random.default_rng(18)
+        patch = rng.uniform(0, 1, (8, 8, 3))
+        gt = normalize(rng.uniform(0.2, 1.0, 3))
+        report = gradient_check(p32, patch, gt, loss_kind)
+        assert report == gradient_check(p64, patch, gt, loss_kind)
+        assert max(report.values()) < 1e-3
 
 
 FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
