@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 from .estimator import POOLINGS, prepared_patches, unit_estimates
 from .evaluation import STAT_NAMES, angular_error_many, summarize
@@ -102,8 +104,9 @@ def benchmark(
 ) -> BenchmarkReport:
     """Evaluate estimators over a labeled dataset.
 
-    Statistical rows run on every image. Network rows read one float64
-    batch per image, at the patch size all their models share, and one
+    Statistical rows run on every image. Network rows read one batch per
+    image, at the patch size all their models share and in the dtype they
+    compute in (float64 if any of them does, else float32), and one
     `unit_estimates` call per model set the rows use, with the model of the
     image's fold; cnn-patch scores every patch.
 
@@ -122,10 +125,14 @@ def benchmark(
     for algo in algos:
         if algo in CNN_ROWS:
             readers.setdefault(CNN_ROWS[algo][0], algo)
+    # the cnn rows' patches are stretched into the dtype their models compute
+    # in, float64 if any of them does
+    dtypes = [m.dtype for name in readers for m in sets[name].values()]
+    dtype = np.result_type(*dtypes) if dtypes else None
 
     def image_errors(s) -> dict[str, list[float]]:
         if readers:
-            batch = prepared_patches(s.image, patch_size)
+            batch = prepared_patches(s.image, patch_size, dtype=dtype)
             units = {name: unit_estimates(_model_for(s, models, readers[name]), batch)[1]
                      for name, models in sets.items() if name in readers}
             batch = None  # not held while the statistical rows run

@@ -18,9 +18,9 @@ batch rows, and so the `origins`, of the estimates. Training takes its
 patches from `training_patch_arrays`, which samples each image and
 stretches the fresh samples in place, straight into their rows of one
 array allocated for the whole fold. The stretch writes patches in
-`hyper.dtype` (float32 by default) for training, in the weights' dtype for
-fine-tuning, and in float64 for inference; raw outputs are widened to
-float64, and so is all after them.
+`hyper.dtype` (float32 by default) for training and in the weights' dtype
+for fine-tuning and inference, so the network casts none of them; raw
+outputs are widened to float64, and so is all after them.
 `fold_split` holds the cross-validation convention.
 """
 
@@ -138,9 +138,10 @@ def unit_estimates(params: NetworkParams, batch: PatchBatch) -> tuple[np.ndarray
     """The mask of the batch rows whose rectified network output has a
     direction, and those rows' unit estimates (M, 3).
 
-    The forward pass runs in the weights' dtype; the raw outputs are
-    widened to float64 before they are rectified, so everything downstream
-    is float64 whatever the weights' precision.
+    The forward pass runs in the weights' dtype, in which the package's
+    callers prepare the batch; the raw outputs are widened to float64
+    before they are rectified, so everything downstream is float64 whatever
+    the weights' precision.
     """
     keep, _, units = rectified_units(forward(params, batch.data).astype(np.float64, copy=False))
     return keep, units
@@ -150,7 +151,8 @@ def estimate_image(params: NetworkParams, img: LinearImage, pooling: str = "medi
     """Grid-patch the image at the model's patch size and pool the
     per-patch network estimates."""
     pool = _pooling_function(pooling)
-    return pool(unit_estimates(params, prepared_patches(img, params.patch_size))[1])
+    batch = prepared_patches(img, params.patch_size, dtype=params.dtype)
+    return pool(unit_estimates(params, batch)[1])
 
 
 # --------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Pixel data lives in float64 numpy arrays of shape (height, width, 3) holding
 linear radiometric values, read-only so images can be shared freely between
-workers. A `LinearImage` takes ownership of a C-contiguous array that owns
-its memory (`base is None`), such as a fresh result of numpy arithmetic, and
-freezes it in place; any other array, a view included, is copied first. So
-an array must not be written after it is wrapped.
+workers. Decoding divides the 16-bit samples into one such array in strips
+of `LANE_STRIP_ROWS` rows spread over the CPUs (`network.spread`). A
+`LinearImage` takes ownership of a C-contiguous array that owns its memory
+(`base is None`), such as a fresh result of numpy arithmetic, and freezes it
+in place; any other array, a view included, is copied first. So an array
+must not be written after it is wrapped.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ from .errors import (
 )
 
 PPM_MAXVAL = 65535
+
+# image rows per strip of the full-size passes spread over the CPUs, the
+# 16-bit scaling here and the grid stretch (`patches.stretched_grid_patches`,
+# in whole tile rows): a 160x160 scene is one strip, so the small scenes of
+# training and fine-tuning touch no thread pool, and an 1800x1200 one makes
+# eight strips
+LANE_STRIP_ROWS = 160
 
 # Unit illuminant vectors are stored in PPM files scaled by this factor so the
 # largest possible component (1.0) still fits below maxval.
@@ -223,10 +232,23 @@ def _read_ppm16(path) -> np.ndarray:
 
 
 def _scaled_samples(samples: np.ndarray) -> np.ndarray:
-    """16-bit samples scaled to [0, 1], as a new float64 array."""
-    data = samples.astype(np.float64)
-    data /= PPM_MAXVAL
-    return data
+    """16-bit samples (..., 3) scaled to [0, 1], as a new float64 array.
+
+    Strips of `LANE_STRIP_ROWS` entries of the first axis run through
+    `network.spread`, each divided straight into its rows of the result.
+    A sample's float64 value is exact, so each result is one correctly
+    rounded division: the bits of the whole-array form on any number of
+    CPUs."""
+    from .network import spread  # network imports this module
+
+    out = np.empty(samples.shape)
+
+    def strip(first: int):
+        rows = slice(first, first + LANE_STRIP_ROWS)
+        np.divide(samples[rows], PPM_MAXVAL, out=out[rows])
+
+    spread(strip, range(0, len(samples), LANE_STRIP_ROWS))
+    return out
 
 
 def load_ppm16(path) -> LinearImage:

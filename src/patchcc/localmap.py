@@ -67,7 +67,7 @@ def estimate_local_map(params: NetworkParams, img: LinearImage) -> IlluminantMap
     """
     patch_size = params.patch_size
     # the cells must stay aligned with the source pixels, so no resize
-    batch = prepared_patches(img, patch_size, resize_target=None)
+    batch = prepared_patches(img, patch_size, resize_target=None, dtype=params.dtype)
     keep, units = unit_estimates(params, batch)
     cells = np.zeros((img.height // patch_size, img.width // patch_size, 3))
     filled = np.zeros(cells.shape[:2], dtype=bool)

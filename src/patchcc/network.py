@@ -12,7 +12,9 @@ weights files store float32, which `load_params` keeps. Training makes
 float32 weights by default (`HyperParams.dtype`); only `gradient_check`
 computes in float64, on a widened copy. The network computes in the dtype of
 its weights: `forward` and `forward_cache` cast the patches to it, so callers
-pass patches of any float dtype and get outputs of the weights' dtype.
+pass patches of any float dtype and get outputs of the weights' dtype. The
+package's own callers stretch their patches straight into that dtype, so the
+cast copies nothing for them.
 
 A model carries its pool size (`NetworkParams.pool_size`), which weights
 files store, so it knows its own patch side, `patch_size` = G * pool_size;
@@ -31,7 +33,8 @@ channels, in the weights' (dy, dx, c) order, and views the kernels as
 (K, 1, 1, kw*kw*3); 1x1 kernels take the pixels as they are. The layer
 copies the input pixel-outer, with the pixels of a pool window on the
 leading axis, and takes a few pool windows at a time, so their responses
-stay in cache and no full-size response array is built. Training's block
+stay in cache and no full-size response array is built. Its float32 gemms
+take a C-contiguous (C, K) copy of the kernel matrix. Training's block
 loop holds every pixel's responses of a block and takes their max over the
 pixel axis straight into the pooled output; its argmax is the first pixel
 equal to the max, and the backward pass touches only that pixel of each
@@ -56,8 +59,9 @@ waits on the running ones, so a lane that calls `spread` again cannot
 deadlock; a lane stops at its first exception, and `spread` raises that of
 the lowest failing item, as a serial loop would. `evaluate`'s images
 (`--threads` lanes), `forward`'s `FORWARD_CHUNK`-patch chunks and the row
-strips of `patches.resize_max_side` (both `usable_cpus` lanes) all go
-through it, so no more threads run than the process has CPUs. `forward`
+strips of the PPM decode, of `patches.resize_max_side` and of
+`patches.stretched_grid_patches` (all `usable_cpus` lanes) go through it,
+so no more threads run than the process has CPUs. `forward`
 then runs the FC and output layers in the calling thread, chunk by chunk.
 Every chunk's matrices keep their shapes, so the outputs are the same bits
 on any number of CPUs.
@@ -381,7 +385,9 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     The input is copied once pixel-outer, xp (pool*pool, windows, C), and
     the windows are taken a block at a time, so no full-size response array
     is built. Where numpy would call gemv (K = 1, pool 1, a one-window
-    block), a block goes window by window (`_window_responses`).
+    block), a block goes window by window (`_window_responses`), with the
+    transposed view W^T; the gemms take a C-contiguous copy of W^T in
+    float32 and the view in float64.
 
     With the cache (training), a block of s windows holds FUSED_BLOCK_BYTES
     of responses, xp_block @ W^T as (pool*pool, s, K), and their max over the
@@ -419,6 +425,11 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     k = w.shape[0]
     p2 = pool * pool
     wt = w[:, 0, 0, :].T
+    # float32 gemms take a C-contiguous (C, K) copy of the kernel matrix,
+    # which OpenBLAS packs faster than the transposed view. float64 keeps the
+    # view: with the copy, OpenBLAS 0.3.31 rounded some 27-tap double sums
+    # by the gemm's row count, so the two paths differed in the last bits
+    wc = np.ascontiguousarray(wt) if x.dtype == np.float32 else wt
     axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 4)
     xp = x.reshape(*lead, g, pool, g, pool, c).transpose(axes).reshape(p2, -1, c)
     n = xp.shape[1]
@@ -431,9 +442,9 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
             s = block.shape[1]
             top = out[i : i + s]
             if k > 1 and p2 > 1 and s > 1:
-                np.matmul(block[0], wt, out=top)
+                np.matmul(block[0], wc, out=top)
                 for pixel in block[1:]:
-                    np.maximum(top, np.matmul(pixel, wt, out=resp[:s]), out=top)
+                    np.maximum(top, np.matmul(pixel, wc, out=resp[:s]), out=top)
             else:
                 np.max(_window_responses(block, wt), axis=0, out=top)
         out += b
@@ -450,7 +461,7 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
         block = xp[:, i : i + step]
         s = block.shape[1]
         if k > 1 and p2 > 1 and s > 1:
-            resp = np.matmul(block, wt, out=resp_buf[:, :s])
+            resp = np.matmul(block, wc, out=resp_buf[:, :s])
         else:
             resp = _window_responses(block, wt)
         resp += bias[:s]
@@ -559,7 +570,8 @@ def spread(fn, items, width: int | None = None) -> list:
     the one of the lowest failing item is raised, as in a serial loop.
 
     Its callers are `benchmark`'s images, `forward`'s chunks and the row
-    strips of `patches.resize_max_side`. While the pool's threads are busy,
+    strips of `image.load_ppm16`, `patches.resize_max_side` and
+    `patches.stretched_grid_patches`. While the pool's threads are busy,
     as inside `benchmark`'s image lanes, a nested call runs all its lanes on
     the calling thread.
     """
@@ -630,7 +642,9 @@ def _head(params: NetworkParams, pool_out: np.ndarray):
 def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     """Raw (unnormalized) illuminant estimates (B, 3) for a (B, S, S, 3)
     batch of side `params.patch_size`, in the dtype of the weights, to which
-    each chunk of patches is cast. A lone patch is a batch of one.
+    each chunk of patches is cast: a view, with no copy, for the patches of
+    the package's callers, which are stretched in that dtype. A lone patch
+    is a batch of one.
 
     Large batches are processed `FORWARD_CHUNK` patches at a time. The chunk
     bounds only the copies of the input (for k x k kernels, the taps and

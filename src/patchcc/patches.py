@@ -11,7 +11,10 @@ Resizing runs in strips of output rows, spread over the CPUs with
 `network.spread`, so its temporaries stay in cache. Each output element
 takes the same rounded operations in the same order as the full-size gather
 form, interpolating along x first and then along y, so the bytes are those
-of that form on any number of CPUs.
+of that form on any number of CPUs. The grid stretch runs in strips of tile
+rows through `spread` as well, in two passes (the joint ranges, then the
+kept tiles written at each strip's offset into one array of the requested
+dtype), with the bits of the single-pass stretch.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, SamplingImpossibleError
-from .image import LinearImage
+from .image import LANE_STRIP_ROWS, LinearImage
 from .network import spread
 
 DEGENERATE_RANGE = 1e-12
@@ -149,9 +152,10 @@ def extract_grid_patches(img: LinearImage, size: int) -> PatchBatch:
 def stretched_grid_patches(img: LinearImage, size: int, dtype=np.float64) -> PatchBatch:
     """`histogram_stretch(extract_grid_patches(img, size), dtype)`, the same
     bits, without a copy of every tile: the min and max are read through the
-    `grid_tiles` view and only the kept tiles are copied, once."""
+    `grid_tiles` view and only the kept tiles are copied, a strip of
+    max(1, `LANE_STRIP_ROWS` // size) tile rows at a time, over the CPUs."""
     tiles = grid_tiles(img.data, size)
-    return _stretched(tiles, _grid_origins(tiles, size), dtype)
+    return _stretched(tiles, _grid_origins(tiles, size), dtype, max(1, LANE_STRIP_ROWS // size))
 
 
 def grid_tiles(data: np.ndarray, size: int) -> np.ndarray:
@@ -229,20 +233,42 @@ def histogram_stretch(batch: PatchBatch, dtype=np.float64) -> PatchBatch:
     signal. Patches with joint range below 1e-12 are dropped and counted in
     `degenerate`.
     """
-    return _stretched(batch.data, batch.origins, dtype)
+    return _stretched(batch.data[None], batch.origins, dtype, 1)
 
 
-def _stretched(tiles: np.ndarray, origins: np.ndarray, dtype=np.float64) -> PatchBatch:
-    """`histogram_stretch` of patches on the last three axes of `tiles`,
-    whose leading axes run over `origins` in row-major order. The kept
-    patches are copied once and stretched in place; another `dtype` gets one
-    array of its own, with the bits of `astype` after the stretch."""
-    lo, span, keep = _joint_ranges(tiles)
-    data = tiles[keep]
-    data -= lo[keep]
-    out = data if data.dtype == dtype else np.empty(data.shape, dtype)
-    np.divide(data, span[keep], out=out)
-    return PatchBatch(out, origins[keep.reshape(-1)], degenerate=int(keep.size - keep.sum()))
+def _stretched(tiles: np.ndarray, origins: np.ndarray, dtype, step: int) -> PatchBatch:
+    """`histogram_stretch` of the (rows, cols) patches of `tiles`, (rows,
+    cols, S, S, C), whose origins are `origins` in row-major order, in strips
+    of `step` rows through `spread`.
+
+    Two passes: the first takes each strip's joint ranges, which give every
+    strip's count of kept patches and so its offset in one array of `dtype`
+    allocated for them all; the second writes each strip's kept patches
+    there, a row at a time. A row subtracts into those rows of the result,
+    or into a temporary of the tiles' dtype when `dtype` differs, and
+    divides into the result, rounding once to `dtype`. So the bits are those
+    of the stretch in the tiles' dtype and `astype` after it, whatever the
+    strips and the CPUs, and a stretch in the tiles' dtype copies only the
+    rows that hold flat patches."""
+    strips = [tiles[i : i + step] for i in range(0, len(tiles), step)]
+    ranges = spread(_joint_ranges, strips)
+    starts = np.cumsum([0] + [int(keep.sum()) for _, _, keep in ranges])
+    out = np.empty((starts[-1],) + tiles.shape[2:], dtype)
+
+    def write(j: int):
+        at = starts[j]
+        for row, lo, span, keep in zip(strips[j], *ranges[j]):
+            if not keep.all():
+                row, lo, span = row[keep], lo[keep], span[keep]
+            dst = out[at : at + len(row)]
+            data = dst if dst.dtype == row.dtype else np.empty(row.shape, row.dtype)
+            np.subtract(row, lo, out=data)
+            np.divide(data, span, out=dst)
+            at += len(row)
+
+    spread(write, range(len(strips)))
+    keep = np.concatenate([keep.reshape(-1) for _, _, keep in ranges] or [np.zeros(0, bool)])
+    return PatchBatch(out, origins[keep], degenerate=int(keep.size - keep.sum()))
 
 
 def stretch_into(data: np.ndarray, out: np.ndarray) -> int:

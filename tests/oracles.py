@@ -11,7 +11,10 @@ fused layer had before its training and inference went pixel-outer, and
 and the full-resolution forms of the pixel path before each stage made one
 pass with one new array (`row_gather_bilinear`, `repeat_then_quantize_map`,
 `linear_image_illuminant_map`, `tile_copy_grid_ground_truth`,
-`two_temporary_histogram_stretch`), and `concatenate_then_cast_training_patches`,
+`two_temporary_histogram_stretch`), the whole-array forms of the 16-bit
+scaling and the grid stretch before they ran in strips over the CPUs
+(`whole_array_scaled_samples`, `single_pass_grid_stretch`), and
+`concatenate_then_cast_training_patches`,
 the form training's patch arrays had before the stretch wrote them in the
 network's dtype, with `fancy_index_patches`, the gather random sampling had
 before it read a window view, and `csv_writer_map_csv`, the row-by-row
@@ -239,15 +242,16 @@ def loop_rectified_units(raw):
 
 
 def block_conv1x1_pool_forward(x, w, b, pool, need_cache=True):
-    """The fused 1x1-conv + max-pool layer in block layout: the
-    responses W @ xb^T as (..., G, G, K, pool*pool) with the bias added, a
-    last-axis `argmax` and `take_along_axis`; the cache is (xb, idx), or
-    None without `need_cache`."""
+    """The fused 1x1-conv + max-pool layer in block layout, over C input
+    channels: the responses W @ xb^T as (..., G, G, K, pool*pool) with the
+    bias added, a last-axis `argmax` and `take_along_axis`; the cache is
+    (xb, idx), or None without `need_cache`."""
     lead = x.shape[:-3]
     nl = len(lead)
     g = x.shape[-3] // pool
+    c = x.shape[-1]
     axes = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
-    xb = x.reshape(*lead, g, pool, g, pool, 3).transpose(axes).reshape(*lead, g, g, pool * pool, 3)
+    xb = x.reshape(*lead, g, pool, g, pool, c).transpose(axes).reshape(*lead, g, g, pool * pool, c)
     resp = w[:, 0, 0, :] @ xb.swapaxes(-1, -2)
     resp += b[:, None]
     idx = resp.argmax(axis=-1)
@@ -257,12 +261,12 @@ def block_conv1x1_pool_forward(x, w, b, pool, need_cache=True):
 
 def block_conv1x1_pool_backward(grad_out, cache):
     """Weight and bias gradients from the block-layout cache: gather each
-    window's argmax pixel, (windows, K, 3), and sum with `einsum`."""
+    window's argmax pixel, (windows, K, C), and sum with `einsum`."""
     xb, idx = cache
     k = idx.shape[-1]
     flat_idx = idx.reshape(-1, k)
     rows = np.arange(flat_idx.shape[0])[:, None]
-    x_sel = xb.reshape(-1, xb.shape[-2], 3)[rows, flat_idx]
+    x_sel = xb.reshape(-1, xb.shape[-2], xb.shape[-1])[rows, flat_idx]
     flat_g = grad_out.reshape(-1, k)
     grad_w = np.einsum("nk,nkc->kc", flat_g, x_sel)
     return grad_w[:, None, None, :], flat_g.sum(axis=0)
@@ -332,6 +336,30 @@ def two_temporary_histogram_stretch(data):
     span = data.max(axis=(1, 2, 3), keepdims=True) - lo
     keep = span.reshape(-1) >= 1e-12
     return (data[keep] - lo[keep]) / span[keep], keep
+
+
+def whole_array_scaled_samples(samples):
+    """16-bit samples scaled to [0, 1]: one float64 copy of the whole array,
+    divided in place."""
+    data = samples.astype(np.float64)
+    data /= 65535
+    return data
+
+
+def single_pass_grid_stretch(data, size, dtype):
+    """(stretched, origins, degenerate) of the size x size grid tiles of an
+    (H, W, 3) array: the joint ranges of every tile, then one copy of all
+    kept tiles, subtracted in place and divided into an array of `dtype`."""
+    tiles = grid_tiles(data, size)
+    lo = tiles.min(axis=(2, 3, 4), keepdims=True)
+    span = tiles.max(axis=(2, 3, 4), keepdims=True) - lo
+    keep = span[..., 0, 0, 0] >= 1e-12
+    kept = tiles[keep]
+    kept -= lo[keep]
+    out = np.empty(kept.shape, dtype)
+    np.divide(kept, span[keep], out=out)
+    gy, gx = np.nonzero(keep)
+    return out, np.stack([gx, gy], axis=1) * size, int(keep.size - keep.sum())
 
 
 def fancy_index_patches(data, origins, size):

@@ -13,8 +13,10 @@ from patchcc.errors import (
     PipelineError,
     ShapeMismatchError,
 )
+from patchcc import network
 from patchcc.image import (
     ILLUMINANT_MAP_SCALE,
+    LANE_STRIP_ROWS,
     Illuminant,
     LinearImage,
     cast_illuminant,
@@ -22,6 +24,7 @@ from patchcc.image import (
     correct_von_kries,
     load_illuminant_map_ppm,
     load_ppm16,
+    map_sample_units,
     neutral_illuminant,
     normalize,
     save_illuminant_map_ppm,
@@ -438,3 +441,27 @@ class TestIlluminantMapMatchesParentForms:
         assert path.read_bytes() == oracles.repeat_then_quantize_map(gt, 1)
         assert load_illuminant_map_ppm(path).tobytes() == (
             oracles.linear_image_illuminant_map(path).tobytes())
+
+
+class TestScalingStripsMatchWholeArrayForm:
+    """16-bit samples are scaled in strips of LANE_STRIP_ROWS rows over the CPUs;
+    the bits must be those of the whole-array form (tests/oracles.py) on any
+    number of them."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("height", [1, LANE_STRIP_ROWS, 2 * LANE_STRIP_ROWS + 37])
+    def test_bits_on_any_cpu_count(self, tmp_path, monkeypatch, cpus, height):
+        monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+        width = -(-65536 // (3 * height))  # room for every 16-bit code
+        rng = np.random.default_rng(height)
+        samples = rng.permutation(np.arange(height * width * 3) % 65536)
+        samples = samples.reshape(height, width, 3)
+        path = tmp_path / "img.ppm"
+        write_ppm(path, samples)
+        expected = oracles.whole_array_scaled_samples(samples.astype(">u2"))
+        assert load_ppm16(path).data.tobytes() == expected.tobytes()
+        units = map_sample_units(np.maximum(samples, 1).astype(">u2"))
+        want = oracles.whole_array_scaled_samples(np.maximum(samples, 1).astype(">u2"))
+        want /= ILLUMINANT_MAP_SCALE
+        want /= np.linalg.norm(want, axis=-1, keepdims=True)
+        assert units.tobytes() == want.tobytes()

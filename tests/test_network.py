@@ -683,22 +683,35 @@ class TestConv1x1PoolOracle:
     the bits of the block layout form it replaced, ties included, for the
     operands the network hands it from patches, weights and bias of any
     dtypes, at the edges of training's blocks and of inference's running-max
-    blocks."""
+    blocks: the pixels of a 1x1 model (C = 3) and the taps of a 3x3 one
+    (C = 27)."""
 
     @pytest.mark.parametrize("k", [1, 2, 4, 17, 32, 240])
     @pytest.mark.parametrize("xd,wd,bd", ALL_DTYPE_TRIPLES)
     def test_bit_identical_to_block_layout(self, k, xd, wd, bd):
-        rng = np.random.default_rng(80 + k)
+        self.check_block_layout(k, 1, xd, wd, bd)
+
+    # K = 1 is left to the 1x1 test: its blocks go window by window through
+    # the same gemv whatever C, and at 27 taps each copy of its 16,389
+    # windows takes 113 MB (the class peaked at 702 MiB with it, 273 without)
+    @pytest.mark.parametrize("k", [2, 4, 17, 32, 240])
+    @pytest.mark.parametrize("xd,wd,bd", ALL_DTYPE_TRIPLES)
+    def test_3x3_taps_bit_identical_to_block_layout(self, k, xd, wd, bd):
+        self.check_block_layout(k, 3, xd, wd, bd)
+
+    @staticmethod
+    def check_block_layout(k, kw, xd, wd, bd):
+        rng = np.random.default_rng((80 + k) * kw)
         pool = 8
         dtype = np.result_type(wd, bd)  # the weights', which the network runs in
         eps = np.finfo(dtype).eps
         for kind in ("ties", "continuous", "rounding_bias"):
             if kind == "continuous":
-                w = rng.standard_normal((k, 1, 1, 3))
+                w = rng.standard_normal((k, kw, kw, 3))
                 b = rng.standard_normal(k)
             else:
                 # dyadic values: exact sums, and on a coarse grid many ties
-                w = rng.integers(-64, 65, (k, 1, 1, 3)) / 32
+                w = rng.integers(-64, 65, (k, kw, kw, 3)) / 32
                 b = rng.integers(-64, 65, k) / 64
             if kind == "rounding_bias":
                 # at about 1/eps the bias add rounds distinct responses to
@@ -715,34 +728,48 @@ class TestConv1x1PoolOracle:
                     else:
                         x = rng.integers(0, 257 if kind == "rounding_bias" else 3, shape) / 256
                     ops = fused_operands(x.astype(xd), w, b, pool)
+                    assert ops[0].shape[-1] == 3 * kw * kw
                     got, got_cache = conv1x1_pool_forward(*ops, pool)
                     want, want_cache = block_conv1x1_pool_forward(*ops, pool)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     assert got_cache[1].tobytes() == want_cache[1].tobytes()
-                    lean, _ = conv1x1_pool_forward(*ops, pool, need_cache=False)
-                    assert lean.tobytes() == want.tobytes() == got.tobytes()
                     grad = rng.standard_normal(got.shape).astype(got.dtype)
                     for a, c in zip(conv1x1_pool_backward(grad, got_cache),
                                     block_conv1x1_pool_backward(grad, want_cache)):
                         assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
+                    got_cache = want_cache = None  # not held beside the lean pass
+                    lean, _ = conv1x1_pool_forward(*ops, pool, need_cache=False)
+                    assert lean.tobytes() == want.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("k,pool", [(1, 1), (4, 2), (240, 1), (17, 8), (32, 8), (240, 8)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_running_max_boundaries(self, k, pool, dtype):
+        self.check_running_max(k, pool, 1, dtype)
+
+    # K = 1 at pool 1 is left to the 1x1 test, as above: at 27 taps each copy
+    # of its 1,048,581 windows takes 113 MB
+    @pytest.mark.parametrize("k,pool", [(4, 2), (240, 1), (17, 8), (32, 8), (240, 8)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_3x3_taps_running_max_boundaries(self, k, pool, dtype):
+        self.check_running_max(k, pool, 3, dtype)
+
+    @staticmethod
+    def check_running_max(k, pool, kw, dtype):
         # K = 1, pool 1 and the one-window blocks go window by window, and
         # K = 17 leaves a remainder in every gemm kernel's column tiles
-        rng = np.random.default_rng(90 + k + pool)
+        rng = np.random.default_rng((90 + k + pool) * kw)
         eps = np.finfo(dtype).eps
         for kind in ("continuous", "rounding_bias"):
             if kind == "continuous":
-                w = rng.standard_normal((k, 1, 1, 3)).astype(dtype)
+                w = rng.standard_normal((k, kw, kw, 3)).astype(dtype)
                 b = rng.standard_normal(k).astype(dtype)
             else:
                 # dyadic values: exact sums and many ties; at about 1/eps the
                 # bias add rounds distinct responses to ties
-                w = (rng.integers(-64, 65, (k, 1, 1, 3)) / 32).astype(dtype)
+                w = (rng.integers(-64, 65, (k, kw, kw, 3)) / 32).astype(dtype)
                 b = (rng.choice([-1, 1], k) * rng.uniform(0.5, 1, k) / eps).astype(dtype)
+            w = w.reshape(k, 1, 1, 3 * kw * kw)
             for windows in block_window_counts(k, pool, dtype):
                 for side in (pool, 2 * pool):
                     shape = (-(-windows // (side // pool) ** 2), side, side, 3)
@@ -750,7 +777,7 @@ class TestConv1x1PoolOracle:
                         x = rng.uniform(0, 1, shape)
                     else:
                         x = rng.integers(0, 257, shape) / 256
-                    x = x.astype(dtype)
+                    x = network._taps(x.astype(dtype), kw)
                     cached, _ = conv1x1_pool_forward(x, w, b, pool)
                     lean, _ = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
                     want, _ = block_conv1x1_pool_forward(x, w, b, pool, need_cache=False)
@@ -759,8 +786,16 @@ class TestConv1x1PoolOracle:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_seeded_training_identical_to_block_layout(self, dtype, monkeypatch):
+        self.check_seeded_training(dtype, 1, monkeypatch)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_seeded_3x3_training_identical_to_block_layout(self, dtype, monkeypatch):
+        self.check_seeded_training(dtype, 3, monkeypatch)
+
+    @staticmethod
+    def check_seeded_training(dtype, kw, monkeypatch):
         samples = make_synthetic_samples(count=6, size=48, seed=9)
-        hyper = replace(SMALL, epochs=2, patches_per_image=20, dtype=dtype)
+        hyper = replace(SMALL, epochs=2, patches_per_image=20, dtype=dtype, kernel_width=kw)
         tune = replace(hyper, learning_rate=1e-3, momentum=0.0)
 
         def run():

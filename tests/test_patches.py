@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from patchcc import network
 from patchcc.errors import ParameterError, SamplingImpossibleError
-from patchcc.image import LinearImage
+from patchcc.image import LANE_STRIP_ROWS, LinearImage, load_ppm16
 from patchcc.patches import (
     RESIZE_STRIP_ROWS,
     PatchBatch,
@@ -20,7 +20,7 @@ from patchcc.patches import (
 )
 
 import oracles
-from helpers import batch_of
+from helpers import batch_of, write_ppm
 
 
 def random_image(shape, seed=0):
@@ -409,3 +409,64 @@ class TestOnePassFormsMatchParentForms:
             tracemalloc.stop()
         assert len(out) == 12 * 18
         assert peak < 1.25 * out.data.nbytes
+
+
+class TestStretchStripsMatchSinglePass:
+    """The grid stretch runs in strips of LANE_STRIP_ROWS // size tile rows over
+    the CPUs; it must give the bits, origins and flat count of the
+    single-pass form (tests/oracles.py) on any number of them."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_bits_on_any_cpu_count(self, monkeypatch, cpus, dtype, size):
+        monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+        rows = LANE_STRIP_ROWS // size  # tile rows per strip
+        # two whole strips, a partial third, and partial border tiles
+        grid_h = 2 * rows + rows // 2 + 1
+        rng = np.random.default_rng(size)
+        data = rng.uniform(0.0, 3.0, size=(grid_h * size + 5, 7 * size + 3, 3))
+        # flat tiles in every strip, one near-flat, and the second strip's
+        # last tile row all flat
+        flat = [(0, 0), (rows - 1, 6), (rows + 1, 3), (2 * rows, 0), (grid_h - 1, 6)]
+        for ty, tx in flat:
+            data[ty * size : (ty + 1) * size, tx * size : (tx + 1) * size] = 0.25 * (tx + 1)
+        data[size : 2 * size, :size] = 0.5 + 1e-13 * rng.uniform(size=(size, size, 3))
+        data[(2 * rows - 1) * size : 2 * rows * size] = 0.7
+        img = LinearImage(data)
+        before = img.data.copy()
+        out = stretched_grid_patches(img, size, dtype)
+        expected, origins, degenerate = oracles.single_pass_grid_stretch(img.data, size, dtype)
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
+        assert out.data.shape == expected.shape
+        assert out.data.tobytes() == expected.tobytes()
+        assert np.array_equal(out.origins, origins)
+        assert out.degenerate == degenerate == len(flat) + 1 + 7
+        assert np.array_equal(img.data, before)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_every_strip_flat(self, monkeypatch, cpus):
+        monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+        out = stretched_grid_patches(LinearImage(np.full((3 * LANE_STRIP_ROWS, 40, 3), 0.3)), 16)
+        assert out.data.shape == (0, 16, 16, 3) and out.origins.shape == (0, 2)
+        assert out.degenerate == 3 * (LANE_STRIP_ROWS // 16) * 2
+
+    def test_a_160px_scene_is_one_strip(self, tmp_path, monkeypatch):
+        # small scenes, such as fine-tuning's, decode and stretch on the
+        # calling thread; a taller one goes to the pool
+        monkeypatch.setattr(network, "usable_cpus", lambda: 4)
+        pool, submitted = network._POOL, []
+
+        class Recording:
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(network, "_POOL", Recording())
+        rng = np.random.default_rng(5)
+        for side, lanes in ((160, False), (161, True)):
+            path = tmp_path / f"scene{side}.ppm"
+            write_ppm(path, rng.integers(0, 65536, size=(side, 160, 3)))
+            batch = stretched_grid_patches(load_ppm16(path), 32, np.float32)
+            assert len(batch) == 25
+            assert bool(submitted) == lanes
