@@ -17,7 +17,9 @@ statistical estimator returns; the mask from `unit_estimates` picks the
 batch rows, and so the `origins`, of the estimates. Training takes its
 patches from `training_patch_arrays`, which samples each image and
 stretches the fresh samples in place, straight into their rows of one
-array allocated for the whole fold. The stretch writes patches in
+array allocated for the whole fold; its validation patches come from
+`validation_patch_arrays`, which stretches only the `VAL_PATCH_CAP` patches
+it draws. The stretch writes patches in
 `hyper.dtype` (float32 by default) for training and in the weights' dtype
 for fine-tuning and inference, so the network casts none of them; raw
 outputs are widened to float64, and so is all after them.
@@ -53,6 +55,8 @@ from .network import (
 )
 from .patches import (
     PatchBatch,
+    has_contrast,
+    patches_at,
     resize_max_side,
     sample_random_patches,
     stretch_into,
@@ -198,6 +202,45 @@ def training_patch_arrays(samples, hyper: HyperParams) -> tuple[np.ndarray, np.n
     return x[:n], y[:n]
 
 
+def validation_patch_arrays(samples, hyper: HyperParams, cap: int,
+                            seed) -> tuple[np.ndarray, np.ndarray]:
+    """`training_patch_arrays(samples, hyper)` with at most `cap` of its rows,
+    drawn without replacement by a generator seeded with `seed` when there
+    are more: the same bits, but only the drawn patches are stretched.
+
+    The draw needs the count of patches with contrast, so every image is
+    sampled and its patches' joint ranges taken. An image at its own size
+    then keeps only the origins of those patches, and the drawn ones are
+    copied out of it again; a resized image keeps their samples. Each
+    image's drawn patches are stretched together and then copied to their
+    rows, so no float64 array of all the drawn patches is made.
+    """
+    size = hyper.patch_size
+    kept = []  # per image: its patches with contrast, (N, 2) origins or (N, S, S, 3) samples
+    for idx, sample in enumerate(samples):
+        img = resize_max_side(sample.image, RESIZE_TARGET)
+        batch = sample_random_patches(img, size, hyper.patches_per_image,
+                                      mask=sample.mask, seed=[hyper.seed, idx])
+        contrast = has_contrast(batch.data)
+        kept.append(batch.origins[contrast] if img is sample.image else batch.data[contrast])
+    starts = np.cumsum([0] + [len(rows) for rows in kept])
+    if not starts[-1]:
+        raise EstimationImpossibleError("no usable training patches")
+    rows = np.arange(starts[-1])
+    if len(rows) > cap:
+        rows = np.random.default_rng(seed).choice(len(rows), size=cap, replace=False)
+    image = np.searchsorted(starts, rows, side="right") - 1
+    x = np.empty((len(rows), size, size, 3), hyper.dtype)
+    for i in np.unique(image):
+        at = np.flatnonzero(image == i)
+        drawn = kept[i][rows[at] - starts[i]]
+        data = drawn if drawn.ndim == 4 else patches_at(samples[i].image, drawn, size)
+        stretched = np.empty(data.shape, x.dtype)
+        stretch_into(data, stretched)
+        x[at] = stretched
+    return x, np.array([sample.illuminant.rgb for sample in samples])[image]
+
+
 @dataclass
 class TrainResult:
     models: dict
@@ -224,11 +267,8 @@ def train(dataset, folds, hyper: HyperParams) -> TrainResult:
     for k in folds:
         train_fold, val_fold = fold_split(k)
         x_tr, y_tr = training_patch_arrays(fold_samples(samples, train_fold), hyper)
-        x_val, y_val = training_patch_arrays(fold_samples(samples, val_fold), hyper)
-        if len(x_val) > VAL_PATCH_CAP:
-            rng = np.random.default_rng([hyper.seed, k, 2])
-            keep = rng.choice(len(x_val), size=VAL_PATCH_CAP, replace=False)
-            x_val, y_val = x_val[keep], y_val[keep]
+        x_val, y_val = validation_patch_arrays(fold_samples(samples, val_fold), hyper,
+                                               VAL_PATCH_CAP, [hyper.seed, k, 2])
         params = init_params(hyper, seed=[hyper.seed, k])
         state = zero_momentum(params)
         shuffle_rng = np.random.default_rng([hyper.seed, k, 1])

@@ -44,7 +44,9 @@ can make distinct responses tie and the argmax must see those ties.
 Inference needs only the values, so it keeps a running max, folding one
 pixel's responses at a time into the pooled output, and adds the bias once
 to the pooled maxima: rounding is monotone, so
-max_p fl(a_p + b) = fl(max_p a_p + b) and the result is bit for bit the same.
+max_p fl(a_p + b) = fl(max_p a_p + b) and the result is bit for bit the same
+for kernel widths 1-3 (up to 27 taps); wider kernels may differ in the last
+bits, as `conv1x1_pool_forward` says.
 The reference layers `conv_forward`, `maxpool_forward`, `maxpool_backward`
 and `conv_backward` take one loop over the kernel taps for every width. The
 network does not run them; they are the tests' reference for the fused
@@ -60,15 +62,20 @@ deadlock; a lane stops at its first exception, and `spread` raises that of
 the lowest failing item, as a serial loop would. `evaluate`'s images
 (`--threads` lanes), `forward`'s `FORWARD_CHUNK`-patch chunks and the row
 strips of the PPM decode, of `patches.resize_max_side` and of
-`patches.stretched_grid_patches` (all `usable_cpus` lanes) go through it,
-so no more threads run than the process has CPUs. `forward`
-then runs the FC and output layers in the calling thread, chunk by chunk.
-Every chunk's matrices keep their shapes, so the outputs are the same bits
-on any number of CPUs.
+`patches.stretched_grid_patches` (all `usable_cpus` lanes) go through it.
+Importing the package sets the OpenBLAS that numpy bundles to one thread
+(`_pin_blas`), overriding `OPENBLAS_NUM_THREADS`: its own threads would
+busy-wait on the cores after each large product and slow the lanes that
+followed. So the lanes are the only parallelism in the process, and no more
+threads compute than the process has CPUs. `forward` then runs the FC and
+output layers in the calling thread, chunk by chunk. Every chunk's matrices
+keep their shapes, so the outputs are the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 import struct
@@ -108,10 +115,12 @@ RUNNING_MAX_BYTES = 256 << 10
 FORWARD_CHUNK = 512
 
 # patches per piece of the FC weight gradient, which is summed piece by piece
-# in order: OpenBLAS splits a long inner dimension across its threads, and so
-# rounds by the CPU count. 512-row pieces are too long; OpenBLAS 0.3.31 split
-# a 413-row one (925 = 512 + 413 patches differed between 1 and 2 threads),
-# while 256-row pieces gave the same bits at every size tried, 1 to 3,000
+# in order. The package pins the OpenBLAS numpy bundles to one thread; this
+# guards a BLAS it cannot pin, which may split a long inner dimension across
+# its threads and so round by the CPU count. 512-row pieces are too long;
+# OpenBLAS 0.3.31 on two threads split a 413-row one (925 = 512 + 413 patches
+# differed between 1 and 2 threads), while 256-row pieces gave the same bits
+# at every size tried, 1 to 3,000
 BACKWARD_CHUNK = 256
 
 # central-difference step of `gradient_check`
@@ -408,7 +417,12 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     entry of a gemm takes the same bits whatever the call's row count (the
     tests check both paths against the block-layout form at each block
     boundary), and NaN propagates through both maxima, so the values are the
-    same bits as with the cache.
+    same bits as with the cache for up to 27 channels: the pixels of 1x1
+    kernels and the taps of kernel widths 2 and 3, which the tests cover.
+    Wider kernels, which `sweep --parameter kernel_width` accepts, may differ
+    in the last bits: at widths 4 and 5 (48 and 75 taps), OpenBLAS 0.3.31
+    rounded some of those longer sums, in both dtypes, by the gemm's row
+    count, which the two paths choose differently.
     """
     if not x.dtype == w.dtype == b.dtype:
         raise ParameterError(
@@ -548,6 +562,33 @@ def usable_cpus() -> int:
 _POOL = ThreadPoolExecutor(max_workers=max(1, usable_cpus() - 1), thread_name_prefix="patchcc")
 
 
+def _pin_blas() -> None:
+    """Set the OpenBLAS that numpy bundles to one thread, whatever
+    `OPENBLAS_NUM_THREADS` says, so that `spread`'s lanes are the only
+    parallelism in the process. OpenBLAS's own threads busy-wait after each
+    large product they share and take the cores the next lanes need. The
+    library is the wheel's `numpy.libs` one, or `numpy/.dylibs` on macOS;
+    where numpy bundles none (an MKL or Accelerate build) or the library has
+    no known setter, nothing is changed. Never raises."""
+    here = os.path.dirname(np.__file__)
+    for path in (glob.glob(os.path.join(here, "..", "numpy.libs", "*openblas*"))
+                 + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
+_pin_blas()
+
+
 def _lane(fn, items):
     """fn over items in order up to the first exception: (results, that
     exception or None)."""
@@ -573,7 +614,8 @@ def spread(fn, items, width: int | None = None) -> list:
     strips of `image.load_ppm16`, `patches.resize_max_side` and
     `patches.stretched_grid_patches`. While the pool's threads are busy,
     as inside `benchmark`'s image lanes, a nested call runs all its lanes on
-    the calling thread.
+    the calling thread. numpy's bundled OpenBLAS runs on one thread
+    (`_pin_blas`), so a lane's matrix products stay on its own CPU.
     """
     items = list(items)
     cpus = usable_cpus()
@@ -660,12 +702,12 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     they are busy with other lanes, such as `evaluate`'s images, in which
     case the caller runs the chunks itself. The FC and output layers then
     run in the caller, chunk by chunk in order, after every stage has
-    finished: the FC matrix product is large enough for OpenBLAS to use its
-    own threads, which keep spinning after the call and would slow the
-    conv-pool stages that followed it. Each chunk goes through the same
+    finished; the pooled maps of every chunk are held until the heads run.
+    Where numpy's BLAS could not be pinned to one thread (`_pin_blas`), the
+    FC product may still use that BLAS's own threads, which then do not
+    compete with the conv-pool lanes. Each chunk goes through the same
     operations on matrices of the same shapes as in one thread, so the
-    output is the same bits for any CPU count; the pooled maps of every
-    chunk are held until the heads run.
+    output is the same bits for any CPU count.
     """
     patch = np.asarray(patch)
     if patch.ndim != 4 or patch.shape[0] <= FORWARD_CHUNK:

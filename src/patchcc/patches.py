@@ -219,9 +219,15 @@ def sample_random_patches(
                 f"no mask-free {size}x{size} origin found after "
                 f"{MAX_REJECTIONS_PER_PATCH} rejections"
             )
+    return PatchBatch(patches_at(img, origins, size), origins)
+
+
+def patches_at(img: LinearImage, origins: np.ndarray, size: int) -> np.ndarray:
+    """A fresh (N, size, size, 3) copy of the windows of `img` at the (N, 2)
+    (x, y) `origins`."""
     # one copy per patch, row by row: each window row is S*3 contiguous values
     windows = sliding_window_view(img.data, (size, size, 3))
-    return PatchBatch(windows[origins[:, 1], origins[:, 0], 0], origins)
+    return windows[origins[:, 1], origins[:, 0], 0]
 
 
 def histogram_stretch(batch: PatchBatch, dtype=np.float64) -> PatchBatch:
@@ -286,6 +292,12 @@ def stretch_into(data: np.ndarray, out: np.ndarray) -> int:
     data -= lo
     np.divide(data, span, out=out[: len(data)])
     return len(data)
+
+
+def has_contrast(data: np.ndarray) -> np.ndarray:
+    """Per patch of an (N, S, S, 3) array: is its joint range wide enough
+    for `histogram_stretch` to keep it?"""
+    return _joint_ranges(data)[2]
 
 
 def _joint_ranges(tiles: np.ndarray) -> tuple[np.ndarray, ...]:

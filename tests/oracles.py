@@ -17,9 +17,10 @@ scaling and the grid stretch before they ran in strips over the CPUs
 `concatenate_then_cast_training_patches`,
 the form training's patch arrays had before the stretch wrote them in the
 network's dtype, with `fancy_index_patches`, the gather random sampling had
-before it read a window view, and `csv_writer_map_csv`, the row-by-row
-`csv.writer` form of the map CSV: kept so the tests can check that each
-rewrite changed no bit.
+before it read a window view, `stretch_all_then_draw_validation_patches`,
+the form training's validation patches had before only the drawn ones were
+stretched, and `csv_writer_map_csv`, the row-by-row `csv.writer` form of the
+map CSV: kept so the tests can check that each rewrite changed no bit.
 """
 
 import csv
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from patchcc.errors import EstimationImpossibleError, FormatError, SamplingImpossibleError
-from patchcc.estimator import DIRECTION_FREE_NORM, RESIZE_TARGET
+from patchcc.estimator import DIRECTION_FREE_NORM, RESIZE_TARGET, training_patch_arrays
 from patchcc.image import ILLUMINANT_MAP_SCALE, LinearImage, load_ppm16
 from patchcc.minkowski import EdgeFrameworkParams, gaussian_kernel
 from patchcc.patches import grid_tiles, resize_max_side, sample_random_patches
@@ -384,6 +385,17 @@ def concatenate_then_cast_training_patches(samples, hyper):
         xs.append(data)
         ys.append(np.broadcast_to(sample.illuminant.rgb, (len(data), 3)))
     return np.concatenate(xs).astype(hyper.dtype), np.concatenate(ys)
+
+
+def stretch_all_then_draw_validation_patches(samples, hyper, cap, seed):
+    """(x, y) of training's validation fold: every sampled patch stretched by
+    `training_patch_arrays`, then at most `cap` rows drawn without
+    replacement by a generator seeded with `seed`."""
+    x, y = training_patch_arrays(samples, hyper)
+    if len(x) > cap:
+        keep = np.random.default_rng(seed).choice(len(x), size=cap, replace=False)
+        x, y = x[keep], y[keep]
+    return x, y
 
 
 def csv_writer_map_csv(ill_map, path):

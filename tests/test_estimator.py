@@ -40,6 +40,7 @@ from helpers import (
     textured_patch,
     tiled_image,
 )
+from openblas import openblas_threads
 
 
 class TestUnitEstimates:
@@ -384,43 +385,103 @@ class TestTrainingPatchArrays:
         assert peak <= rows * (x[0].nbytes + y[0].nbytes) + 2 * one_image_float64
 
 
-# prints a digest of `image_level_loss`'s gradients over n random patches, for
-# each n in argv and each dtype. Average pooling gives every patch a gradient;
-# median pooling routes it to a few patches, whose sum no thread split reorders.
+class TestValidationPatchArrays:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("cap", [1, 30, 75, 1024])
+    def test_equals_stretching_every_patch_then_drawing(self, dtype, cap):
+        # a half-flat image, a masked one and a resized one; 1024 draws none
+        hyper = replace(SMALL, dtype=dtype, patches_per_image=40)
+        samples = training_samples()
+        x, y = estimator.validation_patch_arrays(samples, hyper, cap, [3, 0, 2])
+        expected_x, expected_y = oracles.stretch_all_then_draw_validation_patches(
+            samples, hyper, cap, [3, 0, 2])
+        assert len(estimator.training_patch_arrays(samples, hyper)[0]) < 3 * 40
+        assert x.dtype == np.dtype(dtype) and y.dtype == np.float64
+        assert x.shape == expected_x.shape and x.tobytes() == expected_x.tobytes()
+        assert y.tobytes() == expected_y.tobytes()
+
+    def test_a_fold_of_flat_images_has_no_patches(self):
+        flat = LabeledImage("flat", LinearImage(np.full((40, 40, 3), 0.4)),
+                            normalize((1.0, 1.0, 1.0)), 0)
+        with pytest.raises(EstimationImpossibleError, match="no usable training patches"):
+            estimator.validation_patch_arrays([flat, flat], SMALL, 10, 0)
+
+    def test_stretches_only_the_drawn_patches(self, monkeypatch):
+        rows = []
+        stretch_into = estimator.stretch_into
+        monkeypatch.setattr(estimator, "stretch_into",
+                            lambda data, out: rows.append(len(data)) or stretch_into(data, out))
+        estimator.validation_patch_arrays(training_samples(), SMALL, 30, 0)
+        assert sum(rows) == 30
+
+    def test_float32_peak_is_the_result_and_one_image(self):
+        # the float32 rows drawn and their labels, the last image's float64
+        # samples, and one image's drawn samples with their stretch; every
+        # patch stretched first, or a float64 array of all the drawn ones,
+        # would be more
+        hyper = replace(SMALL, dtype="float32", patches_per_image=200)
+        samples = make_synthetic_samples(count=12, size=64, seed=42)
+        # the first call imports what numpy loads lazily
+        estimator.validation_patch_arrays(samples, hyper, 1000, 0)
+        tracemalloc.start()
+        try:
+            x, y = estimator.validation_patch_arrays(samples, hyper, 1000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(x) == 1000
+        one_image_float64 = hyper.patches_per_image * x[0].size * 8
+        assert peak <= x.nbytes + y.nbytes + 3 * one_image_float64
+
+
+# sets numpy's OpenBLAS, which importing patchcc pins to one thread, to one
+# and then two threads, and at each prints a digest of `image_level_loss`'s
+# gradients over n random patches, for each n in argv and each dtype. Average
+# pooling gives every patch a gradient; median pooling routes it to a few
+# patches, whose sum no thread split reorders.
 GRADIENT_DIGESTS = """
 import hashlib, sys
 from dataclasses import replace
 import numpy as np
+from openblas import openblas_threads
 from patchcc.estimator import image_level_loss
 from patchcc.image import normalize
 from patchcc.network import PARAM_LAYERS, HyperParams, init_params
 from patchcc.patches import PatchBatch
-for n in map(int, sys.argv[1:]):
-    for dtype in ("float64", "float32"):
-        hyper = HyperParams(patch_size=16, kernel_count=16, pool_size=4, fc_units=16,
-                            dtype=dtype)
-        rng = np.random.default_rng(n)
-        # biases that keep most estimates positive, so few are dropped
-        params = replace(init_params(hyper, n), fc_b=np.full(16, 0.1, dtype),
-                         out_b=np.ones(3, dtype))
-        batch = PatchBatch(rng.uniform(0, 1, (n, 16, 16, 3)), np.zeros((n, 2), dtype=int))
-        _, grads = image_level_loss(params, batch, normalize((0.8, 1.0, 0.6)), "average")
-        data = b"".join(getattr(grads, name).tobytes() for name in PARAM_LAYERS)
-        print(n, dtype, hashlib.sha1(data).hexdigest())
+set_threads, get_threads = openblas_threads()
+for threads in (1, 2):
+    set_threads(threads)
+    assert get_threads() == threads
+    for n in map(int, sys.argv[1:]):
+        for dtype in ("float64", "float32"):
+            hyper = HyperParams(patch_size=16, kernel_count=16, pool_size=4, fc_units=16,
+                                dtype=dtype)
+            rng = np.random.default_rng(n)
+            # biases that keep most estimates positive, so few are dropped
+            params = replace(init_params(hyper, n), fc_b=np.full(16, 0.1, dtype),
+                             out_b=np.ones(3, dtype))
+            batch = PatchBatch(rng.uniform(0, 1, (n, 16, 16, 3)), np.zeros((n, 2), dtype=int))
+            _, grads = image_level_loss(params, batch, normalize((0.8, 1.0, 0.6)), "average")
+            data = b"".join(getattr(grads, name).tobytes() for name in PARAM_LAYERS)
+            print(threads, n, dtype, hashlib.sha1(data).hexdigest())
 """
 
 
 class TestFineTune:
     def test_gradients_are_the_same_bytes_on_one_and_two_blas_threads(self):
         # the FC weight gradient sums over an image's patches, and OpenBLAS
-        # splits a long sum over its threads, rounding by their number
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(estimator.__file__))}
-        digests = {}
-        for threads in ("1", "2"):
-            digests[threads] = subprocess.run(
-                [sys.executable, "-c", GRADIENT_DIGESTS, "413", "925", "2072"],
-                env={**env, "OPENBLAS_NUM_THREADS": threads},
-                capture_output=True, text=True, check=True).stdout.splitlines()
+        # splits a long sum over its threads, rounding by their number. The
+        # package pins the OpenBLAS it finds; this guards the ones it cannot
+        if openblas_threads() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(estimator.__file__)), here])
+        lines = subprocess.run(
+            [sys.executable, "-c", GRADIENT_DIGESTS, "413", "925", "2072"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True).stdout.splitlines()
+        digests = {threads: [line.split(" ", 1)[1] for line in lines if line.split()[0] == threads]
+                   for threads in ("1", "2")}
         assert len(digests["1"]) == 6
         assert digests["1"] == digests["2"]
 

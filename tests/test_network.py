@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -61,6 +62,7 @@ from patchcc.network import (
 )
 
 from helpers import SMALL, TINY_SHAPES, make_synthetic_samples, tiny_weights, weights_bytes
+from openblas import openblas_threads
 from oracles import block_conv1x1_pool_backward, block_conv1x1_pool_forward
 
 TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5, dtype="float64")
@@ -674,6 +676,44 @@ class TestSpread:
         assert len(set(spread(ident, range(40), 40))) <= network.usable_cpus()
         monkeypatch.setattr(network, "usable_cpus", lambda: 1)
         assert set(spread(ident, range(40), 40)) == {threading.get_ident()}
+
+
+# sets numpy's OpenBLAS to two threads, imports patchcc, and prints the
+# thread count read on the calling thread and in a `spread` lane on the pool
+BLAS_THREADS_AFTER_IMPORT = """
+import threading
+from openblas import openblas_threads
+set_threads, get_threads = openblas_threads()
+set_threads(2)
+assert get_threads() == 2
+from patchcc import network
+network.usable_cpus = lambda: 2  # a lane on the pool even on one CPU
+started = threading.Event()
+
+def read(lane):
+    # lane 0, on the calling thread, waits until the pool has taken lane 1
+    if lane:
+        started.set()
+    else:
+        started.wait(60)
+    return f"{threading.current_thread().name}:{get_threads()}"
+
+print(get_threads(), *network.spread(read, range(2)))
+"""
+
+
+class TestBlasPin:
+    def test_importing_the_package_pins_numpys_openblas_to_one_thread(self):
+        # OpenBLAS's own threads would spin on the cores `spread`'s lanes use
+        if openblas_threads() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(network.__file__)), here])
+        out = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_AFTER_IMPORT],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+            capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["1", "MainThread:1", "patchcc_0:1"]
 
 ALL_DTYPE_TRIPLES = tuple(itertools.product((np.float32, np.float64), repeat=3))
 
