@@ -212,8 +212,8 @@ def validation_patch_arrays(samples, hyper: HyperParams, cap: int,
     sampled and its patches' joint ranges taken. An image at its own size
     then keeps only the origins of those patches, and the drawn ones are
     copied out of it again; a resized image keeps their samples. Each
-    image's drawn patches are stretched together and then copied to their
-    rows, so no float64 array of all the drawn patches is made.
+    image's drawn patches are stretched together, in place, and then copied
+    to their rows, so no float64 array of all the drawn patches is made.
     """
     size = hyper.patch_size
     kept = []  # per image: its patches with contrast, (N, 2) origins or (N, S, S, 3) samples
@@ -235,9 +235,8 @@ def validation_patch_arrays(samples, hyper: HyperParams, cap: int,
         at = np.flatnonzero(image == i)
         drawn = kept[i][rows[at] - starts[i]]
         data = drawn if drawn.ndim == 4 else patches_at(samples[i].image, drawn, size)
-        stretched = np.empty(data.shape, x.dtype)
-        stretch_into(data, stretched)
-        x[at] = stretched
+        stretch_into(data, data)
+        x[at] = data
     return x, np.array([sample.illuminant.rgb for sample in samples])[image]
 
 

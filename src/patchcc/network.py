@@ -67,7 +67,8 @@ Importing the package sets the OpenBLAS that numpy bundles to one thread
 (`_pin_blas`), overriding `OPENBLAS_NUM_THREADS`: its own threads would
 busy-wait on the cores after each large product and slow the lanes that
 followed. So the lanes are the only parallelism in the process, and no more
-threads compute than the process has CPUs. `forward` then runs the FC and
+threads compute than the process has CPUs. Training's `forward_cache` and
+`backward` take no lanes, so their products run on one core. `forward` then runs the FC and
 output layers in the calling thread, chunk by chunk. Every chunk's matrices
 keep their shapes, so the outputs are the same bits on any number of CPUs.
 """

@@ -434,11 +434,13 @@ class TestValidationPatchArrays:
         assert peak <= x.nbytes + y.nbytes + 3 * one_image_float64
 
 
-# sets numpy's OpenBLAS, which importing patchcc pins to one thread, to one
-# and then two threads, and at each prints a digest of `image_level_loss`'s
-# gradients over n random patches, for each n in argv and each dtype. Average
-# pooling gives every patch a gradient; median pooling routes it to a few
-# patches, whose sum no thread split reorders.
+# at each thread count in argv[1] (comma-separated), prints a digest of
+# `image_level_loss`'s gradients over n random patches, for each n in the rest
+# of argv and each dtype. Where numpy bundles an OpenBLAS, which importing
+# patchcc pins to one thread, the count is set through the library after the
+# import; elsewhere `OPENBLAS_NUM_THREADS` sets it, one count per process.
+# Average pooling gives every patch a gradient; median pooling routes it to a
+# few patches, whose sum no thread split reorders.
 GRADIENT_DIGESTS = """
 import hashlib, sys
 from dataclasses import replace
@@ -448,11 +450,13 @@ from patchcc.estimator import image_level_loss
 from patchcc.image import normalize
 from patchcc.network import PARAM_LAYERS, HyperParams, init_params
 from patchcc.patches import PatchBatch
-set_threads, get_threads = openblas_threads()
-for threads in (1, 2):
-    set_threads(threads)
-    assert get_threads() == threads
-    for n in map(int, sys.argv[1:]):
+bundled = openblas_threads()
+for threads in map(int, sys.argv[1].split(",")):
+    if bundled is not None:
+        set_threads, get_threads = bundled
+        set_threads(threads)
+        assert get_threads() == threads
+    for n in map(int, sys.argv[2:]):
         for dtype in ("float64", "float32"):
             hyper = HyperParams(patch_size=16, kernel_count=16, pool_size=4, fc_units=16,
                                 dtype=dtype)
@@ -471,19 +475,27 @@ class TestFineTune:
     def test_gradients_are_the_same_bytes_on_one_and_two_blas_threads(self):
         # the FC weight gradient sums over an image's patches, and OpenBLAS
         # splits a long sum over its threads, rounding by their number. The
-        # package pins the OpenBLAS it finds; this guards the ones it cannot
-        if openblas_threads() is None:
-            pytest.skip("numpy bundles no OpenBLAS")
+        # package pins the OpenBLAS numpy bundles; this guards that one set
+        # after the import, and a BLAS it cannot pin through its variable
         here = os.path.dirname(os.path.abspath(__file__))
         path = os.pathsep.join([os.path.dirname(os.path.dirname(estimator.__file__)), here])
-        lines = subprocess.run(
-            [sys.executable, "-c", GRADIENT_DIGESTS, "413", "925", "2072"],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, check=True).stdout.splitlines()
-        digests = {threads: [line.split(" ", 1)[1] for line in lines if line.split()[0] == threads]
-                   for threads in ("1", "2")}
-        assert len(digests["1"]) == 6
-        assert digests["1"] == digests["2"]
+
+        def digests(threads, env):
+            return subprocess.run(
+                [sys.executable, "-c", GRADIENT_DIGESTS, threads, "413", "925", "2072"],
+                env={**os.environ, "PYTHONPATH": path, **env},
+                capture_output=True, text=True, check=True).stdout.splitlines()
+
+        if openblas_threads() is not None:
+            lines = digests("1,2", {})
+        else:
+            lines = (digests("1", {"OPENBLAS_NUM_THREADS": "1"})
+                     + digests("2", {"OPENBLAS_NUM_THREADS": "2"}))
+        by_threads = {threads: [line.split(" ", 1)[1] for line in lines
+                                if line.split()[0] == threads]
+                      for threads in ("1", "2")}
+        assert len(by_threads["1"]) == 6
+        assert by_threads["1"] == by_threads["2"]
 
     def test_zero_learning_rate_identity(self):
         from dataclasses import replace
