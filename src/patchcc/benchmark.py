@@ -10,8 +10,8 @@ import numpy as np
 from .errors import ParameterError
 from .estimator import POOLINGS, prepared_patches, unit_estimates
 from .evaluation import STAT_NAMES, angular_error_many, summarize
+from .lanes import spread
 from .minkowski import ESTIMATORS
-from .network import spread
 
 STAT_ALGOS = tuple(ESTIMATORS)
 # cnn row -> (model set, pooling); a set is named by its flag, --model-dir or
@@ -110,7 +110,7 @@ def benchmark(
     `unit_estimates` call per model set the rows use, with the model of the
     image's fold; cnn-patch scores every patch.
 
-    The images go through `network.spread` in `threads` lanes, so `threads`
+    The images go through `lanes.spread` in `threads` lanes, so `threads`
     caps the images in flight, and the CPUs cap the threads; the results and
     the error raised are those of one image after another.
     """

@@ -27,6 +27,7 @@ from .errors import FormatError, ParameterError, PipelineError
 from .estimator import POOLINGS, estimate_image, fine_tune, fold_samples, fold_split, train
 from .evaluation import angular_error_many, summarize
 from .image import correct_von_kries, load_ppm16, normalize, save_ppm16
+from .lanes import usable_cpus
 from .localmap import (
     angular_error_map,
     estimate_local_map,
@@ -37,7 +38,7 @@ from .localmap import (
     save_map_ppm,
 )
 from .minkowski import ESTIMATORS
-from .network import HyperParams, gradient_check, init_params, load_params, save_params, usable_cpus
+from .network import HyperParams, gradient_check, init_params, load_params, save_params
 
 GRADCHECK_TOLERANCE = 1e-3
 

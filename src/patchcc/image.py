@@ -3,7 +3,7 @@
 Pixel data lives in float64 numpy arrays of shape (height, width, 3) holding
 linear radiometric values, read-only so images can be shared freely between
 workers. Decoding divides the 16-bit samples into one such array in strips
-of `LANE_STRIP_ROWS` rows spread over the CPUs (`network.spread`). A
+of `LANE_STRIP_ROWS` rows spread over the CPUs (`lanes.spread`). A
 `LinearImage` takes ownership of a C-contiguous array that owns its memory
 (`base is None`), such as a fresh result of numpy arithmetic, and freezes it
 in place; any other array, a view included, is copied first. So an array
@@ -23,6 +23,7 @@ from .errors import (
     InvalidIlluminantError,
     ShapeMismatchError,
 )
+from .lanes import spread
 
 PPM_MAXVAL = 65535
 
@@ -235,12 +236,10 @@ def _scaled_samples(samples: np.ndarray) -> np.ndarray:
     """16-bit samples (..., 3) scaled to [0, 1], as a new float64 array.
 
     Strips of `LANE_STRIP_ROWS` entries of the first axis run through
-    `network.spread`, each divided straight into its rows of the result.
+    `lanes.spread`, each divided straight into its rows of the result.
     A sample's float64 value is exact, so each result is one correctly
     rounded division: the bits of the whole-array form on any number of
     CPUs."""
-    from .network import spread  # network imports this module
-
     out = np.empty(samples.shape)
 
     def strip(first: int):

@@ -24,63 +24,19 @@ Layer inputs may carry a leading batch axis; channels are always the last
 axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
 
-Every network runs the convolution and the max pooling as one fused 1x1
-layer (`conv1x1_pool_forward` / `conv1x1_pool_backward`), in one pixel-outer
-layout for training and inference and for every kernel width. A k x k
-convolution is a 1x1 one over each pixel's taps: the network first gathers
-each pixel's zero same-padded kw x kw x 3 neighbourhood as kw*kw*3
-channels, in the weights' (dy, dx, c) order, and views the kernels as
-(K, 1, 1, kw*kw*3); 1x1 kernels take the pixels as they are. The layer
-copies the input pixel-outer, with the pixels of a pool window on the
-leading axis, and takes a few pool windows at a time, so their responses
-stay in cache and no full-size response array is built. Its float32 gemms
-take a C-contiguous (C, K) copy of the kernel matrix. Training's block
-loop holds every pixel's responses of a block and takes their max over the
-pixel axis straight into the pooled output; its argmax is the first pixel
-equal to the max, and the backward pass touches only that pixel of each
-pool window. Ties go to the first occurrence in row-major block order, as
-in `maxpool_forward`. The bias is added before the max, because fl(a + b)
-can make distinct responses tie and the argmax must see those ties.
-Inference needs only the values, so it keeps a running max, folding one
-pixel's responses at a time into the pooled output, and adds the bias once
-to the pooled maxima: rounding is monotone, so
-max_p fl(a_p + b) = fl(max_p a_p + b) and the result is bit for bit the same
-for kernel widths 1-3 (up to 27 taps); wider kernels may differ in the last
-bits, as `conv1x1_pool_forward` says.
-The reference layers `conv_forward`, `maxpool_forward`, `maxpool_backward`
-and `conv_backward` take one loop over the kernel taps for every width. The
-network does not run them; they are the tests' reference for the fused
-layer, at every width.
-
-The package has one thread pool, of one thread fewer than the CPUs this
-process may run on (`usable_cpus`), used through `spread(fn, items, width)`:
-[fn(item) for item in items] in `width` lanes, lane j taking items j,
-j + width, ..., lane 0 on the calling thread and each other lane one task on
-the pool. A caller runs itself the lanes that have not started before it
-waits on the running ones, so a lane that calls `spread` again cannot
-deadlock; a lane stops at its first exception, and `spread` raises that of
-the lowest failing item, as a serial loop would. `evaluate`'s images
-(`--threads` lanes), `forward`'s `FORWARD_CHUNK`-patch chunks and the row
-strips of the PPM decode, of `patches.resize_max_side` and of
-`patches.stretched_grid_patches` (all `usable_cpus` lanes) go through it.
-Importing the package sets the OpenBLAS that numpy bundles to one thread
-(`_pin_blas`), overriding `OPENBLAS_NUM_THREADS`: its own threads would
-busy-wait on the cores after each large product and slow the lanes that
-followed. So the lanes are the only parallelism in the process, and no more
-threads compute than the process has CPUs. Training's `forward_cache` and
-`backward` take no lanes, so their products run on one core. `forward` then runs the FC and
-output layers in the calling thread, chunk by chunk. Every chunk's matrices
-keep their shapes, so the outputs are the same bits on any number of CPUs.
+Every network runs the convolution and the max pooling as one fused layer
+(`conv1x1_pool_forward` / `conv1x1_pool_backward`) over each pixel's taps
+(`_taps`): a k x k convolution is a 1x1 one over each pixel's zero
+same-padded kw x kw x 3 neighbourhood. The reference layers `conv_forward`,
+`maxpool_forward`, `maxpool_backward` and `conv_backward` take one loop over
+the kernel taps for every width. The network does not run them; they are
+the tests' reference for the fused layer, at every width.
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,6 +49,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .image import vector_norms
+from .lanes import spread
 
 WEIGHTS_MAGIC = b"CCNN"
 WEIGHTS_VERSION = 2
@@ -118,10 +75,9 @@ FORWARD_CHUNK = 512
 # patches per piece of the FC weight gradient, which is summed piece by piece
 # in order. The package pins the OpenBLAS numpy bundles to one thread; this
 # guards a BLAS it cannot pin, which may split a long inner dimension across
-# its threads and so round by the CPU count. 512-row pieces are too long;
-# OpenBLAS 0.3.31 on two threads split a 413-row one (925 = 512 + 413 patches
-# differed between 1 and 2 threads), while 256-row pieces gave the same bits
-# at every size tried, 1 to 3,000
+# its threads and so round by the CPU count. 512-row pieces are too long for
+# two OpenBLAS threads; 256-row pieces gave the same bits at every size
+# tried, 1 to 3,000
 BACKWARD_CHUNK = 256
 
 # central-difference step of `gradient_check`
@@ -377,6 +333,17 @@ def _window_responses(block: np.ndarray, wt: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(block.swapaxes(0, 1)) @ wt).swapaxes(0, 1)
 
 
+def _window_step(k: int, c: int, p2: int, itemsize: int, need_cache: bool) -> int:
+    """Pool windows per block of `conv1x1_pool_forward` over C = c channels:
+    FUSED_BLOCK_BYTES of every pixel's responses with the cache, and without
+    it RUNNING_MAX_BYTES of one pixel's, up to 27 channels. Above 27, BLAS
+    may round a sum by the gemm's row count, so the running max takes the
+    cached branch's step and both branches make every gemm alike."""
+    if need_cache or c > 27:
+        return max(1, FUSED_BLOCK_BYTES // (p2 * k * itemsize))
+    return max(1, RUNNING_MAX_BYTES // (k * itemsize))
+
+
 def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
                          need_cache: bool = True):
     """1x1 convolution and pool x pool max pooling in one layer.
@@ -409,21 +376,18 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     whose responses are all NaN gets the out-of-range idx P^2, but the
     network raises on its non-finite output before any backward pass.
 
-    Pass need_cache=False for inference. A block of s windows then holds
-    RUNNING_MAX_BYTES of one pixel's responses, (s, K): the first pixel's
-    gemm writes straight into the pooled output, and each other pixel's is
-    folded in with `np.maximum`, so a block makes one gemm of s rows per
-    pixel into one reused buffer. The bias is added once, after the max:
-    rounding is monotone, so max_p fl(a_p + b) = fl(max_p a_p + b). Each
-    entry of a gemm takes the same bits whatever the call's row count (the
-    tests check both paths against the block-layout form at each block
-    boundary), and NaN propagates through both maxima, so the values are the
-    same bits as with the cache for up to 27 channels: the pixels of 1x1
-    kernels and the taps of kernel widths 2 and 3, which the tests cover.
-    Wider kernels, which `sweep --parameter kernel_width` accepts, may differ
-    in the last bits: at widths 4 and 5 (48 and 75 taps), OpenBLAS 0.3.31
-    rounded some of those longer sums, in both dtypes, by the gemm's row
-    count, which the two paths choose differently.
+    Pass need_cache=False for inference. It keeps a running max: the first
+    pixel's gemm of a block writes straight into the pooled output, and each
+    other pixel's is folded in with `np.maximum`, so a block makes one gemm
+    of s rows per pixel into one reused buffer. The bias is added once,
+    after the max: rounding is monotone, so max_p fl(a_p + b) =
+    fl(max_p a_p + b). Up to 27 channels a block holds RUNNING_MAX_BYTES of
+    one pixel's responses, (s, K), and each entry of a gemm takes the same
+    bits whatever the call's row count (the tests check both paths against
+    the block-layout form at each block boundary); above 27, the blocks are
+    the cached path's (`_window_step`), so every gemm has the same row count
+    in both. NaN propagates through both maxima, so the values are the same
+    bits as with the cache at every kernel width.
     """
     if not x.dtype == w.dtype == b.dtype:
         raise ParameterError(
@@ -442,15 +406,15 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     wt = w[:, 0, 0, :].T
     # float32 gemms take a C-contiguous (C, K) copy of the kernel matrix,
     # which OpenBLAS packs faster than the transposed view. float64 keeps the
-    # view: with the copy, OpenBLAS 0.3.31 rounded some 27-tap double sums
-    # by the gemm's row count, so the two paths differed in the last bits
+    # view: with the copy, some 27-tap double sums rounded by the gemm's row
+    # count, so the two paths differed in the last bits
     wc = np.ascontiguousarray(wt) if x.dtype == np.float32 else wt
     axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 4)
     xp = x.reshape(*lead, g, pool, g, pool, c).transpose(axes).reshape(p2, -1, c)
     n = xp.shape[1]
     out = np.empty((n, k), dtype=x.dtype)
+    step = _window_step(k, c, p2, x.itemsize, need_cache)
     if not need_cache:
-        step = max(1, RUNNING_MAX_BYTES // (k * x.itemsize))
         resp = np.empty((min(n, step), k), x.dtype)
         for i in range(0, n, step):
             block = xp[:, i : i + step]
@@ -464,7 +428,6 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
                 np.max(_window_responses(block, wt), axis=0, out=top)
         out += b
         return out.reshape(*lead, g, g, k), None
-    step = max(1, FUSED_BLOCK_BYTES // (p2 * k * x.itemsize))
     resp_buf = np.empty((p2, min(n, step), k), x.dtype)
     idx = np.empty((n, k), dtype=np.intp)
     bias = np.broadcast_to(b, resp_buf.shape[1:]).copy()
@@ -546,100 +509,6 @@ def linear_backward(grad_out: np.ndarray, cache):
 # full network
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on: its affinity mask where
-    the platform has one (so `taskset` and cpusets count), else all of the
-    machine's."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# the threads that run `spread`'s lanes beside the calling thread, which
-# works rather than waits: under glibc each thread that allocates gets its own
-# malloc arena, which costs resident memory, so cpus - 1 threads are the
-# fewest that fill the CPUs. They start on first use, so a one-CPU process
-# makes none.
-_POOL = ThreadPoolExecutor(max_workers=max(1, usable_cpus() - 1), thread_name_prefix="patchcc")
-
-
-def _pin_blas() -> None:
-    """Set the OpenBLAS that numpy bundles to one thread, whatever
-    `OPENBLAS_NUM_THREADS` says, so that `spread`'s lanes are the only
-    parallelism in the process. OpenBLAS's own threads busy-wait after each
-    large product they share and take the cores the next lanes need. The
-    library is the wheel's `numpy.libs` one, or `numpy/.dylibs` on macOS;
-    where numpy bundles none (an MKL or Accelerate build) or the library has
-    no known setter, nothing is changed. Never raises."""
-    here = os.path.dirname(np.__file__)
-    for path in (glob.glob(os.path.join(here, "..", "numpy.libs", "*openblas*"))
-                 + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
-
-
-_pin_blas()
-
-
-def _lane(fn, items):
-    """fn over items in order up to the first exception: (results, that
-    exception or None)."""
-    results = []
-    for item in items:
-        try:
-            results.append(fn(item))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
-def spread(fn, items, width: int | None = None) -> list:
-    """[fn(item) for item in items], computed in `width` lanes (by default
-    `usable_cpus()`; one lane on one CPU). Item j goes to lane j % width;
-    lane 0 runs on the calling thread and each other lane is one task on the
-    package's pool. The caller then cancels and runs itself, one by one, the
-    lanes that have not started, and only then waits on those running, so
-    nested calls cannot deadlock. A lane stops at its first exception, and
-    the one of the lowest failing item is raised, as in a serial loop.
-
-    Its callers are `benchmark`'s images, `forward`'s chunks and the row
-    strips of `image.load_ppm16`, `patches.resize_max_side` and
-    `patches.stretched_grid_patches`. While the pool's threads are busy,
-    as inside `benchmark`'s image lanes, a nested call runs all its lanes on
-    the calling thread. numpy's bundled OpenBLAS runs on one thread
-    (`_pin_blas`), so a lane's matrix products stay on its own CPU.
-    """
-    items = list(items)
-    cpus = usable_cpus()
-    # on one CPU the pool's one thread would only take turns with the caller
-    width = 1 if cpus == 1 else max(1, min(cpus if width is None else width, len(items)))
-    lanes = [items[j::width] for j in range(width)]
-    futures = [_POOL.submit(_lane, fn, lane) for lane in lanes[1:]]
-    try:
-        done = [_lane(fn, lanes[0])]
-        ran = [_lane(fn, lane) if future.cancel() else None
-               for future, lane in zip(futures, lanes[1:])]
-        done += [mine or future.result() for mine, future in zip(ran, futures)]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
-    failures = [(j + len(results) * width, exc)
-                for j, (results, exc) in enumerate(done) if exc is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [done[i % width][0][i // width] for i in range(len(items))]
-
-
 def _taps(x: np.ndarray, kw: int) -> np.ndarray:
     """Each pixel's zero same-padded kw x kw x 3 taps, (B, S, S, kw*kw*3) in
     the weights' (dy, dx, c) order; the pixels themselves when kw = 1."""
@@ -674,7 +543,7 @@ def _pooled(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 def _head(params: NetworkParams, pool_out: np.ndarray):
     """The FC ReLU and linear layers over pooled maps, checked finite:
     (estimates (B, 3), fc cache, out cache)."""
-    flat = pool_out.reshape(pool_out.shape[0], -1)
+    flat = pool_out.reshape(pool_out.shape[0], params.fc_w.shape[1])
     fc_out, fc_cache = fc_relu_forward(flat, params.fc_w, params.fc_b)
     est, out_cache = linear_forward(fc_out, params.out_w, params.out_b)
     if not np.all(np.isfinite(est)):
@@ -687,28 +556,24 @@ def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
     batch of side `params.patch_size`, in the dtype of the weights, to which
     each chunk of patches is cast: a view, with no copy, for the patches of
     the package's callers, which are stretched in that dtype. A lone patch
-    is a batch of one.
+    is a batch of one, and an empty batch gives (0, 3). Up to
+    `FORWARD_CHUNK` patches, the estimates are the bits of `forward_cache`'s
+    at every kernel width.
 
     Large batches are processed `FORWARD_CHUNK` patches at a time. The chunk
     bounds only the copies of the input (for k x k kernels, the taps and
     their pixel-outer copy) and the FC layer's input, since the fused layer
-    keeps a running max over the pixels of a cache-sized block of pool
-    windows at a time (`RUNNING_MAX_BYTES`). The chunk size is a constant
-    because it fixes the FC layer's matrix shapes, and so the last bit of
-    its sums.
+    keeps a running max over a cache-sized block of pool windows at a time.
+    The chunk size is a constant because it fixes the FC layer's matrix
+    shapes, and so the last bit of its sums.
 
     The chunks are independent, so their casts and conv-pool stages go
-    through `spread` in `usable_cpus` lanes: the calling thread takes every
-    chunk j with j % cpus == 0, and the package's pool the others, unless
-    they are busy with other lanes, such as `evaluate`'s images, in which
-    case the caller runs the chunks itself. The FC and output layers then
+    through `lanes.spread`, one lane per CPU. The FC and output layers then
     run in the caller, chunk by chunk in order, after every stage has
     finished; the pooled maps of every chunk are held until the heads run.
-    Where numpy's BLAS could not be pinned to one thread (`_pin_blas`), the
-    FC product may still use that BLAS's own threads, which then do not
-    compete with the conv-pool lanes. Each chunk goes through the same
-    operations on matrices of the same shapes as in one thread, so the
-    output is the same bits for any CPU count.
+    Each chunk goes through the same operations on matrices of the same
+    shapes as in one thread, so the output is the same bits for any CPU
+    count.
     """
     patch = np.asarray(patch)
     if patch.ndim != 4 or patch.shape[0] <= FORWARD_CHUNK:

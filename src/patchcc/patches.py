@@ -8,7 +8,7 @@ patch once; `stretch_into` stretches fresh samples in place into a
 caller's array, for training.
 
 Resizing runs in strips of output rows, spread over the CPUs with
-`network.spread`, so its temporaries stay in cache. Each output element
+`lanes.spread`, so its temporaries stay in cache. Each output element
 takes the same rounded operations in the same order as the full-size gather
 form, interpolating along x first and then along y, so the bytes are those
 of that form on any number of CPUs. The grid stretch runs in strips of tile
@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, SamplingImpossibleError
 from .image import LANE_STRIP_ROWS, LinearImage
-from .network import spread
+from .lanes import spread
 
 DEGENERATE_RANGE = 1e-12
 MAX_REJECTIONS_PER_PATCH = 10_000

@@ -13,7 +13,7 @@ from patchcc.errors import (
     PipelineError,
     ShapeMismatchError,
 )
-from patchcc import network
+from patchcc import lanes
 from patchcc.image import (
     ILLUMINANT_MAP_SCALE,
     LANE_STRIP_ROWS,
@@ -451,7 +451,7 @@ class TestScalingStripsMatchWholeArrayForm:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("height", [1, LANE_STRIP_ROWS, 2 * LANE_STRIP_ROWS + 37])
     def test_bits_on_any_cpu_count(self, tmp_path, monkeypatch, cpus, height):
-        monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
         width = -(-65536 // (3 * height))  # room for every 16-bit code
         rng = np.random.default_rng(height)
         samples = rng.permutation(np.arange(height * width * 3) % 65536)

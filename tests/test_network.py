@@ -2,20 +2,19 @@ import itertools
 import math
 import os
 import struct
-import subprocess
 import sys
 import tempfile
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from patchcc import network
+from patchcc import lanes, network
 from patchcc.errors import (
     DegenerateEstimateError,
     FormatError,
@@ -57,12 +56,10 @@ from patchcc.network import (
     maxpool_forward,
     save_params,
     sgd_step,
-    spread,
     zero_momentum,
 )
 
 from helpers import SMALL, TINY_SHAPES, make_synthetic_samples, tiny_weights, weights_bytes
-from openblas import openblas_threads
 from oracles import block_conv1x1_pool_backward, block_conv1x1_pool_forward
 
 TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5, dtype="float64")
@@ -438,6 +435,21 @@ class TestConv1x1PoolBlocks:
         est, _ = forward_cache(params, x)
         assert np.array_equal(forward(params, x), est)
 
+    @pytest.mark.parametrize("k", [2, 17, 240])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kernel_width", [4, 5])
+    def test_forward_equals_forward_cache_above_27_taps(self, kernel_width, dtype, k):
+        # 48 and 75 taps: sums that BLAS may round by the gemm's row count
+        rng = np.random.default_rng(100 * kernel_width + k)
+        hyper = replace(HyperParams(), kernel_count=k, kernel_width=kernel_width, fc_units=8,
+                        dtype=dtype)
+        params = init_params(hyper, kernel_width + k)
+        params = replace(params, conv_b=rng.standard_normal(k).astype(dtype),
+                         fc_b=(rng.standard_normal(8) * 0.1).astype(dtype))
+        x = rng.uniform(0, 1, (200, 32, 32, 3)).astype(dtype)
+        est, _ = forward_cache(params, x)
+        assert forward(params, x).tobytes() == est.tobytes()
+
     def test_inference_forward_memory_is_bounded(self):
         # the response array of a 512-patch chunk alone would be 480 MiB
         params = init_params(HyperParams(), 8)
@@ -532,19 +544,19 @@ class TestChunkedForward:
         x = rng.uniform(0, 1, (n, 16, 16, 3)).astype(xdtype)
         want = self.serial(params, x).tobytes()
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
             got = forward(params, x)
             assert got.dtype == params.dtype and got.shape == (n, 3)
             assert got.tobytes() == want
 
     def test_paper_shape_float32_local_map_batch(self, monkeypatch):
-        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         params = init_params(replace(HyperParams(), dtype="float32"), 74)
         x = np.random.default_rng(74).uniform(0, 1, (2072, 32, 32, 3))
         assert forward(params, x).tobytes() == self.serial(params, x).tobytes()
 
     def test_stages_run_on_two_threads(self, monkeypatch):
-        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         threads = self.recording_stages(monkeypatch)
         params = init_params(self.SHAPE, 75)
         forward(params, np.random.default_rng(75).uniform(0, 1, (2072, 16, 16, 3)))
@@ -553,7 +565,7 @@ class TestChunkedForward:
         assert len(set(threads)) == 2
 
     def test_one_cpu_uses_no_pool_thread(self, monkeypatch):
-        monkeypatch.setattr(network, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
         threads = self.recording_stages(monkeypatch)
         params = init_params(self.SHAPE, 76)
         forward(params, np.random.default_rng(76).uniform(0, 1, (2072, 16, 16, 3)))
@@ -561,7 +573,7 @@ class TestChunkedForward:
 
     @pytest.mark.parametrize("n", [513, 1025, 2072])
     def test_nonfinite_output_in_the_last_chunk_raises(self, n, monkeypatch):
-        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         params = init_params(self.SHAPE, 77)
         x = np.random.default_rng(77).uniform(0, 1, (n, 16, 16, 3))
         x[-1, 5, 5, 1] = np.nan
@@ -569,14 +581,14 @@ class TestChunkedForward:
             forward(params, x)
 
     def test_misshapen_large_batch_raises_the_typed_error(self, monkeypatch):
-        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         with pytest.raises(ShapeMismatchError):
             forward(init_params(self.SHAPE, 78), np.zeros((1100, 18, 18, 3)))
 
     def test_concurrent_calls_share_the_pool(self, monkeypatch):
         # evaluate's image workers call forward at once; their chunks queue
         # on the same pool threads and must not mix
-        monkeypatch.setattr(network, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 3)
         params = init_params(self.SHAPE, 79)
         xs = [np.random.default_rng(s).uniform(0, 1, (1300, 16, 16, 3)) for s in range(4)]
         want = [self.serial(params, x).tobytes() for x in xs]
@@ -594,7 +606,7 @@ class TestChunkedForward:
         # every chunk's pooled maps wait for the heads; the stages in flight
         # (one per CPU) add their pixel-outer copies and response blocks, but
         # no chunk's response array (480 MiB) is built
-        monkeypatch.setattr(network, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         params = init_params(HyperParams(), 8)
         x = np.random.default_rng(73).uniform(0, 1, (2072, 32, 32, 3))
         pooled = x.shape[0] * params.fc_w.shape[1] * params.dtype.itemsize
@@ -606,114 +618,6 @@ class TestChunkedForward:
             tracemalloc.stop()
         assert peak < pooled + 48 * 2**20
 
-    def test_usable_cpus_follows_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert network.usable_cpus() == 1
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert network.usable_cpus() == 6
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert network.usable_cpus() == 1
-
-
-
-class TestSpread:
-    """`spread` computes [fn(item) for item in items] in lanes on the calling
-    thread and the package's pool."""
-
-    # more lanes than the pool, sized from the CPUs at import, has threads
-    WIDE = (os.cpu_count() or 1) + 1
-
-    @pytest.mark.parametrize("width", [None, 1, 2, 3, 7, 40])
-    def test_results_come_back_in_item_order(self, width):
-        assert spread(lambda i: i * i, range(11), width) == [i * i for i in range(11)]
-        assert spread(abs, [], width) == []
-
-    def test_nested_calls_finish(self):
-        # the outer lanes fill the pool and queue; a lane's inner lanes queue
-        # behind them, so a waiter that did not run those itself would hang
-        def inner(i):
-            time.sleep(0.001)
-            return spread(lambda j: (i, j), range(2 * self.WIDE), self.WIDE)
-
-        finished = Future()
-
-        def outer():
-            try:
-                finished.set_result(spread(inner, range(2 * self.WIDE), self.WIDE))
-            except BaseException as exc:
-                finished.set_exception(exc)
-
-        threading.Thread(target=outer, daemon=True).start()
-        n = 2 * self.WIDE
-        assert finished.result(timeout=60) == [[(i, j) for j in range(n)] for i in range(n)]
-
-    @pytest.mark.parametrize("width,ran", [(1, {0, 1}), (2, {0, 1, 2}), (3, {0, 1, 2, 3})])
-    def test_the_lowest_failing_item_raises(self, width, ran, monkeypatch):
-        # lanes even on one CPU, where `spread` is a serial loop
-        monkeypatch.setattr(network, "usable_cpus", lambda: 3)
-        calls = []
-
-        def fn(i):
-            calls.append(i)
-            if i == 1:
-                time.sleep(0.05)  # item 2 fails first
-                raise KeyError(i)
-            if i == 2:
-                raise ValueError(i)
-            return i
-
-        with pytest.raises(KeyError):
-            spread(fn, range(6), width)
-        # each lane stops at its first exception
-        assert set(calls) == ran
-
-    def test_threads_never_outnumber_the_cpus(self, monkeypatch):
-        def ident(_):
-            time.sleep(0.001)
-            return threading.get_ident()
-
-        assert len(set(spread(ident, range(40), 40))) <= network.usable_cpus()
-        monkeypatch.setattr(network, "usable_cpus", lambda: 1)
-        assert set(spread(ident, range(40), 40)) == {threading.get_ident()}
-
-
-# sets numpy's OpenBLAS to two threads, imports patchcc, and prints the
-# thread count read on the calling thread and in a `spread` lane on the pool
-BLAS_THREADS_AFTER_IMPORT = """
-import threading
-from openblas import openblas_threads
-set_threads, get_threads = openblas_threads()
-set_threads(2)
-assert get_threads() == 2
-from patchcc import network
-network.usable_cpus = lambda: 2  # a lane on the pool even on one CPU
-started = threading.Event()
-
-def read(lane):
-    # lane 0, on the calling thread, waits until the pool has taken lane 1
-    if lane:
-        started.set()
-    else:
-        started.wait(60)
-    return f"{threading.current_thread().name}:{get_threads()}"
-
-print(get_threads(), *network.spread(read, range(2)))
-"""
-
-
-class TestBlasPin:
-    def test_importing_the_package_pins_numpys_openblas_to_one_thread(self):
-        # OpenBLAS's own threads would spin on the cores `spread`'s lanes use
-        if openblas_threads() is None:
-            pytest.skip("numpy bundles no OpenBLAS")
-        here = os.path.dirname(os.path.abspath(__file__))
-        path = os.pathsep.join([os.path.dirname(os.path.dirname(network.__file__)), here])
-        out = subprocess.run(
-            [sys.executable, "-c", BLAS_THREADS_AFTER_IMPORT],
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
-            capture_output=True, text=True, check=True).stdout
-        assert out.split() == ["1", "MainThread:1", "patchcc_0:1"]
 
 ALL_DTYPE_TRIPLES = tuple(itertools.product((np.float32, np.float64), repeat=3))
 
@@ -1050,6 +954,20 @@ class TestFullForward:
     def test_pool_size_must_be_a_positive_integer(self, pool_size):
         with pytest.raises(ParameterError, match="pool_size must be an integer >= 1"):
             replace(toy_params(), pool_size=pool_size)
+
+    @pytest.mark.parametrize("kernel_width", [1, 3])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_empty_batch_gives_no_estimates_and_zero_gradients(self, kernel_width, dtype):
+        params = init_params(replace(TOY, kernel_width=kernel_width, dtype=dtype), 32)
+        x = np.zeros((0, 8, 8, 3))
+        assert forward(params, x).shape == (0, 3)
+        est, cache = forward_cache(params, x)
+        assert est.shape == (0, 3) and est.dtype == params.dtype
+        grads = backward(params, cache, est)
+        for name in PARAM_LAYERS:
+            grad = getattr(grads, name)
+            assert grad.shape == getattr(params, name).shape
+            assert not grad.any()
 
     def test_patch_size_is_pooled_side_times_pool_size(self):
         hyper = HyperParams(patch_size=24, kernel_count=2, pool_size=3, fc_units=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchcc import network
+from patchcc import lanes
 from patchcc.errors import ParameterError, SamplingImpossibleError
 from patchcc.image import LANE_STRIP_ROWS, LinearImage, load_ppm16
 from patchcc.patches import (
@@ -316,7 +316,7 @@ class TestOnePassFormsMatchParentForms:
     def test_strips_match_row_gathers_on_any_cpu_count(self, monkeypatch, cpus, shape, target,
                                                        out_shape):
         # `spread` runs the strips in one lane on one CPU and in several on four
-        monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
         img = random_image(shape + (3,), seed=shape[1])
         out = resize_max_side(img, target)
         assert out.data.shape[:2] == out_shape
@@ -420,7 +420,7 @@ class TestStretchStripsMatchSinglePass:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("size", [16, 32])
     def test_bits_on_any_cpu_count(self, monkeypatch, cpus, dtype, size):
-        monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
         rows = LANE_STRIP_ROWS // size  # tile rows per strip
         # two whole strips, a partial third, and partial border tiles
         grid_h = 2 * rows + rows // 2 + 1
@@ -446,7 +446,7 @@ class TestStretchStripsMatchSinglePass:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_every_strip_flat(self, monkeypatch, cpus):
-        monkeypatch.setattr(network, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: cpus)
         out = stretched_grid_patches(LinearImage(np.full((3 * LANE_STRIP_ROWS, 40, 3), 0.3)), 16)
         assert out.data.shape == (0, 16, 16, 3) and out.origins.shape == (0, 2)
         assert out.degenerate == 3 * (LANE_STRIP_ROWS // 16) * 2
@@ -454,19 +454,19 @@ class TestStretchStripsMatchSinglePass:
     def test_a_160px_scene_is_one_strip(self, tmp_path, monkeypatch):
         # small scenes, such as fine-tuning's, decode and stretch on the
         # calling thread; a taller one goes to the pool
-        monkeypatch.setattr(network, "usable_cpus", lambda: 4)
-        pool, submitted = network._POOL, []
+        monkeypatch.setattr(lanes, "usable_cpus", lambda: 4)
+        pool, submitted = lanes._POOL, []
 
         class Recording:
             def submit(self, fn, *args):
                 submitted.append(fn)
                 return pool.submit(fn, *args)
 
-        monkeypatch.setattr(network, "_POOL", Recording())
+        monkeypatch.setattr(lanes, "_POOL", Recording())
         rng = np.random.default_rng(5)
-        for side, lanes in ((160, False), (161, True)):
+        for side, pooled in ((160, False), (161, True)):
             path = tmp_path / f"scene{side}.ppm"
             write_ppm(path, rng.integers(0, 65536, size=(side, 160, 3)))
             batch = stretched_grid_patches(load_ppm16(path), 32, np.float32)
             assert len(batch) == 25
-            assert bool(submitted) == lanes
+            assert bool(submitted) == pooled
