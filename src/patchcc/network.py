@@ -520,10 +520,11 @@ def _taps(x: np.ndarray, kw: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(x.shape[:3] + (kw * kw * 3,))
 
 
-def _conv_pool(params: NetworkParams, x: np.ndarray, need_cache: bool):
-    """Cast (B, S, S, 3) patches, S the model's `patch_size`, to the
-    weights' dtype and run the convolution and max pooling as the fused
-    layer over each pixel's taps: (pooled (B, G, G, K), its cache)."""
+def _forward(params: NetworkParams, x: np.ndarray, need_cache: bool):
+    """The network over (B, S, S, 3) patches, S the model's `patch_size`,
+    cast to the weights' dtype: the fused conv-pool layer over each pixel's
+    taps, then the FC ReLU and linear layers, checked finite. Returns
+    (estimates (B, 3), `backward`'s cache if need_cache else None)."""
     x = np.asarray(x, dtype=params.dtype)
     if x.ndim != 4 or x.shape[-1] != 3 or x.shape[1] != x.shape[2]:
         raise ShapeMismatchError(f"expected (B, S, S, 3) patches, got {x.shape}")
@@ -532,64 +533,41 @@ def _conv_pool(params: NetworkParams, x: np.ndarray, need_cache: bool):
             f"patch side {x.shape[1]} is not the model's patch size {params.patch_size}")
     taps = _taps(x, params.kernel_width)
     w = params.conv_w.reshape(params.kernel_count, 1, 1, taps.shape[-1])
-    return conv1x1_pool_forward(taps, w, params.conv_b, params.pool_size, need_cache=need_cache)
-
-
-def _pooled(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """The pooled maps of `_conv_pool` for inference, without its cache."""
-    return _conv_pool(params, x, need_cache=False)[0]
-
-
-def _head(params: NetworkParams, pool_out: np.ndarray):
-    """The FC ReLU and linear layers over pooled maps, checked finite:
-    (estimates (B, 3), fc cache, out cache)."""
+    pool_out, conv_cache = conv1x1_pool_forward(taps, w, params.conv_b, params.pool_size,
+                                                need_cache=need_cache)
     flat = pool_out.reshape(pool_out.shape[0], params.fc_w.shape[1])
     fc_out, fc_cache = fc_relu_forward(flat, params.fc_w, params.fc_b)
     est, out_cache = linear_forward(fc_out, params.out_w, params.out_b)
     if not np.all(np.isfinite(est)):
         raise NumericFaultError("non-finite network output")
-    return est, fc_cache, out_cache
+    cache = (conv_cache, pool_out.shape, fc_cache, out_cache) if need_cache else None
+    return est, cache
 
 
 def forward(params: NetworkParams, patch: np.ndarray) -> np.ndarray:
-    """Raw (unnormalized) illuminant estimates (B, 3) for a (B, S, S, 3)
-    batch of side `params.patch_size`, in the dtype of the weights, to which
-    each chunk of patches is cast: a view, with no copy, for the patches of
-    the package's callers, which are stretched in that dtype. A lone patch
-    is a batch of one, and an empty batch gives (0, 3). Up to
-    `FORWARD_CHUNK` patches, the estimates are the bits of `forward_cache`'s
-    at every kernel width.
+    """Raw (unnormalized) illuminant estimates (B, 3), in the weights'
+    dtype, for a (B, S, S, 3) batch of side `params.patch_size`; a lone
+    patch is a batch of one, and an empty batch gives (0, 3).
 
-    Large batches are processed `FORWARD_CHUNK` patches at a time. The chunk
-    bounds only the copies of the input (for k x k kernels, the taps and
-    their pixel-outer copy) and the FC layer's input, since the fused layer
-    keeps a running max over a cache-sized block of pool windows at a time.
-    The chunk size is a constant because it fixes the FC layer's matrix
-    shapes, and so the last bit of its sums.
-
-    The chunks are independent, so their casts and conv-pool stages go
-    through `lanes.spread`, one lane per CPU. The FC and output layers then
-    run in the caller, chunk by chunk in order, after every stage has
-    finished; the pooled maps of every chunk are held until the heads run.
-    Each chunk goes through the same operations on matrices of the same
-    shapes as in one thread, so the output is the same bits for any CPU
-    count.
+    The batch goes through `lanes.spread` in chunks of `FORWARD_CHUNK`
+    patches: a lane runs its chunk from cast to output, and the caller only
+    concatenates the estimates in order. The chunk bounds each lane's copies
+    of the input, pooled maps and FC input. As a constant it fixes the FC
+    layer's matrix shapes, so the output is the same bits for any CPU count,
+    and up to one chunk the bits of `forward_cache`'s at every kernel width.
+    An empty batch, or an array that is not a batch, is one whole chunk.
     """
     patch = np.asarray(patch)
-    if patch.ndim != 4 or patch.shape[0] <= FORWARD_CHUNK:
-        return _head(params, _pooled(params, patch))[0]
-    chunks = [patch[i : i + FORWARD_CHUNK] for i in range(0, patch.shape[0], FORWARD_CHUNK)]
-    pooled = spread(lambda chunk: _pooled(params, chunk), chunks)
-    return np.concatenate([_head(params, pool_out)[0] for pool_out in pooled])
+    n = patch.shape[0] if patch.ndim == 4 else 0
+    chunks = [patch[i : i + FORWARD_CHUNK] for i in range(0, n, FORWARD_CHUNK)] or [patch]
+    return np.concatenate(spread(lambda chunk: _forward(params, chunk, False)[0], chunks))
 
 
 def forward_cache(params: NetworkParams, patch: np.ndarray):
     """Forward pass over a (B, S, S, 3) batch keeping the intermediates
     needed by `backward`; the patches are cast to the weights' dtype, as in
     `forward`."""
-    pool_out, conv_cache = _conv_pool(params, patch, need_cache=True)
-    est, fc_cache, out_cache = _head(params, pool_out)
-    return est, (conv_cache, pool_out.shape, fc_cache, out_cache)
+    return _forward(params, patch, True)
 
 
 def backward(params: NetworkParams, cache, grad_est: np.ndarray) -> NetworkGrads:

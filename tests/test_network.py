@@ -506,9 +506,10 @@ class TestWideKernelFused:
 
 
 class TestChunkedForward:
-    """`forward` spreads a large batch's conv-pool stages over the calling
-    thread and the package's pool, then runs the heads in chunk order: the
-    same bits as one chunk after another, on any number of CPUs."""
+    """`forward` spreads a large batch's chunks over the calling thread and
+    the package's pool, each lane running its chunks from cast to output,
+    and concatenates their estimates in order: the same bits as one chunk
+    after another, on any number of CPUs."""
 
     SHAPE = SMALL
 
@@ -518,18 +519,18 @@ class TestChunkedForward:
                                for i in range(0, len(x), network.FORWARD_CHUNK)])
 
     @staticmethod
-    def recording_stages(monkeypatch):
+    def recording_stages(monkeypatch, layer):
         threads = []
-        fused = network.conv1x1_pool_forward
+        run = getattr(network, layer)
 
         def recorded(*args, **kwargs):
             threads.append(threading.get_ident())
             # time for the pool thread to take its lane before the caller,
             # done with its own, would run that lane itself
             time.sleep(0.01)
-            return fused(*args, **kwargs)
+            return run(*args, **kwargs)
 
-        monkeypatch.setattr(network, "conv1x1_pool_forward", recorded)
+        monkeypatch.setattr(network, layer, recorded)
         return threads
 
     @pytest.mark.parametrize("n", [1, 512, 513, 2072])
@@ -555,18 +556,20 @@ class TestChunkedForward:
         x = np.random.default_rng(74).uniform(0, 1, (2072, 32, 32, 3))
         assert forward(params, x).tobytes() == self.serial(params, x).tobytes()
 
-    def test_stages_run_on_two_threads(self, monkeypatch):
+    @pytest.mark.parametrize("layer", ["conv1x1_pool_forward", "linear_forward"])
+    def test_stages_run_on_two_threads(self, layer, monkeypatch):
         monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
-        threads = self.recording_stages(monkeypatch)
+        threads = self.recording_stages(monkeypatch, layer)
         params = init_params(self.SHAPE, 75)
         forward(params, np.random.default_rng(75).uniform(0, 1, (2072, 16, 16, 3)))
         assert len(threads) == 5
         assert threads.count(threading.get_ident()) == 3  # chunks 0, 2 and 4
         assert len(set(threads)) == 2
 
-    def test_one_cpu_uses_no_pool_thread(self, monkeypatch):
+    @pytest.mark.parametrize("layer", ["conv1x1_pool_forward", "linear_forward"])
+    def test_one_cpu_uses_no_pool_thread(self, layer, monkeypatch):
         monkeypatch.setattr(lanes, "usable_cpus", lambda: 1)
-        threads = self.recording_stages(monkeypatch)
+        threads = self.recording_stages(monkeypatch, layer)
         params = init_params(self.SHAPE, 76)
         forward(params, np.random.default_rng(76).uniform(0, 1, (2072, 16, 16, 3)))
         assert threads == [threading.get_ident()] * 5
@@ -603,20 +606,20 @@ class TestChunkedForward:
         assert got == want
 
     def test_local_map_batch_memory_is_bounded(self, monkeypatch):
-        # every chunk's pooled maps wait for the heads; the stages in flight
-        # (one per CPU) add their pixel-outer copies and response blocks, but
-        # no chunk's response array (480 MiB) is built
+        # a chunk's pooled maps live only in its lane, which runs its heads;
+        # the chunks in flight (one per CPU) hold their casts, pixel-outer
+        # copies, response blocks and pooled maps, but no chunk's response
+        # array (480 MiB) is built
         monkeypatch.setattr(lanes, "usable_cpus", lambda: 2)
         params = init_params(HyperParams(), 8)
         x = np.random.default_rng(73).uniform(0, 1, (2072, 32, 32, 3))
-        pooled = x.shape[0] * params.fc_w.shape[1] * params.dtype.itemsize
         tracemalloc.start()
         try:
             forward(params, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < pooled + 48 * 2**20
+        assert peak < 48 * 2**20
 
 
 ALL_DTYPE_TRIPLES = tuple(itertools.product((np.float32, np.float64), repeat=3))
@@ -854,9 +857,12 @@ class TestFullForward:
             run(params, np.zeros((2, side, side, 3)))
         with pytest.raises(ShapeMismatchError):
             run(params, np.zeros((side, side, 3)))
-        # the network takes batches only: a lone patch of the right side too
-        with pytest.raises(ShapeMismatchError, match=r"expected \(B, S, S, 3\) patches"):
-            run(params, np.zeros((8, 8, 3)))
+        # the network takes batches only: a lone patch of the right side too,
+        # and neither a non-batch array longer than a forward chunk nor a
+        # 0-d one is cut into chunks
+        for x in (np.zeros((8, 8, 3)), np.zeros((600, 8, 3)), np.zeros(())):
+            with pytest.raises(ShapeMismatchError, match=r"expected \(B, S, S, 3\) patches"):
+                run(params, x)
 
     def test_wide_kernel_network_gradcheck(self):
         # the kernel-width sweep trains k x k convolutions; check the whole
