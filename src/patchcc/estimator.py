@@ -14,12 +14,15 @@ raw network output a unit estimate with `rectified_units` (through
 `unit_estimates` for all but fine-tuning's steps, which keep the forward
 cache). `estimate_image` pools them into an `Illuminant`, the type every
 statistical estimator returns; the mask from `unit_estimates` picks the
-batch rows, and so the `origins`, of the estimates. Training takes its
-patches from `training_patch_arrays`, which samples each image and
-stretches the fresh samples in place, straight into their rows of one
-array allocated for the whole fold; its validation patches come from
-`validation_patch_arrays`, which stretches only the `VAL_PATCH_CAP` patches
-it draws. The stretch writes patches in
+batch rows, and so the `origins`, of the estimates. Training draws an
+image's random patches in one place, `_drawn_patches`: the image resized
+to at most `RESIZE_TARGET` px, sampled clear of its exclusion rectangles
+mapped onto the resized image. `training_patch_arrays` stretches the fresh
+samples in place, straight into their rows of one array allocated for the
+whole fold; the validation patches come from `validation_patch_arrays`,
+which keeps only each image's patch origins, at every image size, and
+stretches only the `VAL_PATCH_CAP` patches it draws, cut from the image
+resized again. The stretch writes patches in
 `hyper.dtype` (float32 by default) for training and in the weights' dtype
 for fine-tuning and inference, so the network casts none of them; raw
 outputs are widened to float64, and so is all after them.
@@ -175,6 +178,18 @@ def fold_samples(samples, fold: int) -> list[LabeledImage]:
     return [s for s in samples if s.fold == fold]
 
 
+def _drawn_patches(sample: LabeledImage, idx: int, hyper: HyperParams) -> PatchBatch:
+    """The random patches training draws from `sample`, the `idx`-th of its
+    images: `hyper.patches_per_image` of them, sampled from the image
+    resized to at most `RESIZE_TARGET` px by a generator seeded with
+    (seed, idx), each clear of the sample's exclusion rectangles mapped
+    onto the resized image."""
+    img = resize_max_side(sample.image, RESIZE_TARGET)
+    return sample_random_patches(img, hyper.patch_size, hyper.patches_per_image,
+                                 mask=sample.mask.resampled(sample.image, img),
+                                 seed=[hyper.seed, idx])
+
+
 def training_patch_arrays(samples, hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
     """Random stretched patches in `hyper.dtype` and their float64 labels.
 
@@ -190,11 +205,8 @@ def training_patch_arrays(samples, hyper: HyperParams) -> tuple[np.ndarray, np.n
     y = np.empty((len(x), 3))
     n = 0
     for idx, sample in enumerate(samples):
-        img = resize_max_side(sample.image, RESIZE_TARGET)
         # no name holds the samples, so they are freed before the next gather
-        kept = stretch_into(sample_random_patches(
-            img, size, hyper.patches_per_image, mask=sample.mask, seed=[hyper.seed, idx],
-        ).data, x[n:])
+        kept = stretch_into(_drawn_patches(sample, idx, hyper).data, x[n:])
         y[n : n + kept] = sample.illuminant.rgb
         n += kept
     if not n:
@@ -209,21 +221,20 @@ def validation_patch_arrays(samples, hyper: HyperParams, cap: int,
     are more: the same bits, but only the drawn patches are stretched.
 
     The draw needs the count of patches with contrast, so every image is
-    sampled and its patches' joint ranges taken. An image at its own size
-    then keeps only the origins of those patches, and the drawn ones are
-    copied out of it again; a resized image keeps their samples. Each
-    image's drawn patches are stretched together, in place, and then copied
-    to their rows, so no float64 array of all the drawn patches is made.
+    sampled and its patches' joint ranges taken; of each image only the
+    (N, 2) origins of those patches are kept, at every image size. The
+    drawn ones are then copied out of the image again, resized the same
+    way, so an image resized for training that has a drawn row is resized
+    twice. Each image's drawn patches are stretched together, in place,
+    and then copied to their rows, so no float64 array of all the drawn
+    patches is made.
     """
     size = hyper.patch_size
-    kept = []  # per image: its patches with contrast, (N, 2) origins or (N, S, S, 3) samples
+    kept = []  # per image: the (N, 2) origins of its patches with contrast
     for idx, sample in enumerate(samples):
-        img = resize_max_side(sample.image, RESIZE_TARGET)
-        batch = sample_random_patches(img, size, hyper.patches_per_image,
-                                      mask=sample.mask, seed=[hyper.seed, idx])
-        contrast = has_contrast(batch.data)
-        kept.append(batch.origins[contrast] if img is sample.image else batch.data[contrast])
-    starts = np.cumsum([0] + [len(rows) for rows in kept])
+        batch = _drawn_patches(sample, idx, hyper)
+        kept.append(batch.origins[has_contrast(batch.data)])
+    starts = np.cumsum([0] + [len(origins) for origins in kept])
     if not starts[-1]:
         raise EstimationImpossibleError("no usable training patches")
     rows = np.arange(starts[-1])
@@ -233,8 +244,9 @@ def validation_patch_arrays(samples, hyper: HyperParams, cap: int,
     x = np.empty((len(rows), size, size, 3), hyper.dtype)
     for i in np.unique(image):
         at = np.flatnonzero(image == i)
-        drawn = kept[i][rows[at] - starts[i]]
-        data = drawn if drawn.ndim == 4 else patches_at(samples[i].image, drawn, size)
+        # no name holds the resized image, so it is freed before the next resize
+        data = patches_at(resize_max_side(samples[i].image, RESIZE_TARGET),
+                          kept[i][rows[at] - starts[i]], size)
         stretch_into(data, data)
         x[at] = data
     return x, np.array([sample.illuminant.rgb for sample in samples])[image]

@@ -319,19 +319,11 @@ def read_map_samples(path) -> np.ndarray:
 def map_sample_units(samples: np.ndarray) -> np.ndarray:
     """The unit illuminants of nonzero 16-bit map samples (..., 3), as a new
     float64 array: scale to [0, 1], unscale by `ILLUMINANT_MAP_SCALE`, then
-    divide by the norm. The norm adds the squared channels in order,
-    (r*r + g*g) + b*b, which gives the bits of `np.linalg.norm(v, axis=-1)`
-    without its temporaries. Every step is elementwise, so equal samples give
-    equal bits wherever they lie."""
+    divide by `np.linalg.norm` along the last axis. Every step is
+    elementwise, so equal samples give equal bits wherever they lie."""
     units = _scaled_samples(samples)
     units /= ILLUMINANT_MAP_SCALE
-    norms = np.square(units[..., 0])
-    part = np.square(units[..., 1])
-    norms += part
-    np.square(units[..., 2], out=part)
-    norms += part
-    np.sqrt(norms, out=norms)
-    units /= norms[..., None]
+    units /= np.linalg.norm(units, axis=-1, keepdims=True)
     return units
 
 

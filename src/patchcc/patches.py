@@ -76,6 +76,28 @@ class ExclusionMask:
         rx, ry, rw, rh = np.asarray(self.rects, dtype=np.int64).reshape(-1, 4).T
         return ((x < rx + rw) & (rx < x + size) & (y < ry + rh) & (ry < y + size)).any(axis=1)
 
+    def resampled(self, src: LinearImage, dst: LinearImage) -> "ExclusionMask":
+        """The rectangles, given in `src`'s pixels, on `dst`, its
+        `resize_max_side`; the mask itself when `dst` is `src`.
+
+        A patch of `dst` at (ox, oy) touches a mapped rectangle exactly when
+        the span of source pixels it reads touches the rectangle: columns
+        lo(ox) to hi(ox + S - 1) of `_source_taps`, and rows alike. The span
+        takes in the pixels between two taps too, so even a rectangle that
+        no output pixel reads keeps patches from straddling it.
+        """
+        if dst is src:
+            return self
+        x, y, w, h = np.asarray(self.rects, dtype=np.int64).reshape(-1, 4).T
+        lo_x, hi_x, _ = _source_taps(src.width, dst.width)
+        lo_y, hi_y, _ = _source_taps(src.height, dst.height)
+        # the first output pixel reading at or after a rectangle's start, and
+        # the one after the last reading at or before its end
+        x0, y0 = np.searchsorted(hi_x, x), np.searchsorted(hi_y, y)
+        x1 = np.searchsorted(lo_x, x + w - 1, side="right")
+        y1 = np.searchsorted(lo_y, y + h - 1, side="right")
+        return ExclusionMask.from_rects(np.stack([x0, y0, x1 - x0, y1 - y0], axis=1))
+
 
 def resize_max_side(img: LinearImage, target: int) -> LinearImage:
     """Downscale so the longer side equals `target`; never upscales.
@@ -106,15 +128,9 @@ def _bilinear(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     same order, so the bits depend on neither the strip height nor the CPU
     count; the temporaries of a strip stay in a core's cache.
     """
-    in_h, in_w = data.shape[:2]
-    src_y = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
-    src_x = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
-    y0 = np.clip(np.floor(src_y).astype(int), 0, in_h - 1)
-    x0 = np.clip(np.floor(src_x).astype(int), 0, in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    fy = np.clip(src_y - y0, 0.0, 1.0)[:, None, None]
-    fx = np.clip(src_x - x0, 0.0, 1.0)[:, None]
+    y0, y1, fy = _source_taps(data.shape[0], out_h)
+    x0, x1, fx = _source_taps(data.shape[1], out_w)
+    fy, fx = fy[:, None, None], fx[:, None]
     gy, gx = 1 - fy, 1 - fx
     out = np.empty((out_h, out_w, data.shape[2]))
 
@@ -136,6 +152,17 @@ def _bilinear(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     spread(strip, range(0, out_h, RESIZE_STRIP_ROWS))
     return out
+
+
+def _source_taps(n_in: int, n_out: int) -> tuple[np.ndarray, ...]:
+    """The source pixels `_bilinear` reads along an axis of `n_in` pixels
+    resampled to `n_out`: output pixel i reads pixels lo[i] and hi[i], the
+    latter with weight frac[i], around the source coordinate
+    (i + 0.5) * n_in / n_out - 0.5. Neither lo nor hi ever decreases."""
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    lo = np.clip(np.floor(src).astype(int), 0, n_in - 1)
+    hi = np.minimum(lo + 1, n_in - 1)
+    return lo, hi, np.clip(src - lo, 0.0, 1.0)
 
 
 def extract_grid_patches(img: LinearImage, size: int) -> PatchBatch:

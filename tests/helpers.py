@@ -2,6 +2,7 @@
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -126,3 +127,12 @@ def tiny_weights(pool_size=1, **shapes) -> bytes:
         n = math.prod(dims)
         layers.append((dims, bytes(4 * n) if n <= 1 << 20 else b""))
     return weights_bytes(layers, pool_size)
+
+
+def exact_taps(n_in, n_out):
+    """The source pixels each output pixel of a bilinear resize from `n_in`
+    to `n_out` pixels reads: floor(c) and floor(c) + 1, clamped to the axis,
+    around c = (i + 0.5) * n_in / n_out - 0.5, taken in exact fractions."""
+    lo = np.array([min(max(math.floor(Fraction(2 * i + 1, 2) * n_in / n_out - Fraction(1, 2)), 0),
+                       n_in - 1) for i in range(n_out)])
+    return lo, np.minimum(lo + 1, n_in - 1)

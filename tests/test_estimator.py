@@ -36,6 +36,7 @@ from helpers import (
     TOY,
     bias_net,
     channel_max_net,
+    exact_taps,
     make_synthetic_samples,
     textured_patch,
     tiled_image,
@@ -432,6 +433,92 @@ class TestValidationPatchArrays:
         assert len(x) == 1000
         one_image_float64 = hyper.patches_per_image * x[0].size * 8
         assert peak <= x.nbytes + y.nbytes + 3 * one_image_float64
+
+    def test_peak_does_not_grow_with_the_count_of_resized_images(self):
+        # only the origins of a resized image's patches are kept, as of an
+        # image at its own size; its float64 samples would take 2.34 MiB
+        hyper = replace(SMALL, dtype="float32", patch_size=32, patches_per_image=100)
+        rng = np.random.default_rng(44)
+        samples = [LabeledImage(f"wide{i}", LinearImage(rng.uniform(0.05, 0.9, (48, 1300, 3))),
+                                normalize((1.0, 0.9, 0.7)), 0) for i in range(8)]
+
+        def peak(images):
+            tracemalloc.start()
+            try:
+                estimator.validation_patch_arrays(images, hyper, 50, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the first call imports what numpy loads lazily
+        estimator.validation_patch_arrays(samples[:2], hyper, 50, 0)
+        assert peak(samples) <= peak(samples[:2]) + 2**20
+
+
+def wide_masked_samples():
+    """Two masked images that training resizes: a 2400x400 one with its right
+    half masked, and a 1900x700 one with scattered rectangles, two of them
+    thinner than the source span of one resized pixel."""
+    rng = np.random.default_rng(43)
+    return [
+        LabeledImage("halves", LinearImage(rng.uniform(0.05, 0.9, (400, 2400, 3))),
+                     normalize((0.8, 1.0, 0.6)), 0,
+                     mask=ExclusionMask.from_rects([(1200, 0, 1200, 400)])),
+        LabeledImage("scattered", LinearImage(rng.uniform(0.05, 0.9, (700, 1900, 3))),
+                     normalize((0.5, 1.0, 0.9)), 0,
+                     mask=ExclusionMask.from_rects([(100, 50, 300, 200), (901, 0, 1, 700),
+                                                    (0, 433, 1900, 1), (1500, 300, 120, 90)])),
+    ]
+
+
+class TestMaskedResizedImages:
+    """Exclusion rectangles are given in the image's own pixels; training
+    samples the image resized to 1200 px."""
+
+    BUILDERS = {
+        "training": estimator.training_patch_arrays,
+        "validation": lambda samples, hyper: estimator.validation_patch_arrays(
+            samples, hyper, 150, 0),
+    }
+
+    @pytest.mark.parametrize("build", list(BUILDERS))
+    def test_every_patch_footprint_misses_every_rectangle(self, build, monkeypatch):
+        drawn = []
+        sample_random_patches = estimator.sample_random_patches
+
+        def recorded(img, *args, **kwargs):
+            batch = sample_random_patches(img, *args, **kwargs)
+            drawn.append(((img.width, img.height), batch.origins))
+            return batch
+
+        monkeypatch.setattr(estimator, "sample_random_patches", recorded)
+        samples, hyper = wide_masked_samples(), replace(SMALL, patches_per_image=200)
+        self.BUILDERS[build](samples, hyper)
+        assert [size for size, _ in drawn] == [(1200, 200), (1200, 442)]
+        last = hyper.patch_size - 1
+        for sample, ((out_w, out_h), origins) in zip(samples, drawn):
+            assert len(origins) == 200
+            lo_x, hi_x = exact_taps(sample.image.width, out_w)
+            lo_y, hi_y = exact_taps(sample.image.height, out_h)
+            for ox, oy in origins.tolist():
+                # the source pixels the patch reads, first to last
+                x0, x1, y0, y1 = lo_x[ox], hi_x[ox + last], lo_y[oy], hi_y[oy + last]
+                for rx, ry, rw, rh in sample.mask.rects:
+                    assert x1 < rx or rx + rw <= x0 or y1 < ry or ry + rh <= y0
+
+    @pytest.mark.parametrize("build", list(BUILDERS))
+    def test_patches_do_not_depend_on_masked_pixels(self, build):
+        samples, hyper = wide_masked_samples(), replace(SMALL, patches_per_image=200)
+        rng = np.random.default_rng(45)
+        repainted = []
+        for sample in samples:
+            data = sample.image.data.copy()
+            for x, y, w, h in sample.mask.rects:
+                data[y : y + h, x : x + w] = rng.uniform(0.0, 1.0, (h, w, 3))
+            repainted.append(replace(sample, image=LinearImage(data)))
+        x, y = self.BUILDERS[build](samples, hyper)
+        x_repainted, y_repainted = self.BUILDERS[build](repainted, hyper)
+        assert x.tobytes() == x_repainted.tobytes() and y.tobytes() == y_repainted.tobytes()
 
 
 # at each thread count in argv[1] (comma-separated), prints a digest of

@@ -322,6 +322,8 @@ class TestStrips:
         h, w = 600, 900
         img = random_image((h, w, 3), seed=19)
         strip_bytes = (STRIP_ROWS + 2) * (w + 2) * 3 * 8
+        # the first call imports what the smoothing loads lazily (scipy.ndimage)
+        minkowski_response(img, preset(name))
         tracemalloc.start()
         try:
             minkowski_response(img, preset(name))

@@ -20,7 +20,7 @@ from patchcc.patches import (
 )
 
 import oracles
-from helpers import batch_of, write_ppm
+from helpers import batch_of, exact_taps, write_ppm
 
 
 def random_image(shape, seed=0):
@@ -146,6 +146,38 @@ class TestRandomSampling:
         a = sample_random_patches(img, 8, 5, seed=[7, 0])
         b = sample_random_patches(img, 8, 5, seed=[7, 1])
         assert not np.array_equal(a.origins, b.origins)
+
+
+class TestResampledMask:
+    @pytest.mark.parametrize("shape", [(70, 190), (40, 240), (133, 37)])
+    @pytest.mark.parametrize("size", [1, 5, 16])
+    def test_a_patch_touches_a_mapped_rectangle_iff_its_source_span_does(self, shape, size):
+        # rectangles of one pixel and more, inside the image, across its
+        # edges and outside it
+        src = random_image(shape + (3,), seed=6)
+        dst = resize_max_side(src, 120)
+        rng = np.random.default_rng(size)
+        rects = [(0, 0, 1, 1), (src.width - 1, src.height - 1, 1, 1), (-9, -9, 4, 4),
+                 (src.width, 0, 5, src.height)]
+        rects += [(int(rng.integers(-10, src.width + 10)), int(rng.integers(-10, src.height + 10)),
+                   int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(6)]
+        mask = ExclusionMask.from_rects(rects).resampled(src, dst)
+        oy, ox = np.mgrid[: dst.height - size + 1, : dst.width - size + 1].reshape(2, -1)
+        lo_x, hi_x = exact_taps(src.width, dst.width)
+        lo_y, hi_y = exact_taps(src.height, dst.height)
+        # the source span a patch reads, from its first pixel's low tap to its
+        # last pixel's high one
+        x0, x1, y0, y1 = lo_x[ox], hi_x[ox + size - 1], lo_y[oy], hi_y[oy + size - 1]
+        touches = np.zeros(len(ox), bool)
+        for rx, ry, rw, rh in rects:
+            touches |= (x0 < rx + rw) & (rx <= x1) & (y0 < ry + rh) & (ry <= y1)
+        assert 0 < touches.sum() < len(touches)
+        assert np.array_equal(mask.intersects(np.stack([ox, oy], axis=1), size), touches)
+
+    def test_an_image_left_at_its_size_keeps_its_mask(self):
+        img = random_image((40, 60, 3))
+        mask = ExclusionMask.from_rects([(3, 4, 5, 6)])
+        assert mask.resampled(img, resize_max_side(img, 1200)) is mask
 
 
 class TestHistogramStretch:
