@@ -3,8 +3,8 @@
 # jobs run it as `bash .github/smoke.sh`. It makes a two-illuminant scene set,
 # a tiny model per fold, two local maps and three evaluations (one, two
 # and five threads) that must agree byte for byte, a 3x3-kernel model
-# trained, estimated and mapped alike on one CPU and on every CPU, a
-# kernel-width sweep, and the gradient check.
+# trained, estimated, mapped and fine-tuned alike on one CPU and on every
+# CPU, a kernel-width sweep, and the gradient check.
 # The evaluations run all six Minkowski presets (p = 1, 4, 9 and inf;
 # n = 0, 1 and 2), whose row-strip sums the tier-1 strip tests also
 # compare byte for byte with the whole-image form on the floors job,
@@ -175,6 +175,17 @@ for cpus in one all; do
 done
 cmp "$d/tuned_one.ccnn" "$d/tuned_all.ccnn"
 cmp "$d/tuned_one.ccnn.log.jsonl" "$d/tuned_all.ccnn.log.jsonl"
+# the 3x3 model fine-tunes through the fused layer's k x k backward:
+# one CPU and every CPU must give the same weights and log too
+for cpus in one all; do
+  run=""
+  if [ "$cpus" = one ]; then run="taskset -c 0"; fi
+  $run patchcc finetune --manifest "$d/tune/manifest.json" \
+    --model "$d/model3_all/fold0.ccnn" --out "$d/tuned3_$cpus.ccnn" \
+    --pooling average --epochs 2
+done
+cmp "$d/tuned3_one.ccnn" "$d/tuned3_all.ccnn"
+cmp "$d/tuned3_one.ccnn.log.jsonl" "$d/tuned3_all.ccnn.log.jsonl"
 # seeded training on two 200x136 scenes and one 1400x936 scene,
 # which is resized to 1200 px before its patches are sampled: two
 # runs on every CPU and one on one CPU must write the same weights

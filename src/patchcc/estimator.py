@@ -12,9 +12,11 @@ their patches from `prepared_patches` (tile, then stretch), at the patch
 size the model carries (`NetworkParams.patch_size`), and make each
 raw network output a unit estimate with `rectified_units` (through
 `unit_estimates` for all but fine-tuning's steps, which keep the forward
-cache). `estimate_image` pools them into an `Illuminant`, the type every
-statistical estimator returns; the mask from `unit_estimates` picks the
-batch rows, and so the `origins`, of the estimates. Training draws an
+cache). Fine-tuning's training images drop the tiles that touch their
+exclusion rectangles, mapped onto the resized image (`_tuning_patches`).
+`estimate_image` pools the unit estimates into an `Illuminant`, the type
+every statistical estimator returns; the mask from `unit_estimates` picks
+the batch rows, and so the `origins`, of the estimates. Training draws an
 image's random patches in one place, `_drawn_patches`: the image resized
 to at most `RESIZE_TARGET` px, sampled clear of its exclusion rectangles
 mapped onto the resized image. `training_patch_arrays` stretches the fresh
@@ -369,6 +371,23 @@ def image_level_loss(
     return loss, backward(params, cache, grad_raw)
 
 
+def _tuning_patches(sample: LabeledImage, patch_size: int, dtype) -> PatchBatch:
+    """The `prepared_patches` fine-tuning trains on from `sample`: the tiles
+    of the image resized to at most `RESIZE_TARGET` px, less those whose
+    footprint touches the sample's exclusion rectangles mapped onto the
+    resized image, as training's random patches avoid them. Raises when no
+    tile is left."""
+    img = resize_max_side(sample.image, RESIZE_TARGET)
+    batch = prepared_patches(img, patch_size, resize_target=None, dtype=dtype)
+    clear = ~sample.mask.resampled(sample.image, img).intersects(batch.origins, patch_size)
+    if clear.all():
+        return batch
+    if not clear.any():
+        raise EstimationImpossibleError(
+            f"every usable patch of {sample.image_id} touches its exclusion rectangles")
+    return PatchBatch(batch.data[clear], batch.origins[clear], batch.degenerate)
+
+
 def fine_tune(
     params: NetworkParams,
     dataset,
@@ -382,8 +401,10 @@ def fine_tune(
     The network computes in the dtype of the weights it is given, and the
     result has that dtype: a model loaded from a weights file is tuned in
     its float32. Each image's patches are prepared once per call, at the
-    model's patch size, stretched into that dtype too. Of `hyper`, only the
-    learning settings, epochs and seed are read.
+    model's patch size, stretched into that dtype too. A training image
+    drops the tiles that touch its exclusion rectangles (`_tuning_patches`);
+    a validation image keeps every tile, as inference does. Of `hyper`,
+    only the learning settings, epochs and seed are read.
 
     When a validation set is given, the checkpoint with the lowest pooled
     median error is returned; a checkpoint only displaces the current best
@@ -397,7 +418,7 @@ def fine_tune(
     pool = _pooling_function(pooling)
     state = zero_momentum(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 7])
-    batches = [prepared_patches(s.image, params.patch_size, dtype=params.dtype) for s in samples]
+    batches = [_tuning_patches(s, params.patch_size, params.dtype) for s in samples]
     val_batches = [(prepared_patches(s.image, params.patch_size, dtype=params.dtype), s.illuminant)
                    for s in val_dataset or ()]
 

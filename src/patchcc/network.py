@@ -25,12 +25,12 @@ axis. The flatten between pooling and the FC layer is row-major with channel
 fastest: flat[(y * G + x) * K + k].
 
 Every network runs the convolution and the max pooling as one fused layer
-(`conv1x1_pool_forward` / `conv1x1_pool_backward`) over each pixel's taps
-(`_taps`): a k x k convolution is a 1x1 one over each pixel's zero
-same-padded kw x kw x 3 neighbourhood. The reference layers `conv_forward`,
-`maxpool_forward`, `maxpool_backward` and `conv_backward` take one loop over
-the kernel taps for every width. The network does not run them; they are
-the tests' reference for the fused layer, at every width.
+(`conv1x1_pool_forward` / `conv1x1_pool_backward`), which takes the
+network's own (K, kw, kw, 3) kernels at every width. The reference layers
+`conv_forward`, `maxpool_forward`, `maxpool_backward` and `conv_backward`
+take one loop over the kernel taps for every width. The network does not
+run them; they are the tests' reference for the fused layer, at every
+width.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateEstimateError,
@@ -326,44 +327,47 @@ def maxpool_backward(grad_out: np.ndarray, cache):
 
 
 def _window_responses(block: np.ndarray, wt: np.ndarray) -> np.ndarray:
-    """The responses (P^2, s, K) of a pixel-outer block (P^2, s, C), one
-    window at a time. numpy calls gemv where K = 1, P = 1 or s = 1, and gemv
-    rounds by operand shape and layout: going window by window keeps the bits
-    of the block-layout form (tests/oracles.py)."""
+    """The responses (P^2, s, K) of a pixel-outer block (P^2, s, T) of T
+    taps a pixel, one window at a time. numpy calls gemv where K = 1, P = 1
+    or s = 1, and gemv rounds by operand shape and layout: going window by
+    window keeps the bits of the block-layout form (tests/oracles.py)."""
     return (np.ascontiguousarray(block.swapaxes(0, 1)) @ wt).swapaxes(0, 1)
 
 
-def _window_step(k: int, c: int, p2: int, itemsize: int, need_cache: bool) -> int:
-    """Pool windows per block of `conv1x1_pool_forward` over C = c channels:
+def _window_step(k: int, t: int, p2: int, itemsize: int, need_cache: bool) -> int:
+    """Pool windows per block of `conv1x1_pool_forward` over t taps a pixel:
     FUSED_BLOCK_BYTES of every pixel's responses with the cache, and without
-    it RUNNING_MAX_BYTES of one pixel's, up to 27 channels. Above 27, BLAS
+    it RUNNING_MAX_BYTES of one pixel's, up to 27 taps. Above 27, BLAS
     may round a sum by the gemm's row count, so the running max takes the
     cached branch's step and both branches make every gemm alike."""
-    if need_cache or c > 27:
+    if need_cache or t > 27:
         return max(1, FUSED_BLOCK_BYTES // (p2 * k * itemsize))
     return max(1, RUNNING_MAX_BYTES // (k * itemsize))
 
 
 def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
                          need_cache: bool = True):
-    """1x1 convolution and pool x pool max pooling in one layer.
+    """k x k convolution with zero same-padding and pool x pool max pooling
+    in one layer.
 
-    x: (..., S, S, C), w: (K, 1, 1, C), b: (K,) -> (..., S/pool, S/pool, K),
-    the values and argmax of `maxpool_forward(conv_forward(x, w, b)[0], pool)`.
-    The network passes C = 3 for 1x1 kernels and each pixel's kw*kw*3 taps
-    for k x k ones. x, w and b share one dtype, which the layer computes
-    and returns in; a mixed call raises `ParameterError`. Each response is
-    one C-term dot product, by the same kind of BLAS call as `conv_forward`
-    (gemv when K = 1, gemm otherwise); the kernel OpenBLAS then runs can
-    depend on the matrix size, and `conv_forward` sums a k x k kernel tap by
-    tap, so inexact sums may differ from the reference layers in the last
-    bits.
+    x: (..., S, S, C), w: (K, kw, kw, C), b: (K,) -> (..., S/pool, S/pool,
+    K), the values and argmax of
+    `maxpool_forward(conv_forward(x, w, b)[0], pool)`. x, w and b share one
+    dtype, which the layer computes and returns in; a mixed call raises
+    `ParameterError`. Each response is one dot product over the pixel's
+    T = kw*kw*C taps, its zero same-padded kw x kw x C neighbourhood in the
+    weights' (dy, dx, c) order, by the same kind of BLAS call as
+    `conv_forward` (gemv when K = 1, gemm otherwise); the kernel OpenBLAS
+    then runs can depend on the matrix size, and `conv_forward` sums a
+    k x k kernel tap by tap, so inexact sums may differ from the reference
+    layers in the last bits.
 
-    The input is copied once pixel-outer, xp (pool*pool, windows, C), and
-    the windows are taken a block at a time, so no full-size response array
-    is built. Where numpy would call gemv (K = 1, pool 1, a one-window
-    block), a block goes window by window (`_window_responses`), with the
-    transposed view W^T; the gemms take a C-contiguous copy of W^T in
+    The taps are copied once, pixel-outer, straight from a window view of
+    the padded input: xp (pool*pool, windows, T). The windows are taken a
+    block at a time, so no full-size response array is built. Where numpy
+    would call gemv (K = 1, pool 1, a one-window block), a block goes window
+    by window (`_window_responses`), with the transposed view W^T of the
+    (K, T) kernel matrix; the gemms take a C-contiguous copy of W^T in
     float32 and the view in float64.
 
     With the cache (training), a block of s windows holds FUSED_BLOCK_BYTES
@@ -381,7 +385,7 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     other pixel's is folded in with `np.maximum`, so a block makes one gemm
     of s rows per pixel into one reused buffer. The bias is added once,
     after the max: rounding is monotone, so max_p fl(a_p + b) =
-    fl(max_p a_p + b). Up to 27 channels a block holds RUNNING_MAX_BYTES of
+    fl(max_p a_p + b). Up to 27 taps a block holds RUNNING_MAX_BYTES of
     one pixel's responses, (s, K), and each entry of a gemm takes the same
     bits whatever the call's row count (the tests check both paths against
     the block-layout form at each block boundary); above 27, the blocks are
@@ -393,7 +397,8 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
         raise ParameterError(
             f"conv1x1 dtypes differ: x {x.dtype}, w {w.dtype}, b {b.dtype}")
     c = x.shape[-1]
-    if w.shape[1:] != (1, 1, c) or b.shape != (w.shape[0],):
+    if (w.ndim != 4 or w.shape[2:] != (w.shape[1], c) or w.shape[1] < 1
+            or b.shape != (w.shape[0],)):
         raise ShapeMismatchError(f"conv1x1 shapes inconsistent: x{x.shape} w{w.shape} b{b.shape}")
     s1, s2 = x.shape[-3], x.shape[-2]
     if s1 != s2 or s1 % pool != 0:
@@ -401,19 +406,25 @@ def conv1x1_pool_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pool: int,
     lead = x.shape[:-3]
     nl = len(lead)
     g = s1 // pool
-    k = w.shape[0]
+    k, kw = w.shape[:2]
+    t = kw * kw * c
     p2 = pool * pool
-    wt = w[:, 0, 0, :].T
-    # float32 gemms take a C-contiguous (C, K) copy of the kernel matrix,
+    wt = w.reshape(k, t).T
+    # float32 gemms take a C-contiguous (T, K) copy of the kernel matrix,
     # which OpenBLAS packs faster than the transposed view. float64 keeps the
     # view: with the copy, some 27-tap double sums rounded by the gemm's row
     # count, so the two paths differed in the last bits
     wc = np.ascontiguousarray(wt) if x.dtype == np.float32 else wt
-    axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 4)
-    xp = x.reshape(*lead, g, pool, g, pool, c).transpose(axes).reshape(p2, -1, c)
+    if kw > 1:
+        lo, hi = _conv_pads(kw)
+        x = np.pad(x, [(0, 0)] * nl + [(lo, hi), (lo, hi), (0, 0)])
+    # (..., S, S, C, kw, kw) -> (py, px, ..., gy, gx, dy, dx, C)
+    windows = sliding_window_view(x, (kw, kw), axis=(nl, nl + 1))
+    axes = (nl + 1, nl + 3) + tuple(range(nl)) + (nl, nl + 2, nl + 5, nl + 6, nl + 4)
+    xp = windows.reshape(*lead, g, pool, g, pool, c, kw, kw).transpose(axes).reshape(p2, -1, t)
     n = xp.shape[1]
     out = np.empty((n, k), dtype=x.dtype)
-    step = _window_step(k, c, p2, x.itemsize, need_cache)
+    step = _window_step(k, t, p2, x.itemsize, need_cache)
     if not need_cache:
         resp = np.empty((min(n, step), k), x.dtype)
         for i in range(0, n, step):
@@ -454,10 +465,12 @@ def conv1x1_pool_backward(grad_out: np.ndarray, cache):
     """Weight and bias gradients of `conv1x1_pool_forward`.
 
     Only the argmax pixel of each pool window gets a gradient, so this
-    gathers those pixels' C channels from the pixel-outer cache,
-    xp[idx, window], as (windows, K, C) in window order, and builds no
-    full-resolution map. Returns (grad_w (K, 1, 1, C), grad_b (K,)); the
-    network needs no gradient with respect to its input.
+    gathers those pixels' T taps from the pixel-outer cache,
+    xp[idx, window], as (windows, K, T) in window order, and builds no
+    full-resolution map. Returns (grad_w (K, 1, 1, T), grad_b (K,)): the
+    kernel gradient over the taps, in the weights' (dy, dx, c) order, so
+    `grad_w.reshape(w.shape)` at every width. The network needs no gradient
+    with respect to its input.
     """
     xp, idx = cache
     k = idx.shape[-1]
@@ -509,21 +522,10 @@ def linear_backward(grad_out: np.ndarray, cache):
 # full network
 
 
-def _taps(x: np.ndarray, kw: int) -> np.ndarray:
-    """Each pixel's zero same-padded kw x kw x 3 taps, (B, S, S, kw*kw*3) in
-    the weights' (dy, dx, c) order; the pixels themselves when kw = 1."""
-    if kw == 1:
-        return x
-    lo, hi = _conv_pads(kw)
-    xpad = np.pad(x, [(0, 0), (lo, hi), (lo, hi), (0, 0)])
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, (kw, kw), axis=(1, 2))
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(x.shape[:3] + (kw * kw * 3,))
-
-
 def _forward(params: NetworkParams, x: np.ndarray, need_cache: bool):
     """The network over (B, S, S, 3) patches, S the model's `patch_size`,
-    cast to the weights' dtype: the fused conv-pool layer over each pixel's
-    taps, then the FC ReLU and linear layers, checked finite. Returns
+    cast to the weights' dtype: the fused conv-pool layer with the model's
+    kernels, then the FC ReLU and linear layers, checked finite. Returns
     (estimates (B, 3), `backward`'s cache if need_cache else None)."""
     x = np.asarray(x, dtype=params.dtype)
     if x.ndim != 4 or x.shape[-1] != 3 or x.shape[1] != x.shape[2]:
@@ -531,10 +533,8 @@ def _forward(params: NetworkParams, x: np.ndarray, need_cache: bool):
     if x.shape[1] != params.patch_size:
         raise ShapeMismatchError(
             f"patch side {x.shape[1]} is not the model's patch size {params.patch_size}")
-    taps = _taps(x, params.kernel_width)
-    w = params.conv_w.reshape(params.kernel_count, 1, 1, taps.shape[-1])
-    pool_out, conv_cache = conv1x1_pool_forward(taps, w, params.conv_b, params.pool_size,
-                                                need_cache=need_cache)
+    pool_out, conv_cache = conv1x1_pool_forward(x, params.conv_w, params.conv_b,
+                                                params.pool_size, need_cache=need_cache)
     flat = pool_out.reshape(pool_out.shape[0], params.fc_w.shape[1])
     fc_out, fc_cache = fc_relu_forward(flat, params.fc_w, params.fc_b)
     est, out_cache = linear_forward(fc_out, params.out_w, params.out_b)

@@ -6,7 +6,9 @@ instead of vectorized reductions, and sorting-based statistics. The
 exceptions are `padded_gaussian_smooth` and `wrapped_minkowski_response`,
 the forms the Minkowski stages had before they passed plain arrays, and
 `block_conv1x1_pool_forward` / `block_conv1x1_pool_backward`, the form the
-fused layer had before its training and inference went pixel-outer, and
+fused layer had before its training and inference went pixel-outer, with
+`contiguous_taps` and `block_conv_pool_forward`, the tap copy a k x k
+network made for it before it took the network's own kernels, and
 `loop_rectified_units`, the per-row form of the estimator's rectify step,
 and the full-resolution forms of the pixel path before each stage made one
 pass with one new array (`row_gather_bilinear`, `repeat_then_quantize_map`,
@@ -258,6 +260,28 @@ def block_conv1x1_pool_forward(x, w, b, pool, need_cache=True):
     idx = resp.argmax(axis=-1)
     out = np.take_along_axis(resp, idx[..., None], axis=-1)[..., 0]
     return out, (xb, idx) if need_cache else None
+
+
+def contiguous_taps(x, kw):
+    """Each pixel's zero same-padded kw x kw x C taps of a (B, S, S, C)
+    batch as a contiguous (B, S, S, kw*kw*C) copy, in the weights' (dy, dx,
+    c) order; the pixels themselves when kw = 1."""
+    if kw == 1:
+        return x
+    lo, hi = (kw - 1) // 2, kw // 2
+    xpad = np.pad(x, [(0, 0), (lo, hi), (lo, hi), (0, 0)])
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, (kw, kw), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(x.shape[:3] + (kw * kw * x.shape[3],))
+
+
+def block_conv_pool_forward(x, w, b, pool, need_cache=True):
+    """The fused layer's block-layout form for (K, kw, kw, C) kernels over a
+    (B, S, S, C) batch: `block_conv1x1_pool_forward` over its
+    `contiguous_taps`, with the kernels viewed as (K, 1, 1, kw*kw*C). Its
+    cache is that function's, for `block_conv1x1_pool_backward`."""
+    k, kw = w.shape[:2]
+    return block_conv1x1_pool_forward(contiguous_taps(x, kw), w.reshape(k, 1, 1, -1), b, pool,
+                                      need_cache)
 
 
 def block_conv1x1_pool_backward(grad_out, cache):

@@ -471,6 +471,19 @@ def wide_masked_samples():
     ]
 
 
+def repainted_masks(samples, seed):
+    """The samples with every pixel under their exclusion rectangles
+    redrawn."""
+    rng = np.random.default_rng(seed)
+    repainted = []
+    for sample in samples:
+        data = sample.image.data.copy()
+        for x, y, w, h in sample.mask.rects:
+            data[y : y + h, x : x + w] = rng.uniform(0.0, 1.0, (h, w, 3))
+        repainted.append(replace(sample, image=LinearImage(data)))
+    return repainted
+
+
 class TestMaskedResizedImages:
     """Exclusion rectangles are given in the image's own pixels; training
     samples the image resized to 1200 px."""
@@ -509,16 +522,86 @@ class TestMaskedResizedImages:
     @pytest.mark.parametrize("build", list(BUILDERS))
     def test_patches_do_not_depend_on_masked_pixels(self, build):
         samples, hyper = wide_masked_samples(), replace(SMALL, patches_per_image=200)
-        rng = np.random.default_rng(45)
-        repainted = []
-        for sample in samples:
-            data = sample.image.data.copy()
-            for x, y, w, h in sample.mask.rects:
-                data[y : y + h, x : x + w] = rng.uniform(0.0, 1.0, (h, w, 3))
-            repainted.append(replace(sample, image=LinearImage(data)))
         x, y = self.BUILDERS[build](samples, hyper)
-        x_repainted, y_repainted = self.BUILDERS[build](repainted, hyper)
+        x_repainted, y_repainted = self.BUILDERS[build](repainted_masks(samples, 45), hyper)
         assert x.tobytes() == x_repainted.tobytes() and y.tobytes() == y_repainted.tobytes()
+
+
+class TestMaskedFineTuning:
+    """Fine-tuning trains on the tiles of each image resized to 1200 px
+    that miss its exclusion rectangles; validation keeps every tile."""
+
+    TUNE = replace(SMALL, learning_rate=1e-3, momentum=0.0, epochs=1)
+
+    @staticmethod
+    def model():
+        return replace(init_params(SMALL, 46), out_b=np.array([0.4, 0.5, 0.45]))
+
+    @staticmethod
+    def trained_batches(monkeypatch):
+        """The batches of the image-level steps from now on."""
+        batches = []
+        image_level_loss = estimator.image_level_loss
+
+        def recorded(params, batch, *args, **kwargs):
+            batches.append(batch)
+            return image_level_loss(params, batch, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "image_level_loss", recorded)
+        return batches
+
+    def test_every_trained_tile_misses_every_rectangle(self, monkeypatch):
+        batches = self.trained_batches(monkeypatch)
+        size, last = SMALL.patch_size, SMALL.patch_size - 1
+        for sample, (out_w, out_h) in zip(wide_masked_samples(), [(1200, 200), (1200, 442)]):
+            fine_tune(self.model(), [sample], self.TUNE)
+            (batch,) = batches[-1:]
+            lo_x, hi_x = exact_taps(sample.image.width, out_w)
+            lo_y, hi_y = exact_taps(sample.image.height, out_h)
+            clear = []
+            for oy in range(0, out_h - last, size):
+                for ox in range(0, out_w - last, size):
+                    # the source pixels the tile reads, first to last
+                    x0, x1, y0, y1 = lo_x[ox], hi_x[ox + last], lo_y[oy], hi_y[oy + last]
+                    if all(x1 < rx or rx + rw <= x0 or y1 < ry or ry + rh <= y0
+                           for rx, ry, rw, rh in sample.mask.rects):
+                        clear.append([ox, oy])
+            # every tile has contrast, so the clear ones are all kept
+            assert 0 < len(clear) < (out_w // size) * (out_h // size)
+            assert batch.origins.tolist() == clear
+            full = prepared_patches(sample.image, size)
+            at = [full.origins.tolist().index(o) for o in clear]
+            assert batch.data.tobytes() == full.data[at].tobytes()
+
+    def test_tuned_weights_do_not_depend_on_masked_pixels(self):
+        samples = wide_masked_samples()
+        tuned = fine_tune(self.model(), samples, self.TUNE)
+        again = fine_tune(self.model(), repainted_masks(samples, 47), self.TUNE)
+        assert not np.array_equal(tuned.conv_w, self.model().conv_w)
+        for name in PARAM_LAYERS:
+            assert getattr(tuned, name).tobytes() == getattr(again, name).tobytes()
+
+    def test_unmasked_and_validation_images_keep_every_tile(self, monkeypatch):
+        batches = self.trained_batches(monkeypatch)
+        prepared = []
+
+        def recorded(img, *args, **kwargs):
+            prepared.append(prepared_patches(img, *args, **kwargs))
+            return prepared[-1]
+
+        monkeypatch.setattr(estimator, "prepared_patches", recorded)
+        masked = wide_masked_samples()[0]
+        unmasked = replace(masked, mask=ExclusionMask())
+        fine_tune(self.model(), [unmasked], self.TUNE, val_dataset=[masked])
+        # the training image's tiles, then the validation image's
+        assert batches == prepared[:1] and len(prepared) == 2
+        assert len(prepared[1]) == len(prepared[0]) == 75 * 12
+
+    def test_image_with_every_tile_masked_raises(self):
+        sample = wide_masked_samples()[0]
+        covered = replace(sample, mask=ExclusionMask.from_rects([(0, 0, 2400, 400)]))
+        with pytest.raises(EstimationImpossibleError, match="exclusion"):
+            fine_tune(self.model(), [covered], self.TUNE)
 
 
 # at each thread count in argv[1] (comma-separated), prints a digest of

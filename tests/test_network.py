@@ -60,7 +60,11 @@ from patchcc.network import (
 )
 
 from helpers import SMALL, TINY_SHAPES, make_synthetic_samples, tiny_weights, weights_bytes
-from oracles import block_conv1x1_pool_backward, block_conv1x1_pool_forward
+from oracles import (
+    block_conv1x1_pool_backward,
+    block_conv1x1_pool_forward,
+    block_conv_pool_forward,
+)
 
 TOY = HyperParams(patch_size=8, kernel_count=4, pool_size=4, fc_units=5, dtype="float64")
 
@@ -279,8 +283,11 @@ class TestConv1x1Pool:
     def test_bad_shapes_rejected(self):
         with pytest.raises(ShapeMismatchError):
             conv1x1_pool_forward(np.zeros((9, 9, 3)), np.zeros((2, 1, 1, 3)), np.zeros(2), 4)
-        with pytest.raises(ShapeMismatchError):
-            conv1x1_pool_forward(np.zeros((8, 8, 3)), np.zeros((2, 3, 3, 3)), np.zeros(2), 4)
+        # a non-square kernel, and kernels over another channel count
+        for w in (np.zeros((2, 3, 1, 3)), np.zeros((2, 1, 3, 3)), np.zeros((2, 3, 3, 4)),
+                  np.zeros((2, 1, 1, 27))):
+            with pytest.raises(ShapeMismatchError):
+                conv1x1_pool_forward(np.zeros((8, 8, 3)), w, np.zeros(2), 4)
 
     def test_mixed_dtypes_rejected(self):
         x, w, b = np.zeros((2, 8, 8, 3)), np.zeros((2, 1, 1, 3)), np.zeros(2)
@@ -315,10 +322,10 @@ DTYPE_TRIPLES = ((np.float32,) * 3, (np.float64,) * 3, (np.float32, np.float32, 
 
 
 def fused_operands(x, w, b, pool):
-    """The patches, 1x1 weights and bias that `forward_cache` hands the fused
+    """The patches, kernels and bias that `forward_cache` hands the fused
     layer for patches x and a first layer (w, b) of any float dtypes, under
     float32 FC and output layers: all three in the weights' one dtype, which
-    is float32 only when w and b are."""
+    is float32 only when w and b are, and the kernels the model's own."""
     k, g, f32 = w.shape[0], x.shape[1] // pool, np.float32
     params = NetworkParams(conv_w=w, conv_b=b, fc_w=np.zeros((1, g * g * k), f32),
                            fc_b=np.zeros(1, f32), out_w=np.zeros((3, 1), f32),
@@ -334,6 +341,7 @@ def fused_operands(x, w, b, pool):
         forward_cache(params, x)
     (ops,) = seen
     assert params.dtype == np.result_type(w, b)
+    assert ops[1] is params.conv_w
     assert all(a.dtype == params.dtype for a in ops)
     return ops
 
@@ -464,8 +472,9 @@ class TestConv1x1PoolBlocks:
 
 
 class TestWideKernelFused:
-    """A k x k network runs the fused layer over each pixel's kw x kw x 3
-    taps: the pooled maps, argmax and gradients of the reference layers."""
+    """A k x k network hands the fused layer its own (K, kw, kw, 3) kernels,
+    which it runs over each pixel's kw x kw x 3 taps: the pooled maps,
+    argmax and gradients of the reference layers."""
 
     @pytest.mark.parametrize("kw", [2, 3, 5])
     def test_equals_reference_layers(self, kw, monkeypatch):
@@ -478,8 +487,9 @@ class TestWideKernelFused:
         grad_est = rng.standard_normal((3, 3))
         seen = []
 
-        def record(*args, **kwargs):
-            seen.append(conv1x1_pool_forward(*args, **kwargs))
+        def record(x, w, *args, **kwargs):
+            assert w is params.conv_w
+            seen.append(conv1x1_pool_forward(x, w, *args, **kwargs))
             return seen[-1]
 
         monkeypatch.setattr(network, "conv1x1_pool_forward", record)
@@ -503,6 +513,20 @@ class TestWideKernelFused:
         assert grads.conv_w.shape == params.conv_w.shape
         assert np.allclose(grads.conv_w, want_w, rtol=1e-12, atol=1e-14)
         assert np.allclose(grads.conv_b, want_b, rtol=1e-12, atol=1e-14)
+
+    def test_chunk_holds_its_taps_once(self):
+        # the pixel-outer copy of a 512-patch chunk's 27 taps a pixel takes
+        # 54 MiB in float32, and the whole pass peaks near 86 MiB; with a
+        # second, contiguous copy of the taps it peaked at 133 MiB
+        params = init_params(replace(HyperParams(), kernel_width=3), 9)
+        x = np.random.default_rng(9).uniform(0, 1, (512, 32, 32, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            forward_cache(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestChunkedForward:
@@ -630,8 +654,9 @@ class TestConv1x1PoolOracle:
     the bits of the block layout form it replaced, ties included, for the
     operands the network hands it from patches, weights and bias of any
     dtypes, at the edges of training's blocks and of inference's running-max
-    blocks: the pixels of a 1x1 model (C = 3) and the taps of a 3x3 one
-    (C = 27)."""
+    blocks: the kernels of a 1x1 model (3 taps a pixel) and of a 3x3 one
+    (27 taps), which the block layout form takes as a 1x1 layer over each
+    pixel's contiguous taps (`block_conv_pool_forward`)."""
 
     @pytest.mark.parametrize("k", [1, 2, 4, 17, 32, 240])
     @pytest.mark.parametrize("xd,wd,bd", ALL_DTYPE_TRIPLES)
@@ -675,9 +700,9 @@ class TestConv1x1PoolOracle:
                     else:
                         x = rng.integers(0, 257 if kind == "rounding_bias" else 3, shape) / 256
                     ops = fused_operands(x.astype(xd), w, b, pool)
-                    assert ops[0].shape[-1] == 3 * kw * kw
+                    assert ops[0].shape[-1] == 3 and ops[1].shape == (k, kw, kw, 3)
                     got, got_cache = conv1x1_pool_forward(*ops, pool)
-                    want, want_cache = block_conv1x1_pool_forward(*ops, pool)
+                    want, want_cache = block_conv_pool_forward(*ops, pool)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                     assert got_cache[1].tobytes() == want_cache[1].tobytes()
@@ -716,7 +741,6 @@ class TestConv1x1PoolOracle:
                 # bias add rounds distinct responses to ties
                 w = (rng.integers(-64, 65, (k, kw, kw, 3)) / 32).astype(dtype)
                 b = (rng.choice([-1, 1], k) * rng.uniform(0.5, 1, k) / eps).astype(dtype)
-            w = w.reshape(k, 1, 1, 3 * kw * kw)
             for windows in block_window_counts(k, pool, dtype):
                 for side in (pool, 2 * pool):
                     shape = (-(-windows // (side // pool) ** 2), side, side, 3)
@@ -724,10 +748,10 @@ class TestConv1x1PoolOracle:
                         x = rng.uniform(0, 1, shape)
                     else:
                         x = rng.integers(0, 257, shape) / 256
-                    x = network._taps(x.astype(dtype), kw)
+                    x = x.astype(dtype)
                     cached, _ = conv1x1_pool_forward(x, w, b, pool)
                     lean, _ = conv1x1_pool_forward(x, w, b, pool, need_cache=False)
-                    want, _ = block_conv1x1_pool_forward(x, w, b, pool, need_cache=False)
+                    want, _ = block_conv_pool_forward(x, w, b, pool, need_cache=False)
                     assert lean.dtype == want.dtype == dtype
                     assert lean.tobytes() == cached.tobytes() == want.tobytes()
 
@@ -757,7 +781,7 @@ class TestConv1x1PoolOracle:
 
         def counted(*args, **kwargs):
             calls.append(kwargs.get("need_cache", True))
-            return block_conv1x1_pool_forward(*args, **kwargs)
+            return block_conv_pool_forward(*args, **kwargs)
 
         monkeypatch.setattr(network, "conv1x1_pool_forward", counted)
         monkeypatch.setattr(network, "conv1x1_pool_backward", block_conv1x1_pool_backward)
